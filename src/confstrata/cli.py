@@ -72,15 +72,17 @@ def _emit(config: RunConfig, result: dict, text: str | None = None) -> None:
     else:
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(body)
+        _write_artifact(config.out, body)
     else:
         sys.stdout.write(body)
 
 
 def _write_artifact(path: str, body: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(body)
+    try:
+        with open(path, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def _selftest(command: str) -> int:

@@ -155,7 +155,7 @@ class StrataPoset:
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_STRATA_POINTS:
-            raise ValueError(f"strata poset is capped at n <= {MAX_STRATA_POINTS}")
+            raise ValueError(f"n must satisfy 1 <= n <= {MAX_STRATA_POINTS}")
         forests = enumerate_forests(n)
         strata = [Stratum(f) for f in forests]
         index = {f: i for i, f in enumerate(forests)}

@@ -301,7 +301,7 @@ def _enumerate_recursive(labels):
 def enumerate_forests(n: int):
     """All forests on {1, ..., n}, canonically sorted, no duplicates."""
     if not 1 <= n <= MAX_ENUMERATION:
-        raise ValueError(f"forest enumeration is capped at n <= {MAX_ENUMERATION}")
+        raise ValueError(f"n must satisfy 1 <= n <= {MAX_ENUMERATION}")
     labels = range(1, n + 1)
     forests = _enumerate_bruteforce(labels) if n <= 4 else _enumerate_recursive(labels)
     return sorted(forests, key=lambda f: (len(f.blocks), f.blocks))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import Echelon, integerize, nullspace
 
@@ -139,40 +140,42 @@ def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
     if N > MAX_KOSZUL_DEGREE:
         raise ValueError(f"truncation order {N} exceeds the resource cap {MAX_KOSZUL_DEGREE}")
     g = p.generator_count
-    relations = []
-    for vec in p.effective_relations():
-        relations.append({(i // g, i % g): v for i, v in enumerate(vec) if v})
+    relations = [[(i // g, i % g, v) for i, v in enumerate(integerize(vec)) if v]
+                 for vec in p.effective_relations()]
     dims = [1]
     if N == 0:
         return TruncatedSeries(tuple(dims))
     dims.append(g)
-    # normal form at degree 1: candidate (unit, v) is basis vector v
-    nf_prev = {(0, v): {v: Fraction(1)} for v in range(g)}
+    # Candidate (b, v) of degree n, basis element b of degree n-1 times
+    # generator v, has index b * g + v.  nf_prev[index] is its normal form
+    # (numerators, denominator): {basis position: integer} over one positive
+    # integer.  At degree 1, candidate (unit, v) is basis vector v.
+    nf_prev = [({v: 1}, 1) for v in range(g)]
     dim_prev, dim_prev2 = g, 1
     for n in range(2, N + 1):
-        candidates = [(b, v) for b in range(dim_prev) for v in range(g)]
-        cand_index = {c: i for i, c in enumerate(candidates)}
         ech = Echelon()
         for u in range(dim_prev2):
             for rel in relations:
+                forms = [(coeff, j, nf_prev[u * g + i]) for i, j, coeff in rel]
+                den = lcm(*(d for _, _, (_, d) in forms))
                 row = {}
-                for (i, j), coeff in rel.items():
-                    for b, c2 in nf_prev[(u, i)].items():
-                        col = cand_index[(b, j)]
-                        row[col] = row.get(col, Fraction(0)) + coeff * c2
+                for coeff, j, (nums, d) in forms:
+                    scale = coeff * (den // d)
+                    for b, num in nums.items():
+                        col = b * g + j
+                        row[col] = row.get(col, 0) + scale * num
                 ech.add(row)
         pivots = ech.back_substitute()
-        basis = [idx for idx in range(len(candidates)) if idx not in pivots]
+        basis = [idx for idx in range(dim_prev * g) if idx not in pivots]
         basis_pos = {idx: pos for pos, idx in enumerate(basis)}
-        nf_cur = {}
-        for idx, cand in enumerate(candidates):
-            if idx in basis_pos:
-                nf_cur[cand] = {basis_pos[idx]: Fraction(1)}
+        nf_cur = []
+        for idx in range(dim_prev * g):
+            pos = basis_pos.get(idx)
+            if pos is not None:
+                nf_cur.append(({pos: 1}, 1))
             else:
                 row = pivots[idx]
-                nf_cur[cand] = {
-                    basis_pos[c]: -v for c, v in row.items() if c != idx and v
-                }
+                nf_cur.append(({basis_pos[c]: -v for c, v in row.items() if c != idx}, row[idx]))
         dim_prev2, dim_prev = dim_prev, len(basis)
         nf_prev = nf_cur
         dims.append(len(basis))

@@ -1,41 +1,83 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, fraction-free.
 
 Everything here is sized for the small systems this package produces
-(hundreds of rows/columns); no floating point anywhere.
+(hundreds of rows/columns); no floating point anywhere.  Rows are reduced
+with integer arithmetic only (fraction-free elimination in the manner of
+Bareiss, Math. Comp. 22, 1968): a rational row has its denominators cleared
+once, on entry, and each elimination step scales by cofactors of a gcd, so
+ranks and pivot columns are exactly those over Q.  Fraction appears only at
+the boundaries: rational input rows and the nullspace output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def _integer_row(row):
+    """A copy of a sparse rational row, scaled to integers, zeros dropped."""
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
+        return {c: v for c, v in row.items() if v}
+    row = {c: Fraction(v) for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
+def _primitive(row, lead):
+    """Divide out the content of an integer row and make its lead positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _eliminate(row, col, pivot):
+    """Cancel row[col] against pivot (pivot[col] > 0) without leaving the integers.
+
+    Returns (p/g)*row - (r/g)*pivot with r = row[col], p = pivot[col] and
+    g = gcd(p, r); the result no longer has column col.
+    """
+    p, r = pivot[col], row[col]
+    g = gcd(p, r)
+    scale, factor = p // g, r // g
+    if scale != 1:
+        row = {c: v * scale for c, v in row.items()}
+    for c, v in pivot.items():
+        new = row.get(c, 0) - factor * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+    return row
 
 
 class Echelon:
-    """Incremental row echelon form with sparse rows (dict column -> coeff).
+    """Incremental row echelon form with sparse integer rows (dict column -> coeff).
 
-    Rows are reduced against previously inserted pivots; pivot rows are
-    normalized to leading coefficient 1.
+    Rows are reduced against previously inserted pivots.  Each pivot row is
+    primitive (its entries have gcd 1) with a positive leading coefficient,
+    which need not be 1; its lead column is the smallest column it touches.
     """
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
     def reduce(self, row):
-        """Reduce a sparse row; return (lead_column, normalized_row) or (None, {})."""
-        row = {c: Fraction(v) for c, v in row.items() if v}
+        """Reduce a sparse rational row; return (lead_column, primitive_row) or (None, {})."""
+        row = _integer_row(row)
+        pivots = self.pivots
         while row:
             lead = min(row)
-            pivot = self.pivots.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
-                inv = Fraction(1, 1) / row[lead]
-                return lead, {c: v * inv for c, v in row.items()}
-            factor = row[lead]
-            for c, v in pivot.items():
-                new = row.get(c, Fraction(0)) - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
+                return lead, _primitive(row, lead)
+            row = _eliminate(row, lead, pivot)
         return None, {}
 
     def add(self, row) -> bool:
@@ -46,27 +88,26 @@ class Echelon:
         self.pivots[lead] = reduced
         return True
 
-    def back_substitute(self) -> dict[int, dict[int, Fraction]]:
+    def back_substitute(self) -> dict[int, dict[int, int]]:
         """Rewrite every pivot row so it references no other pivot column.
 
-        After this, pivots[lead] = {lead: 1, free columns...}, i.e. each pivot
-        column is expressed purely in terms of non-pivot columns.
+        After this, pivots[lead] = {lead: a, free columns...} with a > 0 and
+        the row primitive: pivot column lead equals -sum(v * column c) / a
+        over the free columns c, i.e. it is expressed purely in terms of
+        non-pivot columns.  The lead a is not normalised to 1.
         """
+        pivots = self.pivots
         # A row's non-lead columns are all > lead, so processing leads in
         # decreasing order means substituted rows are already resolved.
-        for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
-            for c in sorted(k for k in row if k != lead and k in self.pivots):
-                factor = row.pop(c)
-                for c2, v2 in self.pivots[c].items():
-                    if c2 == c:
-                        continue
-                    new = row.get(c2, Fraction(0)) - factor * v2
-                    if new:
-                        row[c2] = new
-                    else:
-                        row.pop(c2, None)
-        return self.pivots
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            bound = sorted(c for c in row if c != lead and c in pivots)
+            if not bound:
+                continue
+            for c in bound:
+                row = _eliminate(row, c, pivots[c])
+            pivots[lead] = _primitive(row, lead)
+        return pivots
 
     @property
     def rank(self) -> int:
@@ -88,10 +129,9 @@ def nullspace(vectors, dim):
     """
     ech = Echelon()
     for v in vectors:
-        ech.add({i: Fraction(x) for i, x in enumerate(v) if x})
+        ech.add({i: x for i, x in enumerate(v) if x})
     pivots = ech.back_substitute()
-    pivot_cols = set(pivots)
-    free_cols = [c for c in range(dim) if c not in pivot_cols]
+    free_cols = [c for c in range(dim) if c not in pivots]
     basis = []
     for f in free_cols:
         u = [Fraction(0)] * dim
@@ -99,26 +139,18 @@ def nullspace(vectors, dim):
         for lead, row in pivots.items():
             coef = row.get(f)
             if coef:
-                u[lead] = -coef
+                u[lead] = Fraction(-coef, row[lead])
         basis.append(u)
     return basis
 
 
 def integerize(vector):
     """Scale a rational vector to the smallest integer vector, first nonzero > 0."""
-    denoms = [v.denominator for v in vector if v]
-    if not denoms:
-        return [0] * len(vector)
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(v * mult) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    first = next(v for v in ints if v)
-    if first < 0:
-        ints = [-v for v in ints]
-    return ints
+    den = lcm(*(v.denominator for v in vector if v))
+    ints = [int(v * den) for v in vector]
+    g = gcd(*ints)
+    if g == 0:
+        return ints
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return [v // g for v in ints]

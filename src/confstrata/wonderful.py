@@ -147,7 +147,7 @@ class ArrangementLattice:
 def diagonal_lattice(n: int, d: int = 1) -> ArrangementLattice:
     """The polydiagonal lattice of X^n for X of complex dimension d."""
     if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"diagonal lattice is capped at n <= {MAX_POINTS}")
+        raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
     if d < 1:
         raise ValueError("complex dimension must be positive")
     labels = list(range(1, n + 1))
@@ -288,7 +288,7 @@ def enumerate_nests(n: int, d: int = 1):
 def nest_count(n: int, d: int = 1) -> int:
     """Number of nests (the empty nest included) of the full diagonal building set."""
     if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"nest enumeration is capped at n <= {MAX_POINTS}")
+        raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
     return len(enumerate_nests(n, d))
 
 

@@ -217,3 +217,28 @@ def test_nests_dot(tmp_path, capsys):
     code, _ = run_cli(capsys, "nests", "--n", "2", "--dot", str(dot), "--count")
     assert code == 0
     assert "digraph nests" in dot.read_text()
+
+
+def test_unwritable_dot_path_is_input_error(tmp_path, capsys):
+    dot = tmp_path / "absent-dir" / "forest.dot"
+    code = main(["forests", "--n", "3", "--dot", str(dot)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {dot}: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_out_path_is_input_error(tmp_path, capsys):
+    out_path = tmp_path / "absent-dir" / "report.json"
+    code = main(["forests", "--n", "2", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out_path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_n_zero_names_the_valid_range(capsys):
+    for command in ("nests", "blowup-validate"):
+        assert main([command, "--n", "0"]) == 1
+        assert capsys.readouterr().err == "error: n must satisfy 1 <= n <= 6\n"

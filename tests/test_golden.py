@@ -1,0 +1,43 @@
+"""Golden reports: `hilbert`, `purity` and `koszul` output, byte for byte.
+
+The fixtures under tests/fixtures/golden were captured from the
+Fraction-based echelon that the fraction-free integer kernel replaced; any
+change to exact-rank arithmetic must reproduce them exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from confstrata.cli import main
+from confstrata.koszul import presentation_from_json, presentation_to_json, quadratic_dual
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "fixtures" / "golden"
+RATIONAL = "tests/fixtures/koszul_rational_presentation.json"
+
+REPORTS = [
+    ("hilbert_elliptic_n4_deg8.json",
+     ["hilbert", "--variety", "elliptic", "--n", "4", "--max-deg", "8"]),
+    ("purity_elliptic_n3_deg12.json",
+     ["purity", "--variety", "elliptic", "--n", "3", "--max-deg", "12"]),
+    ("koszul_exterior6_deg6.json",
+     ["koszul", "--presentation", "exterior-6", "--max-deg", "6"]),
+    ("koszul_rational_deg6.json",
+     ["koszul", "--presentation", RATIONAL, "--max-deg", "6"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", REPORTS, ids=[name for name, _ in REPORTS])
+def test_report_matches_golden(name, argv, capsys, monkeypatch):
+    # the report records the presentation path as given, so run from the root
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_rational_dual_matches_golden():
+    p = presentation_from_json(json.loads((ROOT / RATIONAL).read_text()))
+    body = json.dumps(presentation_to_json(quadratic_dual(p)), sort_keys=True, indent=2) + "\n"
+    assert body == (GOLDEN / "koszul_rational_dual.json").read_text()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from confstrata.koszul import (
     quadratic_dual,
     symmetric_presentation,
 )
-from confstrata.linalg import Echelon
+from confstrata.linalg import Echelon, nullspace, rank
 
 # found by seeded random search; both series verified against the dense oracle below
 NON_KOSZUL_RELATIONS = [
@@ -30,6 +31,35 @@ def non_koszul_presentation():
     return QuadraticPresentation(3, NON_KOSZUL_RELATIONS, "free")
 
 
+def dense_echelon(rows, ncols):
+    """Independent oracle: Gaussian elimination over Fraction on dense rows.
+
+    Sweeps each incoming row left to right, cancelling every nonzero entry
+    that sits on an existing pivot and stopping at the first one that does
+    not.  Returns (flags, pivot columns): flags[k] says whether row k raised
+    the rank.  Shares no code with confstrata.linalg.
+    """
+    pivots = {}  # column -> nonzero (column, entry) pairs of a row with 1 there
+    flags = []
+    for sparse in rows:
+        row = [0] * ncols
+        for c, v in sparse.items():
+            row[c] = Fraction(v)
+        new = False
+        for c in range(ncols):
+            if not row[c]:
+                continue
+            if c not in pivots:
+                pivots[c] = [(k, x / row[c]) for k, x in enumerate(row) if x]
+                new = True
+                break
+            factor = row[c]
+            for k, x in pivots[c]:
+                row[k] -= factor * x
+        flags.append(new)
+    return flags, sorted(pivots)
+
+
 def dense_dims(g, relations, N):
     """Independent oracle: rank over all words, no normal-form bookkeeping."""
     rel = [{(i // g, i % g): Fraction(v) for i, v in enumerate(vec) if v} for vec in relations]
@@ -37,7 +67,7 @@ def dense_dims(g, relations, N):
     for n in range(2, N + 1):
         words = list(itertools.product(range(g), repeat=n))
         index = {w: i for i, w in enumerate(words)}
-        ech = Echelon()
+        rows = []
         for pos in range(n - 1):
             for prefix in itertools.product(range(g), repeat=pos):
                 for suffix in itertools.product(range(g), repeat=n - 2 - pos):
@@ -46,8 +76,9 @@ def dense_dims(g, relations, N):
                         for (i, j), c in r.items():
                             w = prefix + (i, j) + suffix
                             row[index[w]] = row.get(index[w], 0) + c
-                        ech.add(row)
-        dims.append(len(words) - ech.rank)
+                        rows.append(row)
+        flags, _ = dense_echelon(rows, len(words))
+        dims.append(len(words) - sum(flags))
     return dims
 
 
@@ -213,3 +244,61 @@ def test_regrading_note_carried():
     p = genus_one_presentation()
     assert p.regraded_from == 1
     assert quadratic_dual(p).regraded_from == 1
+
+
+# -- the exact-rank kernel --------------------------------------------------------------
+
+def random_rational_rows(rng, nrows, ncols):
+    """Sparse rows with fractional, large, zero, repeated and dependent entries."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(rng.choice([{}, {rng.randrange(ncols): 0}]))
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.35 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 5), 3)
+            combo = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)}
+            rows.append({c: v for c, v in combo.items() if v})
+        else:
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(1, min(6, ncols))):
+                row[c] = rng.choice([
+                    rng.choice([-2, -1, 1, 3]),
+                    Fraction(rng.randint(-20, 20) or 1, rng.randint(2, 12)),
+                    rng.randint(-10**30, 10**30) or 1,
+                    Fraction(rng.randint(1, 10**25), rng.randint(1, 10**20)),
+                ])
+            rows.append(row)
+    return rows
+
+
+def test_kernel_matches_dense_oracle_on_random_rational_rows():
+    rng = random.Random(2024)
+    for _ in range(80):
+        ncols = rng.randint(1, 12)
+        rows = random_rational_rows(rng, rng.randint(0, 16), ncols)
+        flags, pivot_cols = dense_echelon(rows, ncols)
+        ech = Echelon()
+        assert [ech.add(row) for row in rows] == flags
+        assert rank(rows) == ech.rank == sum(flags)
+        assert sorted(ech.pivots) == pivot_cols
+        for lead, row in ech.pivots.items():
+            assert all(type(v) is int and v for v in row.values())
+            assert lead == min(row) and row[lead] > 0
+            assert math.gcd(*row.values()) == 1
+        back = ech.back_substitute()
+        assert sorted(back) == pivot_cols
+        for lead, row in back.items():
+            assert row[lead] > 0 and math.gcd(*row.values()) == 1
+            assert not (set(row) - {lead}) & set(back)
+            # still in the row span: appending it does not raise the rank
+            assert dense_echelon(rows + [row], ncols)[0][-1] is False
+        vectors = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        null = nullspace(vectors, ncols)
+        assert len(null) == ncols - sum(flags)
+        for u in null:
+            assert all(sum(a * b for a, b in zip(u, v)) == 0 for v in vectors)
+        assert all(dense_echelon([dict(enumerate(u)) for u in null], ncols)[0])
