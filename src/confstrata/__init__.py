@@ -33,9 +33,9 @@ from .forests import (
     trees_of,
 )
 from .wonderful import (
-    ArrangementLattice,
     BlowUpSchedule,
     BuildingSet,
+    DiagonalLattice,
     default_order,
     diagonal,
     diagonal_building_set,

@@ -77,9 +77,9 @@ def _emit(config: RunConfig, result: dict, text: str | None = None) -> None:
         sys.stdout.write(body)
 
 
-def _write_artifact(path: str, body: str) -> None:
+def _write_artifact(path: str, body: str, mode: str = "w") -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(body)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
@@ -401,13 +401,6 @@ HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.log:
-        import datetime
-
-        with open(args.log, "a") as fh:
-            fh.write(f"{datetime.datetime.now().isoformat()} {args.command}\n")
-    if args.selftest:
-        return _selftest(args.command)
     fmt = args.fmt
     if fmt is None:
         # bare counts read better as plain text; everything else defaults to JSON
@@ -418,6 +411,13 @@ def main(argv=None) -> int:
     }
     config = RunConfig(args.command, params, args.out, fmt, args.unsafe_no_cap)
     try:
+        if args.log:
+            import datetime
+
+            stamp = datetime.datetime.now().isoformat()
+            _write_artifact(args.log, f"{stamp} {args.command}\n", mode="a")
+        if args.selftest:
+            return _selftest(args.command)
         return HANDLERS[args.command](args, config)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

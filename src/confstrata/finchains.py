@@ -349,13 +349,13 @@ def _canonical_key(chain: FinChain):
     return tuple(key)
 
 
-def enumerate_chains(max_level: int, max_size: int, dedup: bool = True):
+def enumerate_chains(max_level: int, max_size: int):
     """Representatives of chains with k <= max_level and |S_i| <= max_size.
 
     All operations in this package commute with level-wise relabelling, so
     properties verified on these representatives hold for every chain in the
-    range.  With dedup=False the first map is still normalized but no further
-    duplicates are removed.
+    range.  The first map is normalized, and a chain whose canonical key was
+    already seen is skipped.
     """
     seen = set()
     for k in range(max_level + 1):
@@ -375,11 +375,10 @@ def enumerate_chains(max_level: int, max_size: int, dedup: bool = True):
             for f0 in first_maps:
                 for rest in itertools.product(*rest_choices):
                     chain = FinChain(sets, (f0,) + rest)
-                    if dedup:
-                        key = _canonical_key(chain)
-                        if key in seen:
-                            continue
-                        seen.add(key)
+                    key = _canonical_key(chain)
+                    if key in seen:
+                        continue
+                    seen.add(key)
                     yield chain
 
 

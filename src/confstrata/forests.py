@@ -232,20 +232,6 @@ def from_poset(p: ForestPoset) -> Forest:
 MAX_ENUMERATION = 6
 
 
-def _enumerate_bruteforce(labels):
-    ground = FiniteSet(labels)
-    singletons = [(x,) for x in ground]
-    candidates = []
-    for size in range(2, len(labels) + 1):
-        candidates.extend(itertools.combinations(sorted(labels, key=label_key), size))
-    out = []
-    for r in range(len(candidates) + 1):
-        for extra in itertools.combinations(candidates, r):
-            if is_forest(ground, singletons + list(extra)):
-                out.append(Forest(ground, singletons + list(extra)))
-    return out
-
-
 def _trees_on(labels, cache):
     """All trees on a label set: the full block plus a forest of proper sub-blocks.
 
@@ -292,18 +278,12 @@ def _forests_on(labels, cache):
     return out
 
 
-def _enumerate_recursive(labels):
-    ground = FiniteSet(labels)
-    cache = {}
-    return [Forest(ground, blocks) for blocks in _forests_on(tuple(ground.labels), cache)]
-
-
 def enumerate_forests(n: int):
     """All forests on {1, ..., n}, canonically sorted, no duplicates."""
     if not 1 <= n <= MAX_ENUMERATION:
         raise ValueError(f"n must satisfy 1 <= n <= {MAX_ENUMERATION}")
-    labels = range(1, n + 1)
-    forests = _enumerate_bruteforce(labels) if n <= 4 else _enumerate_recursive(labels)
+    ground = FiniteSet(range(1, n + 1))
+    forests = [Forest(ground, blocks) for blocks in _forests_on(ground.labels, {})]
     return sorted(forests, key=lambda f: (len(f.blocks), f.blocks))
 
 

@@ -1,4 +1,4 @@
-"""Intersection lattices of diagonal arrangements, building sets, and nests.
+"""The intersection lattice of the diagonal arrangement, building sets, and nests.
 
 The lattice order is reverse inclusion of subvarieties (larger = smaller
 subvariety), join is intersection, and codimension is carried in complex
@@ -64,137 +64,85 @@ def partition_codim(key, n: int, d: int) -> int:
     return d * merged
 
 
-# -- general arrangement lattices ----------------------------------------------
+# -- the diagonal lattice ---------------------------------------------------------
 
 
-class ArrangementLattice:
-    """A finite poset of intersection strata with codimensions and partial joins.
+class DiagonalLattice:
+    """The polydiagonal lattice of X^n for X of complex dimension d.
 
-    strict_pairs holds (a, b) meaning a < b; joins maps unordered pairs to the
-    lattice element realizing the intersection, or None when the intersection
-    is empty.  Construction validates order, codimension monotonicity, and
-    that every defined join is a least upper bound.
+    Its elements are the set partitions of {1..n} with a non-singleton block,
+    as partition keys.  The order is refinement (reverse inclusion of
+    subvarieties), the join merges overlapping blocks (intersection), and the
+    codimension is d times (n minus the number of blocks).  Order and join are
+    tabulated once from these closed forms.
     """
 
-    __slots__ = ("elements", "codim", "strict", "joins", "ambient", "flavor", "meta")
+    __slots__ = ("n", "d", "elements", "codim", "_up", "_joins")
 
-    def __init__(self, elements, codim, strict_pairs, joins, ambient="Y", flavor=None, meta=None):
-        elements = tuple(elements)
-        codim = dict(codim)
-        strict = frozenset(strict_pairs)
-        joins = dict(joins)
-        known = set(elements)
-        above = {e: [] for e in elements}
-        for a, b in strict:
-            if a not in known or b not in known:
-                raise ValueError("order relation mentions unknown element")
-            if (b, a) in strict:
-                raise ValueError("order relation is not antisymmetric")
-            if codim[a] >= codim[b]:
-                raise ValueError("codimension must strictly increase along the order")
-            above[a].append(b)
-        for a, b in strict:
-            for c in above[b]:
-                if a != c and (a, c) not in strict:
-                    raise ValueError("order relation is not transitive")
-        for pair, j in joins.items():
-            if j is None:
-                continue
-            a, b = tuple(pair) if len(pair) == 2 else (next(iter(pair)), next(iter(pair)))
-            for x in (a, b):
-                if x != j and (x, j) not in strict:
-                    raise ValueError(f"join of {a!r},{b!r} is not an upper bound")
-            for u in elements:
-                if all(u == x or (x, u) in strict for x in (a, b)):
-                    if u != j and (j, u) not in strict:
-                        raise ValueError(f"join of {a!r},{b!r} is not least")
+    def __init__(self, n: int, d: int = 1):
+        if not 1 <= n <= MAX_POINTS:
+            raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
+        if d < 1:
+            raise ValueError("complex dimension must be positive")
+        keys = {partition_key(p) for p in _set_partitions(range(1, n + 1))}
+        elements = tuple(sorted(keys - {()}))
+        joins = {}
+        for a, b in itertools.combinations(elements, 2):
+            joins[a, b] = joins[b, a] = partition_join(a, b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "joins", joins)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "meta", dict(meta or {}))
+        object.__setattr__(self, "codim", {e: partition_codim(e, n, d) for e in elements})
+        object.__setattr__(self, "_up", {
+            a: frozenset(b for b in elements if partition_refines(a, b)) for a in elements})
+        object.__setattr__(self, "_joins", joins)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ArrangementLattice is immutable")
+        raise AttributeError("DiagonalLattice is immutable")
 
     def leq(self, a, b) -> bool:
-        return a == b or (a, b) in self.strict
+        return b in self._up[a]
 
     def join(self, a, b):
-        if a == b:
-            return a
-        return self.joins.get(frozenset((a, b)))
+        return a if a == b else self._joins[a, b]
 
     def join_all(self, items):
         items = list(items)
         if not items:
             raise ValueError("join of an empty family")
-        out = items[0]
-        for x in items[1:]:
-            out = self.join(out, x)
-            if out is None:
-                return None
-        return out
-
-    def dimension_rank(self, a) -> int:
-        """Sort helper: elements of larger codimension come first (smaller strata)."""
-        return -self.codim[a]
+        return functools.reduce(self.join, items)
 
 
 @functools.lru_cache(maxsize=None)
-def diagonal_lattice(n: int, d: int = 1) -> ArrangementLattice:
-    """The polydiagonal lattice of X^n for X of complex dimension d."""
-    if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
-    if d < 1:
-        raise ValueError("complex dimension must be positive")
-    labels = list(range(1, n + 1))
-    elements = []
-    for partition in _set_partitions(labels):
-        key = partition_key(partition)
-        if key:
-            elements.append(key)
-    elements = sorted(set(elements))
-    codim = {e: partition_codim(e, n, d) for e in elements}
-    strict = set()
-    for a, b in itertools.permutations(elements, 2):
-        if a != b and partition_refines(a, b):
-            strict.add((a, b))
-    joins = {}
-    for a, b in itertools.combinations(elements, 2):
-        joins[frozenset((a, b))] = partition_join(a, b)
-    return ArrangementLattice(
-        elements, codim, strict, joins,
-        ambient=f"X^{n}", flavor="diagonal", meta={"n": n, "d": d},
-    )
+def diagonal_lattice(n: int, d: int = 1) -> DiagonalLattice:
+    """The polydiagonal lattice of X^n, built once per (n, d)."""
+    return DiagonalLattice(n, d)
 
 
 # -- building sets --------------------------------------------------------------
 
 
-def intersection_closure(lattice: ArrangementLattice, members):
+def intersection_closure(lattice: DiagonalLattice, members):
     closure = set(members)
     frontier = list(closure)
     while frontier:
         new = []
         for a, b in itertools.product(frontier, sorted(closure)):
             j = lattice.join(a, b)
-            if j is not None and j not in closure:
+            if j not in closure:
                 closure.add(j)
                 new.append(j)
         frontier = new
     return closure
 
 
-def factors(lattice: ArrangementLattice, members, s):
+def factors(lattice: DiagonalLattice, members, s):
     """Minimal members containing s as subvarieties (lattice-maximal below s)."""
     below = [m for m in members if lattice.leq(m, s)]
     return [m for m in below if not any(m != m2 and lattice.leq(m, m2) for m2 in below)]
 
 
-def is_building_set(lattice: ArrangementLattice, members) -> bool:
+def is_building_set(lattice: DiagonalLattice, members) -> bool:
     """Codimension additivity and join-exactness of the factors over every intersection."""
     members = set(members)
     unknown = members - set(lattice.elements)
@@ -216,7 +164,7 @@ class BuildingSet:
 
     __slots__ = ("lattice", "members")
 
-    def __init__(self, lattice: ArrangementLattice, members):
+    def __init__(self, lattice: DiagonalLattice, members):
         members = tuple(sorted(set(members)))
         if not is_building_set(lattice, members):
             raise ValueError("not a building set")
@@ -229,12 +177,12 @@ class BuildingSet:
     def __eq__(self, other):
         return (
             isinstance(other, BuildingSet)
-            and self.lattice is other.lattice
+            and (self.lattice.n, self.lattice.d) == (other.lattice.n, other.lattice.d)
             and self.members == other.members
         )
 
     def __hash__(self):
-        return hash(("BuildingSet", id(self.lattice), self.members))
+        return hash(("BuildingSet", self.lattice.n, self.lattice.d, self.members))
 
     def __repr__(self):
         return f"BuildingSet({len(self.members)} members)"
@@ -249,20 +197,18 @@ def diagonal_building_set(n: int, d: int = 1) -> BuildingSet:
 # -- nests -----------------------------------------------------------------------
 
 
-def is_nest(lattice: ArrangementLattice, building_set, subset) -> bool:
+def is_nest(lattice: DiagonalLattice, building_set, subset) -> bool:
     """No antichain of >= 2 elements of the subset joins to a building-set member."""
-    members = building_set.members if isinstance(building_set, BuildingSet) else tuple(building_set)
+    members = set(building_set.members if isinstance(building_set, BuildingSet) else building_set)
     subset = list(subset)
     if any(s not in members for s in subset):
         raise ValueError("subset is not contained in the building set")
-    member_set = set(members)
     for size in range(2, len(subset) + 1):
         for combo in itertools.combinations(subset, size):
             if any(lattice.leq(a, b) or lattice.leq(b, a)
                    for a, b in itertools.combinations(combo, 2)):
                 continue
-            j = lattice.join_all(combo)
-            if j is not None and j in member_set:
+            if lattice.join_all(combo) in members:
                 return False
     return True
 
@@ -349,7 +295,7 @@ def validate_li_order(schedule: BlowUpSchedule) -> bool:
 def default_order(building_set: BuildingSet) -> BlowUpSchedule:
     """Members in order of increasing dimension (decreasing codimension), lex ties."""
     lattice = building_set.lattice
-    ordered = sorted(building_set.members, key=lambda m: (lattice.dimension_rank(m), m))
+    ordered = sorted(building_set.members, key=lambda m: (-lattice.codim[m], m))
     return BlowUpSchedule(building_set, ordered)
 
 
@@ -374,12 +320,9 @@ def forgetful_centers(inj: SetMap, d: int = 1):
 def divisor_components(building_set: BuildingSet):
     """One divisor component per member, labelled by the one-big-block forest."""
     lattice = building_set.lattice
-    if lattice.flavor != "diagonal":
-        raise ValueError("divisor components are defined for diagonal building sets")
-    n = lattice.meta["n"]
-    ground = FiniteSet(range(1, n + 1))
+    ground = FiniteSet(range(1, lattice.n + 1))
     out = []
-    for member in sorted(building_set.members, key=lambda m: (lattice.dimension_rank(m), m)):
+    for member in sorted(building_set.members, key=lambda m: (-lattice.codim[m], m)):
         if len(member) != 1:
             raise ValueError("divisor components require the diagonal building set")
         blocks = [(x,) for x in ground] + [member[0]]
@@ -390,10 +333,9 @@ def divisor_components(building_set: BuildingSet):
 # -- export ------------------------------------------------------------------------
 
 def building_set_to_json(bset: BuildingSet) -> dict:
-    meta = bset.lattice.meta
     return {
-        "n": meta.get("n"),
-        "d": meta.get("d"),
+        "n": bset.lattice.n,
+        "d": bset.lattice.d,
         "members": [[list(b) for b in m] for m in bset.members],
     }
 

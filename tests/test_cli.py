@@ -57,8 +57,14 @@ def test_cap_exceeded_is_input_error(capsys):
 
 
 def test_unsafe_no_cap_override(capsys):
-    code, out = run_cli(capsys, "forests", "--n", "6", "--count", "--format", "text")
+    code, out = run_cli(capsys, "forests", "--n", "6", "--count", "--format", "text",
+                        "--unsafe-no-cap")
     assert code == 0 and out.strip() == "5504"
+    hilbert = ["hilbert", "--variety", "affine-line", "--n", "1", "--max-deg", "41"]
+    assert main(hilbert) == 1
+    assert "exceeds the cap 40" in capsys.readouterr().err
+    assert main(hilbert + ["--unsafe-no-cap"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["dims"]) == 42
 
 
 def test_strata_dot_artifact(tmp_path, capsys):
@@ -236,6 +242,20 @@ def test_unwritable_out_path_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out_path}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_unwritable_log_path_is_input_error(tmp_path, capsys):
+    log = tmp_path / "absent-dir" / "run.log"
+    code = main(["forests", "--n", "2", "--log", str(log)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {log}: ")
+    assert captured.err.count("\n") == 1
+    log = tmp_path / "run.log"
+    for _ in range(2):
+        assert main(["forests", "--n", "2", "--count", "--log", str(log)]) == 0
+    assert [line.split()[1:] for line in log.read_text().splitlines()] == [["forests"]] * 2
 
 
 def test_n_zero_names_the_valid_range(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -164,11 +165,37 @@ def test_precompose_identity():
     assert precompose(chain, (0, 0)).maps[0].is_identity()
 
 
+def relabelling_class(sizes, tables):
+    """Least map-table form of a chain on levels range(n) over all level-wise relabellings."""
+    forms = []
+    for perms in itertools.product(*(itertools.permutations(range(n)) for n in sizes)):
+        form = []
+        for i, table in enumerate(tables):
+            new = [None] * sizes[i]
+            for x, y in enumerate(table):
+                new[perms[i][x]] = perms[i + 1][y]
+            form.append(tuple(new))
+        forms.append(tuple(form))
+    return sizes, min(forms)
+
+
 def test_enumerate_chains_dedups():
-    raw = list(enumerate_chains(1, 2, dedup=False))
-    deduped = list(enumerate_chains(1, 2))
-    assert len(deduped) <= len(raw)
-    assert len(set(deduped)) == len(deduped)
+    # k <= 2, |S_i| <= 2: 28 chains before deduplication, 20 relabelling classes
+    reps = list(enumerate_chains(2, 2))
+    rep_classes = [
+        relabelling_class(tuple(len(s) for s in c.sets),
+                          [tuple(f(x) for x in c.sets[i]) for i, f in enumerate(c.maps)])
+        for c in reps
+    ]
+    every_class = {
+        relabelling_class(sizes, tables)
+        for k in range(3)
+        for sizes in itertools.product((1, 2), repeat=k + 1)
+        for tables in itertools.product(
+            *(itertools.product(range(sizes[i + 1]), repeat=sizes[i]) for i in range(k)))
+    }
+    assert len(set(rep_classes)) == len(reps) == 20
+    assert set(rep_classes) == every_class
 
 
 def test_json_round_trip():

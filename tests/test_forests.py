@@ -18,8 +18,6 @@ from confstrata.forests import (
     pullback,
     to_poset,
     trees_of,
-    _enumerate_bruteforce,
-    _enumerate_recursive,
 )
 
 
@@ -134,10 +132,24 @@ def test_enumeration_counts():
     assert forest_count(3) == 8
 
 
+def bruteforce_forests(labels):
+    """Oracle: every family of non-singleton blocks that passes is_forest."""
+    ground = FiniteSet(labels)
+    singletons = [(x,) for x in ground]
+    candidates = []
+    for size in range(2, len(ground) + 1):
+        candidates.extend(itertools.combinations(ground.labels, size))
+    out = []
+    for r in range(len(candidates) + 1):
+        for extra in itertools.combinations(candidates, r):
+            if is_forest(ground, singletons + list(extra)):
+                out.append(Forest(ground, singletons + list(extra)))
+    return out
+
+
 def test_enumeration_paths_agree_at_4():
-    brute = {f for f in _enumerate_bruteforce(range(1, 5))}
-    recursive = {f for f in _enumerate_recursive(range(1, 5))}
-    assert brute == recursive
+    brute = set(bruteforce_forests(range(1, 5)))
+    assert brute == set(enumerate_forests(4))
     assert len(brute) == 52
 
 

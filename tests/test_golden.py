@@ -1,8 +1,10 @@
-"""Golden reports: `hilbert`, `purity` and `koszul` output, byte for byte.
+"""Golden reports: CLI stdout and one quadratic dual, byte for byte.
 
-The fixtures under tests/fixtures/golden were captured from the
-Fraction-based echelon that the fraction-free integer kernel replaced; any
-change to exact-rank arithmetic must reproduce them exactly.
+The `hilbert`, `purity` and `koszul` fixtures under tests/fixtures/golden were
+captured from the Fraction-based echelon that the fraction-free integer kernel
+replaced; the `nests` and `blowup-validate` fixtures from the general
+arrangement lattice that the tabulated partition lattice replaced.  Any
+change to exact-rank arithmetic or to the lattice must reproduce them exactly.
 """
 
 import json
@@ -16,6 +18,7 @@ from confstrata.koszul import presentation_from_json, presentation_to_json, quad
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 RATIONAL = "tests/fixtures/koszul_rational_presentation.json"
+PAIRS_FIRST = "tests/fixtures/blowup_order_pairs_first_n4.json"
 
 REPORTS = [
     ("hilbert_elliptic_n4_deg8.json",
@@ -26,12 +29,17 @@ REPORTS = [
      ["koszul", "--presentation", "exterior-6", "--max-deg", "6"]),
     ("koszul_rational_deg6.json",
      ["koszul", "--presentation", RATIONAL, "--max-deg", "6"]),
+    ("nests_n4.json", ["nests", "--n", "4"]),
+    ("blowup_validate_n5.json", ["blowup-validate", "--n", "5"]),
+    ("blowup_validate_n4_d2.json", ["blowup-validate", "--n", "4", "--d", "2"]),
+    ("blowup_validate_n4_pairs_first.json",
+     ["blowup-validate", "--n", "4", "--order", PAIRS_FIRST]),
 ]
 
 
 @pytest.mark.parametrize("name,argv", REPORTS, ids=[name for name, _ in REPORTS])
 def test_report_matches_golden(name, argv, capsys, monkeypatch):
-    # the report records the presentation path as given, so run from the root
+    # the report records an input path as given, so run from the root
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()

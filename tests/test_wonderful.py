@@ -52,11 +52,30 @@ def oracle_join(p, q, n):
     return partition_key(groups.values())
 
 
+def oracle_refines(p, q):
+    """Each block of p lies inside one block of q."""
+    block_of = {x: i for i, block in enumerate(q) for x in block}
+    return all(len({block_of.get(x, ("single", x)) for x in block}) == 1 for block in p)
+
+
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
+
+
 def test_join_matches_oracle():
-    for n in range(2, 6):
-        lattice = diagonal_lattice(n, 1)
-        for a, b in itertools.combinations(lattice.elements, 2):
-            assert lattice.join(a, b) == oracle_join(a, b, n)
+    for n, d in itertools.product(range(1, 6), (1, 2)):
+        lattice = diagonal_lattice(n, d)
+        assert len(lattice.elements) == BELL[n] - 1  # every partition but the finest
+        for a, b in itertools.product(lattice.elements, repeat=2):
+            assert lattice.leq(a, b) == oracle_refines(a, b)
+            if a != b and oracle_refines(a, b):
+                assert lattice.codim[a] < lattice.codim[b]
+        for a, b in itertools.combinations_with_replacement(lattice.elements, 2):
+            j = lattice.join(a, b)
+            assert j == lattice.join(b, a) == oracle_join(a, b, n)
+            assert oracle_refines(a, j) and oracle_refines(b, j)
+            for u in lattice.elements:
+                if oracle_refines(a, u) and oracle_refines(b, u):
+                    assert oracle_refines(j, u)
 
 
 def test_codim_formula():
@@ -64,6 +83,14 @@ def test_codim_formula():
     assert lattice.codim[diagonal([1, 2])] == 2
     assert lattice.codim[diagonal([1, 2, 3, 4])] == 6
     assert lattice.codim[partition_join(diagonal([1, 2]), diagonal([3, 4]))] == 4
+
+
+def test_building_set_equality_ignores_how_the_lattice_was_fetched():
+    members = [diagonal(u) for u in [(1, 2), (1, 3), (2, 3), (1, 2, 3)]]
+    bset = BuildingSet(diagonal_lattice(3), members)
+    assert bset == diagonal_building_set(3) == diagonal_building_set(3, 1)
+    assert hash(bset) == hash(diagonal_building_set(3))
+    assert bset != diagonal_building_set(3, 2)
 
 
 def test_building_set_full_diagonals():
