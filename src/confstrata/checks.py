@@ -109,24 +109,25 @@ def _elementary_into(chain: FinChain, allow_degeneracies=True):
     return out
 
 
-def _check_pair(f_sm: SimplexMap, g_sm: SimplexMap, result: CheckResult, strict_hits: list):
+def _check_pair(f_sm: SimplexMap, g_sm: SimplexMap, result: CheckResult):
     composite = f_sm.then(g_sm)
     ff = level_functor_morphism(f_sm)
     fg = level_functor_morphism(g_sm)
     fc = level_functor_morphism(composite)
-    left = ff.then(fg)
     result.checked += 1
-    if left == fc:
-        strict_hits.append(True)
-    else:
-        strict_hits.append(False)
-        if not morphisms_equivalent(left, fc):
-            result.failures.append(
-                f"F composition failed: {f_sm!r} then {g_sm!r}")
+    for sm, mor in ((f_sm, ff), (g_sm, fg), (composite, fc)):
+        problems = forests.morphism_violations(mor)
+        if problems:
+            result.failures.append(f"F of {sm!r} is not a morphism: {problems}")
             return
-    sc = confcat.con_morphism(composite)
-    sf = confcat.con_morphism(f_sm)
-    sg = confcat.con_morphism(g_sm)
+    left = ff.then(fg)
+    if left != fc and not morphisms_equivalent(left, fc):
+        result.failures.append(
+            f"F composition failed: {f_sm!r} then {g_sm!r}")
+        return
+    sc = confcat.StratumMap(fc)
+    sf = confcat.StratumMap(ff)
+    sg = confcat.StratumMap(fg)
     result.checked += 1
     if not confcat.stratum_maps_equivalent(sg.then(sf), sc):
         result.failures.append(
@@ -139,11 +140,12 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     Composition is exhaustive over pairs of elementary morphisms (faces and
     degeneracies within the size range) and additionally verified on a seeded
     random sample of pairs of arbitrary monotone reindexings.  Composites are
-    compared in the quotient category (pullback-forest signatures); strict
-    block-map equality is tracked but not required.
+    compared in the quotient category (pullback-forest signatures), not by
+    strict block-map equality.  The library trusts its own constructions, so
+    this also checks that degeneracies keep the level forest and that every
+    face image and composite passes forests.morphism_violations.
     """
     result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
-    strict_hits: list = []
     chains = list(enumerate_chains(max_level, max_size))
     for chain in chains:
         phi = level_functor_object(chain)
@@ -156,9 +158,15 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
             result.checked += 1
             if not level_functor_morphism(sm).is_identity():
                 result.failures.append(f"degeneracy {i} not sent to identity on {chain!r}")
+            elif level_functor_object(sm.source) != phi:
+                result.failures.append(f"degeneracy {i} changed the level forest of {chain!r}")
         for sm in _elementary_into(chain, allow_degeneracies=False):
             mor = level_functor_morphism(sm)
             result.checked += 1
+            problems = forests.morphism_violations(mor)
+            if problems:
+                result.failures.append(f"face into {chain!r} is not a morphism: {problems}")
+                continue
             if mor.source != level_functor_object(sm.source) or mor.target != phi:
                 result.failures.append(f"endpoint mismatch for face into {chain!r}")
             result.checked += 1
@@ -167,7 +175,7 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     for chain in chains:
         for g_sm in _elementary_into(chain):
             for f_sm in _elementary_into(g_sm.source):
-                _check_pair(f_sm, g_sm, result, strict_hits)
+                _check_pair(f_sm, g_sm, result)
     if pair_samples:
         rng = random.Random(seed)
         for _ in range(pair_samples):
@@ -179,7 +187,7 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
             ka = rng.randint(0, kb)
             delta_f = tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1)))
             f_sm = SimplexMap(delta_f, precompose(g_sm.source, delta_f), g_sm.source)
-            _check_pair(f_sm, g_sm, result, strict_hits)
+            _check_pair(f_sm, g_sm, result)
     return result
 
 
@@ -204,7 +212,14 @@ def check_forest_nest_bijection(max_n=4) -> CheckResult:
     for n in range(1, max_n + 1):
         forests_n = forests.enumerate_forests(n)
         nests_n = wonderful.enumerate_nests(n)
+        bset = wonderful.diagonal_building_set(n)
+        by_definition = {frozenset(s) for size in range(len(bset.members) + 1)
+                         for s in itertools.combinations(bset.members, size)
+                         if wonderful.is_nest(bset.lattice, bset, s)}
         result.checked += 1
+        if set(nests_n) != by_definition:
+            result.failures.append(f"enumerated nests differ from the is_nest subsets at n={n}")
+            continue
         if len(forests_n) != len(nests_n):
             result.failures.append(
                 f"count mismatch at n={n}: {len(forests_n)} forests vs {len(nests_n)} nests")

@@ -184,6 +184,13 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
     bset = wonderful.diagonal_building_set(n, args.d)
     if args.order:
         data = _read_json(args.order, config)
+        if not isinstance(data, list):
+            raise InputError(f"{args.order}: the order must be a list of members")
+        for i, member in enumerate(data):
+            if not (isinstance(member, list) and all(
+                    isinstance(b, list) and all(type(x) is int for x in b) for b in member)):
+                raise InputError(
+                    f"{args.order}: order[{i}] must be a list of blocks of integer labels")
         order = [wonderful.partition_key([tuple(b) for b in m]) for m in data]
         schedule = wonderful.BlowUpSchedule(bset, order)
     else:
@@ -204,11 +211,16 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
 def _cmd_forget_centers(args, config: RunConfig) -> int:
     if args.injection:
         data = _read_json(args.injection, config)
+        for key in ("source", "target"):
+            if not isinstance(data, dict) or not isinstance(data.get(key), list):
+                raise InputError(f'{args.injection}: "{key}" must be a list of labels')
         source = FiniteSet(data["source"])
         target = FiniteSet(data["target"])
         raw = data.get("map")
         if raw is None:
             table = {k: k for k in source.labels}
+        elif not isinstance(raw, dict):
+            raise InputError(f'{args.injection}: "map" must be an object')
         else:
             table = {k: raw.get(str(k), raw.get(k)) for k in source.labels}
         inj = SetMap(source, target, table)

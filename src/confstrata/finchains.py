@@ -11,7 +11,6 @@ construction in `forests` is functorial over.
 from __future__ import annotations
 
 import itertools
-import json
 
 
 def label_key(label):
@@ -286,9 +285,6 @@ class SimplexMap:
     def is_surjective(self) -> bool:
         return set(self.delta) == set(range(self.target.level_count + 1))
 
-    def is_injective(self) -> bool:
-        return len(set(self.delta)) == len(self.delta)
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplexMap)
@@ -302,12 +298,6 @@ class SimplexMap:
 
     def __repr__(self):
         return f"SimplexMap({list(self.delta)!r}: {self.source!r} -> {self.target!r})"
-
-
-def monotone_maps(k: int, l: int):
-    """All weakly monotone maps [k] -> [l] as tuples of images."""
-    for combo in itertools.combinations_with_replacement(range(l + 1), k + 1):
-        yield combo
 
 
 # -- enumeration of representative chains -----------------------------------
@@ -407,17 +397,27 @@ def _decode_label(key: str, labels):
 
 
 def chain_from_json(data) -> FinChain:
-    sets = [FiniteSet(s) for s in data["sets"]]
+    """Decode a chain; a malformed shape raises one ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("chain JSON must be an object")
+    raw_sets, entries = data["sets"], data.get("maps", [])
+    if not (isinstance(raw_sets, list) and all(
+            isinstance(s, list) and not any(isinstance(x, (list, dict)) for x in s)
+            for s in raw_sets)):
+        raise ValueError('chain JSON "sets" must be a list of lists of labels')
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError('chain JSON "maps" must be a list of objects')
+    sets = [FiniteSet(s) for s in raw_sets]
     maps = [None] * (len(sets) - 1)
-    for entry in data.get("maps", ()):
-        i = entry["from"]
+    for n, entry in enumerate(entries):
+        i, assignment = entry.get("from"), entry.get("assignment")
+        if type(i) is not int or not 0 <= i < len(maps) or maps[i] is not None:
+            raise ValueError(f'chain JSON maps[{n}]["from"] is {i!r}: each map index '
+                             f'0 <= from < {len(maps)} must appear once')
+        if not isinstance(assignment, dict):
+            raise ValueError(f'chain JSON maps[{n}]["assignment"] must be an object')
         src, tgt = sets[i], sets[i + 1]
-        assignment = {_decode_label(k, src.labels): v for k, v in entry["assignment"].items()}
-        maps[i] = SetMap(src, tgt, assignment)
+        maps[i] = SetMap(src, tgt, {_decode_label(k, src.labels): v for k, v in assignment.items()})
     if any(m is None for m in maps):
         raise ValueError("missing map in chain JSON")
     return FinChain(sets, maps)
-
-
-def chain_dumps(chain: FinChain) -> str:
-    return json.dumps(chain_to_json(chain), sort_keys=True)

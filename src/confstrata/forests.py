@@ -300,7 +300,8 @@ class ForMorphism:
     The map must preserve the reverse-inclusion order and independence
     (incomparable blocks stay incomparable).  Morphisms induced by a ground
     injection j send a block A to the least block containing j(A); not every
-    morphism is of that form.
+    morphism is of that form.  Only library code builds morphisms, so the
+    constructor only normalises; morphism_violations checks the laws.
     """
 
     __slots__ = ("source", "target", "block_map")
@@ -315,34 +316,9 @@ class ForMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "block_map", items)
-        problems = self._violations()
-        if problems:
-            raise ValueError("; ".join(problems))
 
     def __setattr__(self, name, value):
         raise AttributeError("ForMorphism is immutable")
-
-    def _violations(self):
-        problems = []
-        mapping = dict(self.block_map)
-        if set(mapping) != set(self.source.blocks):
-            problems.append("block map is not total on the source blocks")
-            return problems
-        if any(v not in set(self.target.blocks) for v in mapping.values()):
-            problems.append("block map hits a non-block")
-            return problems
-        if len(set(mapping.values())) != len(mapping):
-            problems.append("block map is not injective")
-        for a, b in itertools.combinations(self.source.blocks, 2):
-            sa, sb = set(a), set(b)
-            ia, ib = set(mapping[a]), set(mapping[b])
-            comparable_src = sa <= sb or sb <= sa
-            comparable_img = ia <= ib or ib <= ia
-            if comparable_src != comparable_img:
-                problems.append(f"comparability of {a!r},{b!r} not preserved")
-            elif comparable_src and ((sa >= sb) != (ia >= ib)):
-                problems.append(f"order of {a!r},{b!r} reversed")
-        return problems
 
     def mapping(self):
         return dict(self.block_map)
@@ -350,21 +326,6 @@ class ForMorphism:
     @classmethod
     def identity(cls, forest: Forest) -> "ForMorphism":
         return cls(forest, forest, {b: b for b in forest.blocks})
-
-    @classmethod
-    def from_injection(cls, j: SetMap, source: Forest, target: Forest) -> "ForMorphism":
-        """The morphism A -> least block of the target containing j(A)."""
-        if not set(source.blocks) <= set(pullback(j, target).blocks):
-            raise ValueError("injection does not dominate the source forest")
-        table = j.as_dict()
-        target_sets = target.block_sets()
-        mapping = {}
-        for a in source.blocks:
-            image = {table[x] for x in a}
-            containing = [b for b in target_sets if image <= b]
-            least = min(containing, key=len)
-            mapping[a] = tuple(sorted(least, key=label_key))
-        return cls(source, target, mapping)
 
     def then(self, other: "ForMorphism") -> "ForMorphism":
         if other.source != self.target:
@@ -411,6 +372,30 @@ class ForMorphism:
 
     def __repr__(self):
         return f"ForMorphism({self.source!r} -> {self.target!r})"
+
+
+def morphism_violations(f: ForMorphism) -> list[str]:
+    """Diagnostics for every violated morphism law (empty list iff f is a morphism)."""
+    problems = []
+    mapping = f.mapping()
+    if set(mapping) != set(f.source.blocks):
+        problems.append("block map is not total on the source blocks")
+        return problems
+    if not set(mapping.values()) <= set(f.target.blocks):
+        problems.append("block map hits a non-block")
+        return problems
+    if len(set(mapping.values())) != len(mapping):
+        problems.append("block map is not injective")
+    sets = {a: (frozenset(a), frozenset(v)) for a, v in mapping.items()}
+    for a, b in itertools.combinations(f.source.blocks, 2):
+        (sa, ia), (sb, ib) = sets[a], sets[b]
+        comparable_src = sa <= sb or sb <= sa
+        comparable_img = ia <= ib or ib <= ia
+        if comparable_src != comparable_img:
+            problems.append(f"comparability of {a!r},{b!r} not preserved")
+        elif comparable_src and ((sa >= sb) != (ia >= ib)):
+            problems.append(f"order of {a!r},{b!r} reversed")
+    return problems
 
 
 def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
@@ -586,33 +571,25 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     block map sends a class to the class of the image of its deepest
     representative; general deltas compose the two.  Composition of the
     results holds in the quotient category (compare with morphisms_equivalent
-    or signatures), not as strict block-map equality.
+    or signatures), not as strict block-map equality.  The morphism laws and
+    degeneracy invariance are checked by checks.check_level_functor, not here.
     """
     problems = sm.violations()
     if problems:
         raise ValueError("; ".join(problems))
-    source_data = _level_data(sm.source)
-
+    target_data = _level_data(sm.target)
     image = sorted(set(sm.delta))
     if len(image) == sm.target.level_count + 1:
-        target_data = _level_data(sm.target)
-        if source_data.forest != target_data.forest:
-            raise AssertionError("surjective reindexing changed the level forest")
-        return ForMorphism.identity(source_data.forest)
+        return ForMorphism.identity(target_data.forest)
 
     # factor delta through its image; the surjective part is the identity
-    mid_chain = precompose(sm.target, image)
-    mid_data = _level_data(mid_chain)
-    if mid_data.forest != source_data.forest:
-        raise AssertionError("surjective part of the reindexing changed the level forest")
-    target_data = _level_data(sm.target)
-
+    mid_data = _level_data(precompose(sm.target, image))
     mapping = {}
     for c, members in enumerate(mid_data.classes):
         level, value = members[-1]
         target_class = target_data.class_of[(image[level], value)]
         mapping[mid_data.block_of(c)] = target_data.block_of(target_class)
-    return ForMorphism(source_data.forest, target_data.forest, mapping)
+    return ForMorphism(mid_data.forest, target_data.forest, mapping)
 
 
 # -- export -------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .finchains import FiniteSet, SetMap, label_key
-from .forests import Forest, _set_partitions
+from .forests import Forest, _set_partitions, enumerate_forests
 
 MAX_POINTS = 6
 
@@ -67,6 +67,13 @@ def partition_codim(key, n: int, d: int) -> int:
 # -- the diagonal lattice ---------------------------------------------------------
 
 
+def _check_points(n: int, d: int):
+    if not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
+    if d < 1:
+        raise ValueError("complex dimension must be positive")
+
+
 class DiagonalLattice:
     """The polydiagonal lattice of X^n for X of complex dimension d.
 
@@ -80,10 +87,7 @@ class DiagonalLattice:
     __slots__ = ("n", "d", "elements", "codim", "_up", "_joins")
 
     def __init__(self, n: int, d: int = 1):
-        if not 1 <= n <= MAX_POINTS:
-            raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
-        if d < 1:
-            raise ValueError("complex dimension must be positive")
+        _check_points(n, d)
         keys = {partition_key(p) for p in _set_partitions(range(1, n + 1))}
         elements = tuple(sorted(keys - {()}))
         joins = {}
@@ -214,27 +218,18 @@ def is_nest(lattice: DiagonalLattice, building_set, subset) -> bool:
 
 
 def enumerate_nests(n: int, d: int = 1):
-    """All nests of the full diagonal building set, by depth-first extension."""
-    bset = diagonal_building_set(n, d)
-    lattice = bset.lattice
-    members = sorted(bset.members)
-    out = []
+    """All nests of the full diagonal building set: the non-singleton blocks of each forest.
 
-    def extend(prefix, start):
-        out.append(frozenset(prefix))
-        for idx in range(start, len(members)):
-            candidate = prefix + [members[idx]]
-            if is_nest(lattice, bset, candidate):
-                extend(candidate, idx + 1)
-
-    extend([], 0)
-    return out
+    These laminar families of subsets of size >= 2 do not depend on d
+    (De Concini-Procesi); checks.check_forest_nest_bijection compares them with is_nest.
+    """
+    _check_points(n, d)
+    return [frozenset(diagonal(b) for b in phi.non_singleton_blocks())
+            for phi in enumerate_forests(n)]
 
 
 def nest_count(n: int, d: int = 1) -> int:
     """Number of nests (the empty nest included) of the full diagonal building set."""
-    if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
     return len(enumerate_nests(n, d))
 
 

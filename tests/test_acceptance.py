@@ -43,8 +43,11 @@ from confstrata.wonderful import (
     default_order,
     diagonal,
     diagonal_building_set,
+    enumerate_nests,
     first_invalid_prefix,
+    is_nest,
     nest_count,
+    nest_to_forest,
     validate_li_order,
 )
 
@@ -57,15 +60,37 @@ def _verdict(number, name, ok, detail=""):
     assert ok, line
 
 
+def nests_by_search(n):
+    """Nests from the definition: depth-first extension of member lists, each checked by is_nest.
+
+    The library reads nests off forests; this search shares no code with that path.
+    """
+    bset = diagonal_building_set(n)
+    members = sorted(bset.members)
+    out = []
+
+    def extend(prefix, start):
+        out.append(frozenset(prefix))
+        for idx in range(start, len(members)):
+            candidate = prefix + [members[idx]]
+            if is_nest(bset.lattice, bset, candidate):
+                extend(candidate, idx + 1)
+
+    extend([], 0)
+    return out
+
+
 def test_criterion_1_forest_nest_bijection():
     start = time.monotonic()
     ok = True
     counts = []
     for n in range(1, 6):
-        forests = len(enumerate_forests(n))
-        nests = nest_count(n)
-        counts.append(forests)
-        ok = ok and forests == nests == 1 + (nests - 1)
+        forests = enumerate_forests(n)
+        searched = nests_by_search(n)
+        counts.append(len(forests))
+        ok = ok and len(forests) == nest_count(n) == len(searched) == len(set(searched))
+        ok = ok and set(enumerate_nests(n)) == set(searched)
+        ok = ok and {nest_to_forest(n, nest) for nest in searched} == set(forests)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
     _verdict(1, "forest/nest bijection n=1..5", ok,

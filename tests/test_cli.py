@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from confstrata.cli import main
 
 
@@ -262,3 +264,35 @@ def test_n_zero_names_the_valid_range(capsys):
     for command in ("nests", "blowup-validate"):
         assert main([command, "--n", "0"]) == 1
         assert capsys.readouterr().err == "error: n must satisfy 1 <= n <= 6\n"
+
+
+ONE_MAP = {"from": 0, "assignment": {"0": 0}}
+BAD_SHAPES = [
+    ("sets-int", ["deltafin-check", "--chain"], {"sets": 5}, 'chain JSON "sets"'),
+    ("from-out-of-range", ["deltafin-check", "--chain"],
+     {"sets": [[0, 1], [0]], "maps": [{"from": 3, "assignment": {"0": 0, "1": 0}}]},
+     'chain JSON maps[0]["from"] is 3'),
+    ("from-negative", ["deltafin-check", "--chain"],
+     {"sets": [[0], [0]], "maps": [{**ONE_MAP, "from": -1}]}, 'chain JSON maps[0]["from"] is -1'),
+    ("from-repeated", ["deltafin-check", "--chain"],
+     {"sets": [[0], [0]], "maps": [ONE_MAP, ONE_MAP]}, 'chain JSON maps[1]["from"] is 0'),
+    ("map-list", ["forget-centers", "--injection"],
+     {"source": [1, 2], "target": [1, 2, 3], "map": [1, 2]}, '"map" must be an object'),
+    ("source-int", ["forget-centers", "--injection"],
+     {"source": 5, "target": [1, 2, 3]}, '"source" must be a list'),
+    ("order-member-int", ["blowup-validate", "--n", "3", "--order"],
+     [5, [[1, 2]], [[1, 2, 3]]], "order[0] must be a list of blocks"),
+    ("order-block-int", ["blowup-validate", "--n", "3", "--order"],
+     [[[1, 2]], [3], [[1, 2, 3]]], "order[1] must be a list of blocks"),
+]
+
+
+@pytest.mark.parametrize("name,argv,data,field", BAD_SHAPES, ids=[s[0] for s in BAD_SHAPES])
+def test_bad_input_shape_is_one_error_line(tmp_path, capsys, name, argv, data, field):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err

@@ -207,3 +207,34 @@ def test_json_round_trip():
     s = FiniteSet(["a", "b"])
     named = FinChain([s, FiniteSet(["c"])], [SetMap(s, FiniteSet(["c"]), {"a": "c", "b": "c"})])
     assert chain_from_json(chain_to_json(named)) == named
+
+
+GOOD_MAP = {"from": 0, "assignment": {"0": 0, "1": 0}}
+BAD_CHAIN_JSON = [
+    ({"sets": 5}, 'chain JSON "sets" must be a list of lists of labels'),
+    ({"sets": [5, [0]]}, 'chain JSON "sets" must be a list of lists of labels'),
+    ({"sets": [[[0]], [0]]}, 'chain JSON "sets" must be a list of lists of labels'),
+    ([[0, 1], [0]], "chain JSON must be an object"),
+    ({"sets": [[0, 1], [0]], "maps": GOOD_MAP}, 'chain JSON "maps" must be a list of objects'),
+    ({"sets": [[0, 1], [0]], "maps": [3]}, 'chain JSON "maps" must be a list of objects'),
+    ({"sets": [[0, 1], [0]], "maps": [{**GOOD_MAP, "from": 3}]}, r'maps\[0\]\["from"\] is 3'),
+    ({"sets": [[0], [0]], "maps": [{"from": -1, "assignment": {"0": 0}}]},
+     r'maps\[0\]\["from"\] is -1'),
+    ({"sets": [[0, 1], [0]], "maps": [{**GOOD_MAP, "from": "0"}]}, r"maps\[0\]\[\"from\"\] is '0'"),
+    ({"sets": [[0, 1], [0]], "maps": [{**GOOD_MAP, "from": True}]}, r'maps\[0\]\["from"\] is True'),
+    ({"sets": [[0, 1], [0]], "maps": [{"assignment": GOOD_MAP["assignment"]}]},
+     r'maps\[0\]\["from"\] is None'),
+    ({"sets": [[0, 1], [0]], "maps": [GOOD_MAP, GOOD_MAP]},
+     r'maps\[1\]\["from"\] is 0: each map index 0 <= from < 1 must appear once'),
+    ({"sets": [[0, 1], [0]], "maps": [{"from": 0, "assignment": [0, 0]}]},
+     r'maps\[0\]\["assignment"\] must be an object'),
+    ({"sets": [[0, 1], [0]], "maps": []}, "missing map in chain JSON"),
+    ({"sets": [[0, 1], [0]], "maps": [{"from": 0, "assignment": {"0": 0, "7": 0}}]},
+     "unknown label '7'"),
+]
+
+
+@pytest.mark.parametrize("data,message", BAD_CHAIN_JSON)
+def test_chain_from_json_names_the_bad_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        chain_from_json(data)

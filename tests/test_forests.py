@@ -6,6 +6,7 @@ from confstrata.finchains import FiniteSet, SetMap
 from confstrata.forests import (
     Forest,
     ForestPoset,
+    ForMorphism,
     enumerate_forests,
     forest_count,
     forest_from_json,
@@ -15,6 +16,7 @@ from confstrata.forests import (
     hom_count,
     is_forest,
     minimal_forest,
+    morphism_violations,
     pullback,
     to_poset,
     trees_of,
@@ -195,3 +197,23 @@ def test_dot_export_shape():
     # two trees, so two added root vertices
     assert dot.count('"root_') == 4  # two declarations + two edges
     assert '"b_1_2"' in dot
+
+
+def test_morphism_violations_flags_each_broken_law():
+    # the constructor only normalises, so broken block maps can be built and diagnosed
+    point = F([1], [(1,)])
+    pair = F([1, 2], [(1,), (2,), (1, 2)])
+    antichain = F([1, 2], [(1,), (2,)])
+    tree = F([1, 2, 3], [(1,), (2,), (3,), (1, 2)])
+    assert morphism_violations(ForMorphism(point, pair, {(1,): (1,)})) == []
+    assert morphism_violations(ForMorphism.identity(tree)) == []
+    merged = ForMorphism(antichain, pair, {(1,): (1,), (2,): (1,)})
+    assert "block map is not injective" in morphism_violations(merged)
+    # in a forest a reversed pair always drags a comparability fault along
+    reversed_ = ForMorphism(pair, tree, {(1,): (1, 2), (2,): (3,), (1, 2): (1,)})
+    assert "order of (1,),(1, 2) reversed" in morphism_violations(reversed_)
+    flattened = ForMorphism(pair, tree, {(1,): (1,), (2,): (2,), (1, 2): (3,)})
+    assert morphism_violations(flattened) == [
+        "comparability of (1,),(1, 2) not preserved",
+        "comparability of (2,),(1, 2) not preserved",
+    ]

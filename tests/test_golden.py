@@ -3,8 +3,11 @@
 The `hilbert`, `purity` and `koszul` fixtures under tests/fixtures/golden were
 captured from the Fraction-based echelon that the fraction-free integer kernel
 replaced; the `nests` and `blowup-validate` fixtures from the general
-arrangement lattice that the tabulated partition lattice replaced.  Any
-change to exact-rank arithmetic or to the lattice must reproduce them exactly.
+arrangement lattice that the tabulated partition lattice replaced; the
+`deltafin-check` and `nests --d 2` fixtures from the library that still
+re-proved every forest morphism and searched for nests with is_nest.  Any
+change to exact-rank arithmetic, the lattice, the level functor or the nest
+enumeration must reproduce them exactly.
 """
 
 import json
@@ -19,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 RATIONAL = "tests/fixtures/koszul_rational_presentation.json"
 PAIRS_FIRST = "tests/fixtures/blowup_order_pairs_first_n4.json"
+STRING_CHAIN = "tests/fixtures/chain_string_labels.json"
 
 REPORTS = [
     ("hilbert_elliptic_n4_deg8.json",
@@ -34,6 +38,14 @@ REPORTS = [
     ("blowup_validate_n4_d2.json", ["blowup-validate", "--n", "4", "--d", "2"]),
     ("blowup_validate_n4_pairs_first.json",
      ["blowup-validate", "--n", "4", "--order", PAIRS_FIRST]),
+    ("nests_n4_d2.json", ["nests", "--n", "4", "--d", "2"]),
+    ("deltafin_check_functor_l2_s2_seed1.json",
+     ["deltafin-check", "--max-level", "2", "--max-size", "2", "--functor",
+      "--samples", "300", "--seed", "1"]),
+    ("deltafin_check_functor_l3_s2_uncapped_seed1.json",
+     ["deltafin-check", "--max-level", "3", "--max-size", "2", "--functor", "--unsafe-no-cap",
+      "--samples", "300", "--seed", "1"]),
+    ("deltafin_check_chain_string_labels.json", ["deltafin-check", "--chain", STRING_CHAIN]),
 ]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from confstrata import checks
 from confstrata.checks import check_level_functor
 from confstrata.finchains import (
     FinChain,
@@ -11,6 +12,7 @@ from confstrata.finchains import (
 )
 from confstrata.forests import (
     Forest,
+    ForMorphism,
     level_functor_morphism,
     level_functor_object,
     minimal_forest,
@@ -125,3 +127,37 @@ def test_invalid_simplex_map_rejected():
 def test_functor_laws_small_range():
     result = check_level_functor(2, 2, pair_samples=150, seed=3)
     assert result.ok, result.failures[:3]
+
+
+def test_functor_check_reports_a_level_forest_moved_by_a_degeneracy(monkeypatch):
+    # mutant: chains with an identity map (all degeneracies) get another forest
+    real = level_functor_object
+
+    def moved(chain):
+        if any(f.is_identity() for f in chain.maps):
+            return minimal_forest(FiniteSet(["moved"]))
+        return real(chain)
+
+    monkeypatch.setattr(checks, "level_functor_object", moved)
+    result = check_level_functor(2, 2, pair_samples=20, seed=3)
+    assert any("changed the level forest" in f for f in result.failures)
+
+
+def test_functor_check_reports_a_morphism_that_merges_blocks(monkeypatch):
+    # mutant: the first two source blocks share one image block
+    real = level_functor_morphism
+
+    def merging(sm):
+        mor = real(sm)
+        mapping = mor.mapping()
+        if len(mapping) >= 2:
+            first, second = list(mapping)[:2]
+            mapping[second] = mapping[first]
+        return ForMorphism(mor.source, mor.target, mapping)
+
+    monkeypatch.setattr(checks, "level_functor_morphism", merging)
+    result = check_level_functor(2, 2, pair_samples=20, seed=3)
+    faces = [f for f in result.failures if f.startswith("face into")]
+    composites = [f for f in result.failures if f.startswith("F of")]
+    assert faces and composites
+    assert all("block map is not injective" in f for f in faces + composites)

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from confstrata import wonderful
+from confstrata.checks import check_forest_nest_bijection
 from confstrata.finchains import FiniteSet, SetMap
 from confstrata.forests import Forest, enumerate_forests, is_forest
 from confstrata.wonderful import (
@@ -155,6 +157,36 @@ def test_nest_bijection_with_forests():
         forests = enumerate_forests(n)
         assert len(nests) == len(forests)
         assert {nest_to_forest(n, nest) for nest in nests} == set(forests)
+
+
+def test_enumerate_nests_validates_and_builds_no_lattice():
+    with pytest.raises(ValueError, match=r"^n must satisfy 1 <= n <= 6$"):
+        enumerate_nests(0, 0)
+    with pytest.raises(ValueError, match=r"^n must satisfy 1 <= n <= 6$"):
+        enumerate_nests(7)
+    with pytest.raises(ValueError, match=r"^complex dimension must be positive$"):
+        enumerate_nests(3, 0)
+    diagonal_lattice.cache_clear()
+    assert set(enumerate_nests(4, 2)) == set(enumerate_nests(4, 1))
+    assert diagonal_lattice.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("keep_count", [False, True])
+def test_nest_check_reports_a_non_laminar_family(monkeypatch, keep_count):
+    # mutant: {1,2} and {1,3} overlap, so together they are no nest
+    real = enumerate_nests
+    bad = frozenset({diagonal([1, 2]), diagonal([1, 3])})
+
+    def padded(n, d=1):
+        nests = real(n, d)
+        if n < 3:
+            return nests
+        return nests[:-1] + [bad] if keep_count else nests + [bad]
+
+    monkeypatch.setattr(wonderful, "enumerate_nests", padded)
+    result = check_forest_nest_bijection(4)
+    assert result.failures == [
+        f"enumerated nests differ from the is_nest subsets at n={n}" for n in (3, 4)]
 
 
 def test_li_order_increasing_dimension():
