@@ -144,6 +144,9 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     strict block-map equality.  The library trusts its own constructions, so
     this also checks that degeneracies keep the level forest and that every
     face image and composite passes forests.morphism_violations.
+    level_functor_morphism, pullback and ForMorphism.signature are memoised
+    (lru_cache, 65536 entries each), so each distinct simplex map is checked
+    and mapped once and its shared, immutable result reused.
     """
     result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
     chains = list(enumerate_chains(max_level, max_size))

@@ -10,7 +10,6 @@ errors or exceeded caps, 2 on hypothesis refusal.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -52,6 +51,8 @@ def _read_json(path: str, config: RunConfig):
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    import hashlib
+
     config.input_digest = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw)

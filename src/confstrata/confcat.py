@@ -158,12 +158,13 @@ class StrataPoset:
             raise ValueError(f"n must satisfy 1 <= n <= {MAX_STRATA_POINTS}")
         forests = enumerate_forests(n)
         strata = [Stratum(f) for f in forests]
-        index = {f: i for i, f in enumerate(forests)}
-        covers = []
-        for f in forests:
-            for g in forests:
-                if set(f.blocks) < set(g.blocks) and len(g.blocks) == len(f.blocks) + 1:
-                    covers.append((index[f], index[g]))
+        # g covers exactly the forests g minus one non-singleton block; deleting
+        # from the canonically sorted blocks leaves them canonically sorted
+        index = {f.blocks: i for i, f in enumerate(forests)}
+        covers = [
+            (index[tuple(c for c in g.blocks if c != b)], index[g.blocks])
+            for g in forests for b in g.non_singleton_blocks()
+        ]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "strata", tuple(strata))
         object.__setattr__(self, "covers", tuple(sorted(covers)))

@@ -64,7 +64,7 @@ class SetMap:
         for value in assignment.values():
             if value not in target:
                 raise ValueError(f"image label {value!r} not in target")
-        pairs = tuple(sorted(assignment.items(), key=lambda kv: label_key(kv[0])))
+        pairs = tuple((x, assignment[x]) for x in source.labels)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "pairs", pairs)

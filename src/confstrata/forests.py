@@ -96,8 +96,12 @@ def minimal_forest(ground: FiniteSet) -> Forest:
     return Forest(ground, [(x,) for x in ground])
 
 
+@functools.lru_cache(maxsize=65536)
 def pullback(j: SetMap, psi: Forest) -> Forest:
-    """Intersect a forest on T with the image of an injection j: S -> T."""
+    """Intersect a forest on T with the image of an injection j: S -> T.
+
+    Memoised: equal arguments share one immutable result.
+    """
     if not j.is_injective():
         raise ValueError("pullback requires an injective map")
     if psi.ground != j.target:
@@ -344,12 +348,13 @@ class ForMorphism:
         for combo in itertools.product(*choices):
             yield SetMap(self.source.ground, self.target.ground, dict(zip(ground, combo)))
 
+    @functools.lru_cache(maxsize=65536)
     def signature(self) -> frozenset:
         """The pullback forests of all ground lifts: the quotient-category identity card.
 
         Two morphisms with equal signatures are identified in the forest
         category, whose hom-sets remember only the pullback of the target
-        forest along the underlying injection.
+        forest along the underlying injection.  Memoised per equal morphism.
         """
         return frozenset(pullback(j, self.target) for j in self.max_lifts())
 
@@ -564,6 +569,7 @@ def level_functor_object(chain: FinChain) -> Forest:
     return _level_data(chain).forest
 
 
+@functools.lru_cache(maxsize=65536)
 def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     """The forest morphism of a chain morphism.
 
@@ -573,6 +579,8 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     results holds in the quotient category (compare with morphisms_equivalent
     or signatures), not as strict block-map equality.  The morphism laws and
     degeneracy invariance are checked by checks.check_level_functor, not here.
+    Memoised: equal simplex maps share one immutable result, and an invalid
+    one raises on every call, since exceptions are not cached.
     """
     problems = sm.violations()
     if problems:

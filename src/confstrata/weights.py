@@ -219,14 +219,38 @@ def descriptor_to_json(x: VarietyDescriptor) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def descriptor_from_json(data) -> VarietyDescriptor:
-    cohomology = {
-        int(deg): WeightMultiset([(e["weight"], e["mult"]) for e in entries])
-        for deg, entries in data["cohomology"].items()
-    }
-    return VarietyDescriptor(
-        data["name"], data["d"], cohomology,
-        data.get("diagonal_class_vanishes", False), data.get("q", 2))
+    """Decode a descriptor; a malformed shape raises one ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("descriptor JSON must be an object")
+    raw, d, q = data["cohomology"], data["d"], data.get("q", 2)
+    vanishes = data.get("diagonal_class_vanishes", False)
+    if not isinstance(raw, dict):
+        raise ValueError('"cohomology" must be an object mapping degrees to lists')
+    for field, value in (("d", d), ("q", q)):
+        if not _is_int(value):
+            raise ValueError(f'"{field}" must be an integer, not {value!r}')
+    if not isinstance(vanishes, bool):
+        raise ValueError(f'"diagonal_class_vanishes" must be true or false, not {vanishes!r}')
+    cohomology = {}
+    for deg, entries in raw.items():
+        where = f'cohomology["{deg}"]'
+        try:
+            degree = int(deg)
+        except ValueError:
+            raise ValueError(f"{where}: the degree must be an integer")
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f'{where} must be a list of {{"weight", "mult"}} objects')
+        for i, e in enumerate(entries):
+            for key in ("weight", "mult"):
+                if not _is_int(e.get(key)):
+                    raise ValueError(f'{where}[{i}]["{key}"] must be an integer, not {e.get(key)!r}')
+        cohomology[degree] = WeightMultiset([(e["weight"], e["mult"]) for e in entries])
+    return VarietyDescriptor(data["name"], d, cohomology, vanishes, q)
 
 
 def kunneth_power(x: VarietyDescriptor, n: int) -> WeightedGradedSpace:

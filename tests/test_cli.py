@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import confstrata
 from confstrata.cli import main
 
 
@@ -212,10 +215,14 @@ def test_selftest_smoke(capsys):
 
 
 def test_console_module_runs():
+    # the child imports the package under test, however pytest found it
+    package_root = str(Path(confstrata.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "confstrata.cli", "forests", "--n", "2", "--count",
          "--format", "text"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
 
@@ -267,6 +274,8 @@ def test_n_zero_names_the_valid_range(capsys):
 
 
 ONE_MAP = {"from": 0, "assignment": {"0": 0}}
+HILBERT = ["hilbert", "--n", "1", "--max-deg", "2"]
+H0 = {"0": [{"weight": 0, "mult": 1}]}
 BAD_SHAPES = [
     ("sets-int", ["deltafin-check", "--chain"], {"sets": 5}, 'chain JSON "sets"'),
     ("from-out-of-range", ["deltafin-check", "--chain"],
@@ -284,6 +293,16 @@ BAD_SHAPES = [
      [5, [[1, 2]], [[1, 2, 3]]], "order[0] must be a list of blocks"),
     ("order-block-int", ["blowup-validate", "--n", "3", "--order"],
      [[[1, 2]], [3], [[1, 2, 3]]], "order[1] must be a list of blocks"),
+    ("cohomology-list", [*HILBERT, "--variety"],
+     {"name": "x", "d": 1, "cohomology": [[0, 1]], "diagonal_class_vanishes": True},
+     'bad variety descriptor: "cohomology"'),
+    ("d-string", [*HILBERT, "--variety"],
+     {"name": "x", "d": "1", "cohomology": H0, "diagonal_class_vanishes": True},
+     'bad variety descriptor: "d" must be an integer'),
+    ("entries-object", [*HILBERT, "--variety"],
+     {"name": "x", "d": 1, "cohomology": {"0": {"weight": 0, "mult": 1}}},
+     'bad variety descriptor: cohomology["0"] must be a list'),
+    ("descriptor-list", [*HILBERT, "--variety"], [1, 2], "bad variety descriptor: "),
 ]
 
 

@@ -156,6 +156,19 @@ def test_strata_poset_codim_monotone():
             assert poset.strata[a].codim < poset.strata[b].codim
 
 
+def test_strata_covers_match_pairwise_definition():
+    for n in range(1, 5):
+        poset = strata_poset(n)
+        forests = [s.forest for s in poset.strata]
+        oracle = sorted(
+            (i, j)
+            for i, f in enumerate(forests)
+            for j, g in enumerate(forests)
+            if set(f.blocks) < set(g.blocks) and len(g.blocks) == len(f.blocks) + 1
+        )
+        assert list(poset.covers) == oracle
+
+
 def test_strata_poset_cap():
     with pytest.raises(ValueError):
         strata_poset(6)

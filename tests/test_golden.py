@@ -5,9 +5,11 @@ captured from the Fraction-based echelon that the fraction-free integer kernel
 replaced; the `nests` and `blowup-validate` fixtures from the general
 arrangement lattice that the tabulated partition lattice replaced; the
 `deltafin-check` and `nests --d 2` fixtures from the library that still
-re-proved every forest morphism and searched for nests with is_nest.  Any
-change to exact-rank arithmetic, the lattice, the level functor or the nest
-enumeration must reproduce them exactly.
+re-proved every forest morphism and searched for nests with is_nest; the
+`strata` report and DOT file from the pairwise cover search, and the
+`hilbert` report on a JSON descriptor from the loader before it checked shapes.
+Any change to exact-rank arithmetic, the lattice, the level functor, the nest
+enumeration, the strata covers or the loaders must reproduce them exactly.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from confstrata.cli import main
+from confstrata.confcat import strata_poset
 from confstrata.koszul import presentation_from_json, presentation_to_json, quadratic_dual
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +26,7 @@ GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 RATIONAL = "tests/fixtures/koszul_rational_presentation.json"
 PAIRS_FIRST = "tests/fixtures/blowup_order_pairs_first_n4.json"
 STRING_CHAIN = "tests/fixtures/chain_string_labels.json"
+AFFINE_LINE = "tests/fixtures/affine_line_descriptor.json"
 
 REPORTS = [
     ("hilbert_elliptic_n4_deg8.json",
@@ -46,6 +50,9 @@ REPORTS = [
      ["deltafin-check", "--max-level", "3", "--max-size", "2", "--functor", "--unsafe-no-cap",
       "--samples", "300", "--seed", "1"]),
     ("deltafin_check_chain_string_labels.json", ["deltafin-check", "--chain", STRING_CHAIN]),
+    ("strata_n4.json", ["strata", "--n", "4"]),
+    ("hilbert_affine_line_json_n2_deg4.json",
+     ["hilbert", "--variety", AFFINE_LINE, "--n", "2", "--max-deg", "4"]),
 ]
 
 
@@ -61,3 +68,7 @@ def test_rational_dual_matches_golden():
     p = presentation_from_json(json.loads((ROOT / RATIONAL).read_text()))
     body = json.dumps(presentation_to_json(quadratic_dual(p)), sort_keys=True, indent=2) + "\n"
     assert body == (GOLDEN / "koszul_rational_dual.json").read_text()
+
+
+def test_strata_dot_matches_golden():
+    assert strata_poset(4).to_dot() == (GOLDEN / "strata_n4.dot").read_text()

@@ -120,8 +120,25 @@ def test_inner_face_can_target_a_root():
 def test_invalid_simplex_map_rejected():
     chain = collapse_pair()
     bad = SimplexMap((0, 0), chain, chain)
-    with pytest.raises(ValueError):
-        level_functor_morphism(bad)
+    for _ in range(2):  # the cache stores no exceptions, so the second call is checked too
+        with pytest.raises(ValueError):
+            level_functor_morphism(bad)
+
+
+def test_memoised_results_equal_the_uncached_originals():
+    maps = []
+    for chain in enumerate_chains(2, 2):
+        for g_sm in checks._elementary_into(chain):
+            maps.append(g_sm)
+            maps.extend(f_sm.then(g_sm) for f_sm in checks._elementary_into(g_sm.source))
+    assert len(maps) > 300
+    for sm in maps:
+        mor = level_functor_morphism(sm)
+        assert mor == level_functor_morphism.__wrapped__(sm)
+        assert level_functor_morphism(sm) is mor
+        assert mor.signature() == ForMorphism.signature.__wrapped__(mor)
+        for j in mor.max_lifts():
+            assert pullback(j, mor.target) == pullback.__wrapped__(j, mor.target)
 
 
 def test_functor_laws_small_range():

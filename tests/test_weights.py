@@ -346,6 +346,39 @@ def test_descriptor_json_round_trip():
     assert back.diagonal_class_vanishes
 
 
+GOOD_H0 = {"0": [{"weight": 0, "mult": 1}]}
+BAD_DESCRIPTORS = [
+    ("top-level-list", [1, 2], "must be an object"),
+    ("cohomology-list", {"name": "x", "d": 1, "cohomology": [[0, 1]]}, '"cohomology"'),
+    ("d-string", {"name": "x", "d": "1", "cohomology": GOOD_H0}, '"d" must be an integer'),
+    ("d-bool", {"name": "x", "d": True, "cohomology": GOOD_H0}, '"d" must be an integer'),
+    ("q-list", {"name": "x", "d": 1, "q": [2], "cohomology": GOOD_H0}, '"q" must be an integer'),
+    ("degree-not-int", {"name": "x", "d": 1, "cohomology": {"zero": GOOD_H0["0"]}},
+     'cohomology["zero"]'),
+    ("entries-object", {"name": "x", "d": 1, "cohomology": {"0": {"weight": 0, "mult": 1}}},
+     'cohomology["0"] must be a list'),
+    ("entry-int", {"name": "x", "d": 1, "cohomology": {"0": [5]}}, 'cohomology["0"] must be a list'),
+    ("weight-string", {"name": "x", "d": 1, "cohomology": {"0": [{"weight": "0", "mult": 1}]}},
+     'cohomology["0"][0]["weight"] must be an integer'),
+    ("mult-float", {"name": "x", "d": 1, "cohomology": {"0": [{"weight": 0, "mult": 1.0}]}},
+     'cohomology["0"][0]["mult"] must be an integer'),
+    ("mult-missing", {"name": "x", "d": 1, "cohomology": {"0": [{"weight": 0}]}},
+     'cohomology["0"][0]["mult"] must be an integer'),
+    ("diagonal-flag-string", {"name": "x", "d": 1, "cohomology": GOOD_H0,
+                              "diagonal_class_vanishes": "no"}, '"diagonal_class_vanishes"'),
+    ("d-zero", {"name": "x", "d": 0, "cohomology": GOOD_H0}, "complex dimension must be positive"),
+    ("mult-zero", {"name": "x", "d": 1, "cohomology": {"0": [{"weight": 0, "mult": 0}]}},
+     "multiplicities must be positive"),
+]
+
+
+@pytest.mark.parametrize("name,data,field", BAD_DESCRIPTORS, ids=[b[0] for b in BAD_DESCRIPTORS])
+def test_descriptor_from_json_names_the_bad_field(name, data, field):
+    with pytest.raises(ValueError) as info:
+        descriptor_from_json(data)
+    assert field in str(info.value)
+
+
 def test_weight_multiset_merges():
     ws = WeightMultiset([(1, 2), (1, 3), (0, 1)])
     assert ws.as_dict() == {0: 1, 1: 5}
