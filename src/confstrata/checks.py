@@ -2,8 +2,9 @@
 
 Each check returns a CheckResult with a count of verified instances and a
 list of counterexample descriptions (empty iff the check passed).  Chains are
-enumerated up to level-wise relabelling; every operation here commutes with
-relabelling, so the representatives are exhaustive for their size range.
+enumerated with exactly one representative per level-wise relabelling class;
+every operation here commutes with relabelling, so the representatives are
+exhaustive for their size range and no class is checked twice.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _random_chain(rng: random.Random, max_level: int, max_size: int) -> FinChain
 
 
 def check_simplicial_identities(max_level=3, max_size=3, samples=0, sample_size=4, seed=0) -> CheckResult:
-    """Exhaustive over representatives in range, plus random larger chains."""
+    """Exhaustive over one representative per class in range, plus random larger chains."""
     result = CheckResult(f"simplicial identities (k<={max_level}, |S|<={max_size})")
     chains = list(enumerate_chains(max_level, max_size))
     if samples:

@@ -36,9 +36,10 @@ class InputError(Exception):
     pass
 
 
-def _cap(config: RunConfig, name: str, value: int, cap_key: str):
-    if value < 0:
-        raise InputError(f"{name} must be non-negative")
+def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int = 0):
+    if value < least:
+        raise InputError(f"{name} must be at least {least}" if least
+                         else f"{name} must be non-negative")
     if not config.unsafe_no_cap and value > CAPS[cap_key]:
         raise InputError(
             f"{name}={value} exceeds the cap {CAPS[cap_key]} (use --unsafe-no-cap to override)")
@@ -161,7 +162,9 @@ def _cmd_deltafin_check(args, config: RunConfig) -> int:
         _emit(config, result, text=("valid\n" if not problems else "\n".join(problems) + "\n"))
         return 0 if not problems else 1
     max_level = _cap(config, "max-level", args.max_level, "max_level")
-    max_size = _cap(config, "max-size", args.max_size, "max_size")
+    max_size = _cap(config, "max-size", args.max_size, "max_size", least=1)
+    if args.samples < 0:
+        raise InputError("samples must be non-negative")
     results = [checks.check_simplicial_identities(max_level, max_size,
                                                   samples=args.samples, seed=args.seed)]
     if args.functor:
@@ -356,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=2)
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--functor", action="store_true",
-                   help="also check the level/configuration functor composition laws")
+                   help="also check the level/configuration functor composition laws; "
+                        "under the cap at k <= min(max-level, 2), as the check name shows")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chain", help="validate a single chain JSON file instead")

@@ -10,8 +10,6 @@ construction in `forests` is functorial over.
 
 from __future__ import annotations
 
-import itertools
-
 
 def label_key(label):
     """Sort key valid for mixed int/str label sets."""
@@ -300,76 +298,57 @@ class SimplexMap:
         return f"SimplexMap({list(self.delta)!r}: {self.source!r} -> {self.target!r})"
 
 
-# -- enumeration of representative chains -----------------------------------
+# -- enumeration: one chain per relabelling class ----------------------------
 
-def _fiber_patterns(a: int, b: int):
-    """Maps [a] -> [b] up to relabelling both sides: weakly decreasing fiber sizes."""
+def _multisets(kinds, budget):
+    """Multisets of kinds, in kind order, whose node counts fit under budget.
 
-    def parts(total, slots, cap):
-        if slots == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(min(total, cap), -1, -1):
-            for rest in parts(total - first, slots - 1, first):
-                yield (first,) + rest
-
-    for sizes in parts(a, b, a):
-        assignment = {}
-        src = 0
-        for tgt, size in enumerate(sizes):
-            for _ in range(size):
-                assignment[src] = tgt
-                src += 1
-        yield assignment
+    kinds holds (tree type, nodes per level) pairs; yields (types, budget left).
+    """
+    yield (), budget
+    kinds = [entry for entry in kinds if all(c <= b for c, b in zip(entry[1], budget))]
+    for j, (kind, counts) in enumerate(kinds):
+        for rest, unused in _multisets(kinds[j:], tuple(b - c for b, c in zip(budget, counts))):
+            yield (kind,) + rest, unused
 
 
-def _canonical_key(chain: FinChain):
-    """Cheap canonical form under level-wise relabelling (sound, not complete)."""
-    relabel = {x: x for x in chain.sets[0]}
-    key = [tuple(len(s) for s in chain.sets)]
-    for i, f in enumerate(chain.maps):
-        sig = {}
-        for y in chain.sets[i + 1]:
-            sig[y] = tuple(sorted(relabel[x] for x in f.fiber(y)))
-        order = sorted(chain.sets[i + 1], key=lambda y: (not sig[y], sig[y], label_key(y)))
-        new = {y: j for j, y in enumerate(order)}
-        key.append(tuple(sorted((relabel[x], new[f(x)]) for x in chain.sets[i])))
-        relabel = new
-    return tuple(key)
+def _types(level: int, m: int):
+    """Tree types rooted at `level` with at most m nodes per level, with their node counts."""
+    if level == 0:
+        return [((), (1,))]
+    return [(children, tuple(m - u for u in unused) + (1,))
+            for children, unused in _multisets(_types(level - 1, m), (m,) * level)]
+
+
+def _realise(roots, k: int) -> FinChain:
+    """The chain with these level-k tree types, each level labelled 0.. top-down."""
+    levels, tables = [roots], []
+    for _ in range(k):
+        tables.insert(0, [p for p, node in enumerate(levels[0]) for _ in node])
+        levels.insert(0, [child for node in levels[0] for child in node])
+    sets = [FiniteSet(range(len(nodes))) for nodes in levels]
+    return FinChain(sets, [SetMap(sets[i], sets[i + 1], enumerate(table))
+                           for i, table in enumerate(tables)])
 
 
 def enumerate_chains(max_level: int, max_size: int):
-    """Representatives of chains with k <= max_level and |S_i| <= max_size.
+    """One chain per level-wise relabelling class with k <= max_level, 1 <= |S_i| <= max_size.
 
-    All operations in this package commute with level-wise relabelling, so
-    properties verified on these representatives hold for every chain in the
-    range.  The first map is normalized, and a chain whose canonical key was
-    already seen is skipped.
+    A chain up to relabelling is a multiset of levelled rooted trees: the roots
+    are the points of S_k, the children of a point of S_{i+1} its fiber in S_i.
+    A type lists its children's types in the order of the types one level
+    down, so each multiset is built exactly once (orderly generation; McKay,
+    J. Algorithms 26, 1998) and no two representatives are relabellings of
+    each other.  Every operation in this package commutes with relabelling, so
+    a property verified on the representatives holds for every chain in range.
+    Order: by k, then by (|S_0|, ..., |S_k|), then by the multiset of types.
     """
-    seen = set()
     for k in range(max_level + 1):
-        for sizes in itertools.product(range(1, max_size + 1), repeat=k + 1):
-            sets = [FiniteSet(range(n)) for n in sizes]
-            if k == 0:
-                yield FinChain(sets)
-                continue
-            first_maps = [
-                SetMap(sets[0], sets[1], pat) for pat in _fiber_patterns(sizes[0], sizes[1])
-            ]
-            rest_choices = [
-                [SetMap(sets[i], sets[i + 1], dict(zip(sets[i], values)))
-                 for values in itertools.product(sets[i + 1].labels, repeat=sizes[i])]
-                for i in range(1, k)
-            ]
-            for f0 in first_maps:
-                for rest in itertools.product(*rest_choices):
-                    chain = FinChain(sets, (f0,) + rest)
-                    key = _canonical_key(chain)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield chain
+        forests = [(tuple(max_size - u for u in unused), roots)
+                   for roots, unused in _multisets(_types(k, max_size), (max_size,) * (k + 1))]
+        for sizes, roots in sorted(forests, key=lambda forest: forest[0]):
+            if min(sizes) >= 1:
+                yield _realise(roots, k)
 
 
 # -- JSON --------------------------------------------------------------------

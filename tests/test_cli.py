@@ -273,6 +273,23 @@ def test_n_zero_names_the_valid_range(capsys):
         assert capsys.readouterr().err == "error: n must satisfy 1 <= n <= 6\n"
 
 
+BAD_FLAGS = [
+    ("max-size-zero", ["deltafin-check", "--max-size", "0"], "error: max-size must be at least 1\n"),
+    ("max-level-negative", ["deltafin-check", "--max-level", "-1"],
+     "error: max-level must be non-negative\n"),
+    ("samples-negative", ["deltafin-check", "--samples", "-3"],
+     "error: samples must be non-negative\n"),
+]
+
+
+@pytest.mark.parametrize("name,argv,err", BAD_FLAGS, ids=[f[0] for f in BAD_FLAGS])
+def test_bad_flag_value_is_one_error_line(capsys, name, argv, err):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 ONE_MAP = {"from": 0, "assignment": {"0": 0}}
 HILBERT = ["hilbert", "--n", "1", "--max-deg", "2"]
 H0 = {"0": [{"weight": 0, "mult": 1}]}

@@ -179,23 +179,66 @@ def relabelling_class(sizes, tables):
     return sizes, min(forms)
 
 
-def test_enumerate_chains_dedups():
-    # k <= 2, |S_i| <= 2: 28 chains before deduplication, 20 relabelling classes
-    reps = list(enumerate_chains(2, 2))
-    rep_classes = [
-        relabelling_class(tuple(len(s) for s in c.sets),
-                          [tuple(f(x) for x in c.sets[i]) for i, f in enumerate(c.maps)])
-        for c in reps
-    ]
-    every_class = {
-        relabelling_class(sizes, tables)
-        for k in range(3)
-        for sizes in itertools.product((1, 2), repeat=k + 1)
-        for tables in itertools.product(
-            *(itertools.product(range(sizes[i + 1]), repeat=sizes[i]) for i in range(k)))
-    }
-    assert len(set(rep_classes)) == len(reps) == 20
-    assert set(rep_classes) == every_class
+def raw_chains(max_level, max_size):
+    """Every chain on levels range(n) with k <= max_level and 1 <= n <= max_size, as map tables."""
+    for k in range(max_level + 1):
+        for sizes in itertools.product(range(1, max_size + 1), repeat=k + 1):
+            for tables in itertools.product(
+                    *(itertools.product(range(sizes[i + 1]), repeat=sizes[i]) for i in range(k))):
+                yield sizes, tables
+
+
+def tree_types(sizes, tables):
+    """Relabelling invariant in the style of Aho-Hopcroft-Ullman tree isomorphism.
+
+    A point of S_0 has type (); a point of S_{i+1} has the sorted tuple of the
+    types of its fiber.  The key is the size vector and the sorted root types.
+    """
+    types = [()] * sizes[0]
+    for i, table in enumerate(tables):
+        fibers = [[] for _ in range(sizes[i + 1])]
+        for x, y in enumerate(table):
+            fibers[y].append(types[x])
+        types = [tuple(sorted(fiber)) for fiber in fibers]
+    return tuple(sizes), tuple(sorted(types))
+
+
+def chain_tables(chain):
+    positions = [{x: j for j, x in enumerate(s)} for s in chain.sets]
+    tables = tuple(tuple(positions[i + 1][f(x)] for x in chain.sets[i])
+                   for i, f in enumerate(chain.maps))
+    return tuple(len(s) for s in chain.sets), tables
+
+
+# (max_level, max_size, relabelling classes, oracle): "orbits" also checks the
+# tree-type key against the brute-force relabelling classes, "raw" compares the
+# representatives with the keys of every raw chain in range.  The 7,242 classes
+# at (3, 4) come from a brute-force orbit count; their raw chains are too many
+# to scan here, so that case pins the count and the distinctness only.
+EXACT_RANGES = [
+    (2, 2, 20, "orbits"),
+    (2, 3, 99, "orbits"),
+    (3, 2, 54, "raw"),
+    (3, 3, 624, "raw"),
+    (2, 4, 465, "raw"),
+    (3, 4, 7242, None),
+]
+
+
+@pytest.mark.parametrize("max_level,max_size,classes,oracle", EXACT_RANGES,
+                         ids=[f"k{k}-m{m}" for k, m, _, _ in EXACT_RANGES])
+def test_enumerate_chains_is_one_per_relabelling_class(max_level, max_size, classes, oracle):
+    if oracle == "orbits":
+        orbits = {}
+        for sizes, tables in raw_chains(max_level, max_size):
+            orbits.setdefault(tree_types(sizes, tables), set()).add(
+                relabelling_class(sizes, tables))
+        assert all(len(orbit) == 1 for orbit in orbits.values())
+        assert len(set().union(*orbits.values())) == len(orbits) == classes
+    keys = [tree_types(*chain_tables(chain)) for chain in enumerate_chains(max_level, max_size)]
+    assert len(set(keys)) == len(keys) == classes
+    if oracle is not None:
+        assert set(keys) == {tree_types(*raw) for raw in raw_chains(max_level, max_size)}
 
 
 def test_json_round_trip():
