@@ -12,24 +12,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import checks, confcat, forests, koszul, weights, wonderful
-from .finchains import FiniteSet, SetMap
+from . import checks, confcat, finchains, forests, koszul, weights, wonderful
 
 SCHEMA = "confstrata/1"
 
 CAPS = {"n": 6, "strata_n": 5, "max_deg": 40, "max_level": 3, "max_size": 4}
 
 
-@dataclass
 class RunConfig:
-    command: str
-    params: dict
-    out: str | None
-    fmt: str
-    unsafe_no_cap: bool
-    input_digest: str | None = None
+    def __init__(self, command: str, params: dict, out: str | None, fmt: str,
+                 unsafe_no_cap: bool):
+        self.command = command
+        self.params = params
+        self.out = out
+        self.fmt = fmt
+        self.unsafe_no_cap = unsafe_no_cap
+        self.input_digest = None
 
 
 class InputError(Exception):
@@ -151,14 +150,11 @@ def _cmd_strata(args, config: RunConfig) -> int:
 
 def _cmd_deltafin_check(args, config: RunConfig) -> int:
     if args.chain:
-        from . import finchains
-        from .forests import forest_to_json, level_functor_object
-
         chain = finchains.chain_from_json(_read_json(args.chain, config))
         problems = finchains.chain_violations(chain)
         result = {"valid": not problems, "violations": problems}
         if not problems:
-            result["level_forest"] = forest_to_json(level_functor_object(chain))
+            result["level_forest"] = forests.forest_to_json(forests.level_functor_object(chain))
         _emit(config, result, text=("valid\n" if not problems else "\n".join(problems) + "\n"))
         return 0 if not problems else 1
     max_level = _cap(config, "max-level", args.max_level, "max_level")
@@ -218,8 +214,8 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
         for key in ("source", "target"):
             if not isinstance(data, dict) or not isinstance(data.get(key), list):
                 raise InputError(f'{args.injection}: "{key}" must be a list of labels')
-        source = FiniteSet(data["source"])
-        target = FiniteSet(data["target"])
+        source = finchains.FiniteSet(data["source"])
+        target = finchains.FiniteSet(data["target"])
         raw = data.get("map")
         if raw is None:
             table = {k: k for k in source.labels}
@@ -227,11 +223,11 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
             raise InputError(f'{args.injection}: "map" must be an object')
         else:
             table = {k: raw.get(str(k), raw.get(k)) for k in source.labels}
-        inj = SetMap(source, target, table)
+        inj = finchains.SetMap(source, target, table)
     elif args.source and args.target:
-        source = FiniteSet(int(x) for x in args.source.split(","))
-        target = FiniteSet(int(x) for x in args.target.split(","))
-        inj = SetMap(source, target, {x: x for x in source})
+        source = finchains.FiniteSet(int(x) for x in args.source.split(","))
+        target = finchains.FiniteSet(int(x) for x in args.target.split(","))
+        inj = finchains.SetMap(source, target, {x: x for x in source})
     else:
         raise InputError("forget-centers needs --injection or both --source and --target")
     centers = wonderful.forgetful_centers(inj, args.d)
@@ -296,12 +292,14 @@ def _cmd_hilbert(args, config: RunConfig) -> int:
 
 
 def _cmd_koszul(args, config: RunConfig) -> int:
+    builtin = {"exterior": koszul.exterior_presentation, "symmetric": koszul.symmetric_presentation}
+    kind, dash, size = args.presentation.partition("-")
     if args.presentation == "genus-1":
         p = koszul.genus_one_presentation()
-    elif args.presentation.startswith("exterior-"):
-        p = koszul.exterior_presentation(int(args.presentation.split("-")[1]))
-    elif args.presentation.startswith("symmetric-"):
-        p = koszul.symmetric_presentation(int(args.presentation.split("-")[1]))
+    elif dash and kind in builtin:
+        if not (size.isdigit() and int(size) > 0):
+            raise InputError(f"bad presentation {args.presentation}: N must be a positive integer")
+        p = builtin[kind](int(size))
     else:
         data = _read_json(args.presentation, config)
         try:
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
         if args.selftest:
             return _selftest(args.command)
         return HANDLERS[args.command](args, config)
-    except InputError as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except weights.HypothesisRefusal as exc:
@@ -444,9 +442,6 @@ def main(argv=None) -> int:
                            "refusal": exc.to_json()}, sort_keys=True, indent=2)
         print(body)
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -70,6 +70,10 @@ def partition_codim(key, n: int, d: int) -> int:
 def _check_points(n: int, d: int):
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
+    _check_dimension(d)
+
+
+def _check_dimension(d: int):
     if d < 1:
         raise ValueError("complex dimension must be positive")
 
@@ -300,6 +304,7 @@ def forgetful_centers(inj: SetMap, d: int = 1):
     These are the blow-up centers of the intermediate space through which the
     point-forgetting map along the injection factors, in default order.
     """
+    _check_dimension(d)
     if not inj.is_injective():
         raise ValueError("forgetful centers require an injective map")
     table = inj.as_dict()

@@ -214,17 +214,66 @@ def test_selftest_smoke(capsys):
     assert "ok" in out
 
 
-def test_console_module_runs():
-    # the child imports the package under test, however pytest found it
+def run_child(*args):
+    """Run a fresh interpreter without bytecode that imports the package under test,
+    however pytest found it."""
     package_root = str(Path(confstrata.__file__).resolve().parent.parent)
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "confstrata.cli", "forests", "--n", "2", "--count",
-         "--format", "text"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_module_runs():
+    proc = run_child("-m", "confstrata.cli", "forests", "--n", "2", "--count", "--format", "text")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+ONE_PER_SUBCOMMAND = [
+    ["forests", "--n", "3"],
+    ["nests", "--n", "3", "--count"],
+    ["strata", "--n", "3"],
+    ["deltafin-check", "--max-level", "1", "--max-size", "2"],
+    ["blowup-validate", "--n", "3"],
+    ["forget-centers", "--source", "1,2", "--target", "1,2,3"],
+    ["purity", "--n", "2", "--max-deg", "4"],
+    ["hilbert", "--n", "2", "--max-deg", "4"],
+    ["koszul", "--presentation", "exterior-2", "--max-deg", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PER_SUBCOMMAND, ids=[a[0] for a in ONE_PER_SUBCOMMAND])
+def test_module_process_matches_in_process_main(capsys, argv):
+    proc = run_child("-m", "confstrata.cli", *argv)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+# Each request runs in a fresh process, so it loads exactly what it uses.  A
+# lazily registered module is a `_LazyModule` in `sys.modules` until its code
+# has run; the tracer in perfbench relies on all eight being registered.
+LOAD_CONTRACT = """
+import json, sys, types
+from confstrata.cli import main
+{call}
+registered = [k for k in sys.modules if k.startswith("confstrata.")]
+ran = [k for k in registered if type(sys.modules[k]) is types.ModuleType]
+print(json.dumps([sorted(registered), sorted(ran)]))
+"""
+LAZY = ["checks", "confcat", "finchains", "forests", "koszul", "linalg", "weights", "wonderful"]
+
+
+@pytest.mark.parametrize("call,ran", [
+    ("", ["cli"]),
+    ('main(["forests", "--n", "2", "--count"])', ["cli", "finchains", "forests"]),
+    ('main(["hilbert", "--n", "2", "--max-deg", "4"])', ["cli", "linalg", "weights"]),
+], ids=["import", "forests", "hilbert"])
+def test_a_request_runs_only_the_modules_it_uses(call, ran):
+    proc = run_child("-c", LOAD_CONTRACT.format(call=call))
+    assert proc.returncode == 0, proc.stderr
+    registered = sorted(f"confstrata.{m}" for m in ["cli", *LAZY])
+    assert json.loads(proc.stdout.splitlines()[-1]) == [registered, [f"confstrata.{m}" for m in ran]]
 
 
 def test_nests_dot(tmp_path, capsys):
@@ -279,6 +328,14 @@ BAD_FLAGS = [
      "error: max-level must be non-negative\n"),
     ("samples-negative", ["deltafin-check", "--samples", "-3"],
      "error: samples must be non-negative\n"),
+    ("d-zero", ["forget-centers", "--source", "1,2", "--target", "1,2,3", "--d", "0"],
+     "error: complex dimension must be positive\n"),
+    ("d-negative", ["forget-centers", "--source", "1,2", "--target", "1,2,3", "--d", "-3"],
+     "error: complex dimension must be positive\n"),
+    ("presentation-size-not-integer", ["koszul", "--presentation", "exterior-x"],
+     "error: bad presentation exterior-x: N must be a positive integer\n"),
+    ("presentation-size-negative", ["koszul", "--presentation", "symmetric--1"],
+     "error: bad presentation symmetric--1: N must be a positive integer\n"),
 ]
 
 

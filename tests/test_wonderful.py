@@ -282,3 +282,10 @@ def test_nest_poset_dot():
     dot = nest_poset_dot(2)
     assert dot.startswith("digraph nests {")
     assert "(empty)" in dot
+
+
+def test_forgetful_centers_rejects_non_positive_dimension():
+    inj = SetMap(FiniteSet([1, 2]), FiniteSet([1, 2, 3]), {1: 1, 2: 2})
+    for d in (0, -3):
+        with pytest.raises(ValueError, match=r"^complex dimension must be positive$"):
+            forgetful_centers(inj, d)
