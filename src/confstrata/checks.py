@@ -144,7 +144,10 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     compared in the quotient category (pullback-forest signatures), not by
     strict block-map equality.  The library trusts its own constructions, so
     this also checks that degeneracies keep the level forest and that every
-    face image and composite passes forests.morphism_violations.
+    face image and composite passes forests.morphism_violations.  That is
+    the only proof behind each confcat.StratumMap, which is its forest
+    morphism and proves nothing on construction; it also reports a
+    non-canonical block, which ForMorphism keeps as given.
     level_functor_morphism, pullback and ForMorphism.signature are memoised
     (lru_cache, 65536 entries each), so each distinct simplex map is checked
     and mapped once and its shared, immutable result reused.

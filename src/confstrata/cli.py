@@ -208,6 +208,16 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
     return 0
 
 
+def _int_labels(flag: str, text: str):
+    labels = []
+    for x in text.split(","):
+        try:
+            labels.append(int(x))
+        except ValueError:
+            raise InputError(f"--{flag} label {x!r} is not an integer")
+    return finchains.FiniteSet(labels)
+
+
 def _cmd_forget_centers(args, config: RunConfig) -> int:
     if args.injection:
         data = _read_json(args.injection, config)
@@ -225,11 +235,13 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
             table = {k: raw.get(str(k), raw.get(k)) for k in source.labels}
         inj = finchains.SetMap(source, target, table)
     elif args.source and args.target:
-        source = finchains.FiniteSet(int(x) for x in args.source.split(","))
-        target = finchains.FiniteSet(int(x) for x in args.target.split(","))
+        source = _int_labels("source", args.source)
+        target = _int_labels("target", args.target)
         inj = finchains.SetMap(source, target, {x: x for x in source})
     else:
         raise InputError("forget-centers needs --injection or both --source and --target")
+    # one center per subset of the source with two or more labels
+    _cap(config, "target size", len(inj.target), "n")
     centers = wonderful.forgetful_centers(inj, args.d)
     result = {
         "source": list(inj.source.labels),

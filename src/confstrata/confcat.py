@@ -70,26 +70,29 @@ def stratum_intersect(phi: Forest, psi: Forest):
 class StratumMap:
     """A map of strata: a point-forgetting step followed by a stratum inclusion.
 
-    Built from a forest morphism g: (S, phi) -> (T, psi); the stratum of psi
+    Fixed by a forest morphism g: (S, phi) -> (T, psi); the stratum of psi
     maps to the stratum of phi by forgetting points along a ground injection j
-    (witness), landing in the pullback forest, which contains phi and so
-    includes into its stratum.
+    (witness), landing in the pullback forest (mid), which contains phi and so
+    includes into its stratum.  For a lawful g (forests.morphism_violations)
+    any lift j dominates phi: for s in A, j(s) lies in g({s}), inside g(A);
+    for s not in A, {s} and A are independent, so their images are disjoint.
     """
 
-    __slots__ = ("morphism", "witness", "mid")
+    __slots__ = ("morphism",)
 
-    def __init__(self, morphism: ForMorphism, witness: SetMap | None = None):
-        if witness is None:
-            witness = morphism.canonical_lift()
-        mid = pullback(witness, morphism.target)
-        if not set(morphism.source.blocks) <= set(mid.blocks):
-            raise ValueError("witness injection does not dominate the source forest")
+    def __init__(self, morphism: ForMorphism):
         object.__setattr__(self, "morphism", morphism)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "mid", mid)
 
     def __setattr__(self, name, value):
         raise AttributeError("StratumMap is immutable")
+
+    @property
+    def witness(self) -> SetMap:
+        return self.morphism.canonical_lift()
+
+    @property
+    def mid(self) -> Forest:
+        return pullback(self.witness, self.morphism.target)
 
     @property
     def source(self) -> Stratum:
@@ -101,10 +104,10 @@ class StratumMap:
 
     @property
     def kind(self) -> str:
-        forgetful_trivial = self.witness.is_identity() and self.mid == self.morphism.target
-        if forgetful_trivial:
+        mid = self.mid
+        if self.witness.is_identity() and mid == self.morphism.target:
             return "inclusion"
-        if self.mid == self.morphism.source:
+        if mid == self.morphism.source:
             return "forgetful"
         return "composite"
 
@@ -121,14 +124,10 @@ class StratumMap:
         return (self.source, self.target, self.morphism.signature())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StratumMap)
-            and self.morphism == other.morphism
-            and self.witness == other.witness
-        )
+        return isinstance(other, StratumMap) and self.morphism == other.morphism
 
     def __hash__(self):
-        return hash(("StratumMap", self.morphism, self.witness))
+        return hash(("StratumMap", self.morphism))
 
     def __repr__(self):
         return f"StratumMap({self.kind}: {self.source!r} -> {self.target!r})"

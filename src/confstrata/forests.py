@@ -304,19 +304,16 @@ class ForMorphism:
     The map must preserve the reverse-inclusion order and independence
     (incomparable blocks stay incomparable).  Morphisms induced by a ground
     injection j send a block A to the least block containing j(A); not every
-    morphism is of that form.  Only library code builds morphisms, so the
-    constructor only normalises; morphism_violations checks the laws.
+    morphism is of that form.  Only library code builds morphisms, and it
+    passes canonical blocks, so the constructor keeps the blocks as given and
+    only orders the pairs by source block; morphism_violations checks the laws
+    and reports a block that is not one of the forests'.
     """
 
     __slots__ = ("source", "target", "block_map")
 
     def __init__(self, source: Forest, target: Forest, block_map):
-        block_map = dict(block_map)
-        items = tuple(sorted(
-            ((tuple(sorted(k, key=label_key)), tuple(sorted(v, key=label_key)))
-             for k, v in block_map.items()),
-            key=lambda kv: _block_key(kv[0]),
-        ))
+        items = tuple(sorted(dict(block_map).items(), key=lambda kv: _block_key(kv[0])))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "block_map", items)

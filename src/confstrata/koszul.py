@@ -240,10 +240,32 @@ def presentation_to_json(p: QuadraticPresentation) -> dict:
     }
 
 
+def _coefficient(value, where: str) -> Fraction:
+    """A relation coefficient: a JSON number or a numeric string such as "-3/5"."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{where} must be a number or a numeric string, not {value!r}")
+
+
 def presentation_from_json(data) -> QuadraticPresentation:
-    relations = [[Fraction(v) for v in vec] for vec in data.get("relations", [])]
+    """Decode a presentation; a malformed shape raises one ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("presentation JSON must be an object")
+    g, raw = data["generators"], data.get("relations", [])
+    if type(g) is not int:
+        raise ValueError(f'"generators" must be an integer, not {g!r}')
+    if not isinstance(raw, list):
+        raise ValueError(f'"relations" must be a list of coefficient lists, not {raw!r}')
+    relations = []
+    for i, vec in enumerate(raw):
+        if not isinstance(vec, list):
+            raise ValueError(f"relations[{i}] must be a list of coefficients, not {vec!r}")
+        relations.append([_coefficient(v, f"relations[{i}][{j}]") for j, v in enumerate(vec)])
     return QuadraticPresentation(
-        int(data["generators"]),
+        g,
         relations,
         data.get("convention", "graded-commutative"),
         data.get("regraded_from"),

@@ -11,7 +11,7 @@ weight decomposition, computed degree by degree with exact normal forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Echelon
 
@@ -367,9 +367,6 @@ class PresentationAlgebra:
 
     generators: tuple
     relations: tuple
-    commutation: str = "graded"
-    truncation: int = 16
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         labels = [g.label for g in self.generators]
@@ -447,12 +444,7 @@ def presentation(x: VarietyDescriptor, n: int, relation_set: str = "default") ->
     else:
         raise ValueError(f"unknown relation set {relation_set!r}")
 
-    return PresentationAlgebra(
-        generators=tuple(gens),
-        relations=tuple(relations),
-        truncation=2 * n * max((g.degree for g in gens), default=2),
-        meta={"variety": x.name, "n": n, "d": x.d, "relation_set": relation_set},
-    )
+    return PresentationAlgebra(generators=tuple(gens), relations=tuple(relations))
 
 
 class _Engine:
@@ -553,9 +545,6 @@ class _Engine:
     def mono_weight(self, mono):
         return sum(self.weight[g] for g in mono)
 
-    def mono_degree(self, mono):
-        return sum(self.degree[g] for g in mono)
-
     def mono_label(self, mono):
         if not mono:
             return "1"
@@ -589,12 +578,6 @@ class HilbertReport:
 
     def dims(self):
         return [line.dim for line in self.lines]
-
-    def weight_of(self, degree: int) -> WeightMultiset:
-        for line in self.lines:
-            if line.degree == degree:
-                return line.weights
-        return WeightMultiset.empty()
 
     def to_json(self):
         return {

@@ -200,6 +200,21 @@ def test_forget_centers_injection_file(tmp_path, capsys):
     assert json.loads(out)["result"]["centers"] == [[[1, 3]]]
 
 
+def test_forget_centers_cap_counts_target_labels(tmp_path, capsys):
+    labels = list(range(1, 8))
+    inj = tmp_path / "inj.json"
+    inj.write_text(json.dumps({"source": labels, "target": labels}))
+    inline = ["forget-centers", "--source", "1,2,3,4,5,6,7", "--target", "1,2,3,4,5,6,7"]
+    for argv in (inline, ["forget-centers", "--injection", str(inj)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target size=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"
+        assert main(argv + ["--unsafe-no-cap"]) == 0
+        centers = json.loads(capsys.readouterr().out)["result"]["centers"]
+        assert len(centers) == 2 ** 7 - 7 - 1  # every subset of two or more labels
+
+
 def test_deltafin_check_passes(capsys):
     code, out = run_cli(capsys, "deltafin-check", "--max-level", "1", "--max-size", "2",
                         "--functor", "--samples", "25")
@@ -336,6 +351,12 @@ BAD_FLAGS = [
      "error: bad presentation exterior-x: N must be a positive integer\n"),
     ("presentation-size-negative", ["koszul", "--presentation", "symmetric--1"],
      "error: bad presentation symmetric--1: N must be a positive integer\n"),
+    ("source-label-not-integer", ["forget-centers", "--source", "a,b", "--target", "1,2"],
+     "error: --source label 'a' is not an integer\n"),
+    ("target-label-empty", ["forget-centers", "--source", "1,2", "--target", "1,,3"],
+     "error: --target label '' is not an integer\n"),
+    ("target-over-cap", ["forget-centers", "--source", "1,2", "--target", "1,2,3,4,5,6,7"],
+     "error: target size=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"),
 ]
 
 
@@ -350,6 +371,7 @@ def test_bad_flag_value_is_one_error_line(capsys, name, argv, err):
 ONE_MAP = {"from": 0, "assignment": {"0": 0}}
 HILBERT = ["hilbert", "--n", "1", "--max-deg", "2"]
 H0 = {"0": [{"weight": 0, "mult": 1}]}
+KOSZUL = ["koszul", "--max-deg", "4", "--presentation"]
 BAD_SHAPES = [
     ("sets-int", ["deltafin-check", "--chain"], {"sets": 5}, 'chain JSON "sets"'),
     ("from-out-of-range", ["deltafin-check", "--chain"],
@@ -377,6 +399,13 @@ BAD_SHAPES = [
      {"name": "x", "d": 1, "cohomology": {"0": {"weight": 0, "mult": 1}}},
      'bad variety descriptor: cohomology["0"] must be a list'),
     ("descriptor-list", [*HILBERT, "--variety"], [1, 2], "bad variety descriptor: "),
+    ("presentation-list", KOSZUL, [1, 2], "bad presentation: presentation JSON must be an object"),
+    ("relations-int", KOSZUL, {"generators": 2, "relations": 5}, '"relations" must be a list'),
+    ("relation-int", KOSZUL, {"generators": 2, "relations": [5]}, "relations[0] must be a list"),
+    ("coefficient-null", KOSZUL, {"generators": 2, "relations": [["1", None, "0", "0"]]},
+     "relations[0][1] must be a number or a numeric string, not None"),
+    ("generators-list", KOSZUL, {"generators": [2], "relations": []},
+     '"generators" must be an integer, not [2]'),
 ]
 
 

@@ -1,9 +1,12 @@
+import collections
 import itertools
 
 import pytest
 
+from confstrata import checks
 from confstrata.confcat import (
     Stratum,
+    StratumMap,
     con_morphism,
     con_object,
     strata_poset,
@@ -11,8 +14,15 @@ from confstrata.confcat import (
     stratum_intersect,
     stratum_maps_equivalent,
 )
-from confstrata.finchains import FinChain, FiniteSet, SetMap, SimplexMap, identity_chain
-from confstrata.forests import Forest, enumerate_forests, minimal_forest
+from confstrata.finchains import (
+    FinChain,
+    FiniteSet,
+    SetMap,
+    SimplexMap,
+    enumerate_chains,
+    identity_chain,
+)
+from confstrata.forests import Forest, enumerate_forests, level_functor_morphism, minimal_forest
 from confstrata.wonderful import diagonal_building_set, enumerate_nests, nest_to_forest
 
 
@@ -127,6 +137,39 @@ def test_con_functoriality_on_a_composite():
     left = con_morphism(g.then(f))
     right = con_morphism(f).then(con_morphism(g))
     assert stratum_maps_equivalent(left, right)
+
+
+def test_stratum_map_is_its_morphism():
+    # equality, hashing and kind read the forest morphism alone
+    s, ab, star = FiniteSet([1, 2, 3]), FiniteSet(["a", "b"]), FiniteSet(["*"])
+    chain = FinChain([s, ab, star],
+                     [SetMap(s, ab, {1: "a", 2: "a", 3: "b"}),
+                      SetMap(ab, star, {"a": "*", "b": "*"})])
+    f = SimplexMap.face(chain, 2)
+    g = SimplexMap.face(f.source, 0)
+    composite = con_morphism(g.then(f))
+    assert composite == con_morphism(f).then(con_morphism(g))
+    assert hash(composite) == hash(con_morphism(f).then(con_morphism(g)))
+    assert con_morphism(f) == StratumMap(level_functor_morphism(f)) != con_morphism(g)
+    assert [m.kind for m in (con_morphism(f), con_morphism(g), composite)] == [
+        "inclusion", "forgetful", "composite"]
+    for name in ("morphism", "witness", "mid"):
+        with pytest.raises(AttributeError):
+            setattr(composite, name, None)
+
+
+def test_stratum_map_kinds_on_elementary_maps_and_composites():
+    kinds = collections.Counter()
+    for chain in enumerate_chains(2, 2):
+        for g_sm in checks._elementary_into(chain):
+            kinds[con_morphism(g_sm).kind] += 1
+            for f_sm in checks._elementary_into(g_sm.source):
+                kinds["composite of two: " + con_morphism(f_sm.then(g_sm)).kind] += 1
+    assert kinds == {
+        "inclusion": 78, "forgetful": 18, "composite": 4,
+        "composite of two: inclusion": 408, "composite of two: forgetful": 104,
+        "composite of two: composite": 34,
+    }
 
 
 def test_stratum_map_witness_dominates():

@@ -217,3 +217,15 @@ def test_morphism_violations_flags_each_broken_law():
         "comparability of (1,),(1, 2) not preserved",
         "comparability of (2,),(1, 2) not preserved",
     ]
+
+
+def test_morphism_violations_reports_a_non_canonical_block():
+    # the constructor keeps blocks as given, so an unsorted block is reported, not repaired
+    pair = F([1, 2], [(1,), (2,), (1, 2)])
+    singletons = {(1,): (1,), (2,): (2,)}
+    unsorted_key = ForMorphism(pair, pair, {**singletons, (2, 1): (1, 2)})
+    assert (2, 1) in unsorted_key.mapping()
+    assert morphism_violations(unsorted_key) == ["block map is not total on the source blocks"]
+    unsorted_value = ForMorphism(pair, pair, {**singletons, (1, 2): (2, 1)})
+    assert morphism_violations(unsorted_value) == ["block map hits a non-block"]
+    assert unsorted_value != ForMorphism.identity(pair)

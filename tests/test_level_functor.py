@@ -16,6 +16,7 @@ from confstrata.forests import (
     level_functor_morphism,
     level_functor_object,
     minimal_forest,
+    morphism_violations,
     pullback,
 )
 
@@ -95,15 +96,28 @@ def test_morphism_endpoints_match_objects():
             assert mor.target == level_functor_object(chain)
 
 
+def elementary_maps_and_composites(max_level, max_size):
+    """Every face and degeneracy into the enumerated chains, and every composite of two."""
+    for chain in enumerate_chains(max_level, max_size):
+        for g_sm in checks._elementary_into(chain):
+            yield g_sm
+            for f_sm in checks._elementary_into(g_sm.source):
+                yield f_sm.then(g_sm)
+
+
 def test_morphism_respects_pullback_law():
-    # the canonical ground lift always dominates the source forest
-    for chain in enumerate_chains(2, 3):
-        if chain.level_count < 1:
-            continue
-        for i in range(chain.level_count + 1):
-            mor = level_functor_morphism(SimplexMap.face(chain, i))
-            lifted = pullback(mor.canonical_lift(), mor.target)
-            assert set(mor.source.blocks) <= set(lifted.blocks)
+    # every ground lift of a lawful image dominates the source forest; StratumMap
+    # relies on this without re-proving it
+    maps = list(elementary_maps_and_composites(2, 2))
+    maps += [SimplexMap.face(chain, i) for chain in enumerate_chains(2, 3)
+             for i in range(chain.level_count + 1) if chain.level_count >= 1]
+    for sm in maps:
+        mor = level_functor_morphism(sm)
+        assert morphism_violations(mor) == []
+        lifts = list(mor.max_lifts())
+        assert mor.canonical_lift() in lifts
+        for j in lifts:
+            assert set(mor.source.blocks) <= set(pullback(j, mor.target).blocks)
 
 
 def test_inner_face_can_target_a_root():
@@ -126,11 +140,7 @@ def test_invalid_simplex_map_rejected():
 
 
 def test_memoised_results_equal_the_uncached_originals():
-    maps = []
-    for chain in enumerate_chains(2, 2):
-        for g_sm in checks._elementary_into(chain):
-            maps.append(g_sm)
-            maps.extend(f_sm.then(g_sm) for f_sm in checks._elementary_into(g_sm.source))
+    maps = list(elementary_maps_and_composites(2, 2))
     assert len(maps) > 300
     for sm in maps:
         mor = level_functor_morphism(sm)
