@@ -17,7 +17,10 @@ from . import checks, confcat, finchains, forests, koszul, weights, wonderful
 
 SCHEMA = "confstrata/1"
 
-CAPS = {"n": 6, "strata_n": 5, "max_deg": 40, "max_level": 3, "max_size": 4}
+# Every size limit: the library checks only its domains, --unsafe-no-cap lifts
+# every entry, and an over-cap request is refused (functor_level clamps).
+CAPS = {"n": 6, "strata_n": 5, "max_deg": 40, "max_level": 3, "max_size": 4,
+        "koszul_deg": 12, "functor_level": 2, "generators": 6}
 
 
 class RunConfig:
@@ -35,8 +38,8 @@ class InputError(Exception):
     pass
 
 
-def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int = 0):
-    if value < least:
+def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int | None = 0):
+    if least is not None and value < least:
         raise InputError(f"{name} must be at least {least}" if least
                          else f"{name} must be non-negative")
     if not config.unsafe_no_cap and value > CAPS[cap_key]:
@@ -165,7 +168,7 @@ def _cmd_deltafin_check(args, config: RunConfig) -> int:
                                                   samples=args.samples, seed=args.seed)]
     if args.functor:
         results.append(checks.check_level_functor(
-            min(max_level, 2) if not config.unsafe_no_cap else max_level,
+            max_level if config.unsafe_no_cap else min(max_level, CAPS["functor_level"]),
             max_size, pair_samples=args.samples or 300, seed=args.seed))
     ok = all(r.ok for r in results)
     result = {
@@ -224,6 +227,10 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
         for key in ("source", "target"):
             if not isinstance(data, dict) or not isinstance(data.get(key), list):
                 raise InputError(f'{args.injection}: "{key}" must be a list of labels')
+            for i, label in enumerate(data[key]):
+                if type(label) not in (int, str):
+                    raise InputError(f'{args.injection}: "{key}"[{i}] must be an integer '
+                                     f'or a string label, not {label!r}')
         source = finchains.FiniteSet(data["source"])
         target = finchains.FiniteSet(data["target"])
         raw = data.get("map")
@@ -311,16 +318,17 @@ def _cmd_koszul(args, config: RunConfig) -> int:
     elif dash and kind in builtin:
         if not (size.isdigit() and int(size) > 0):
             raise InputError(f"bad presentation {args.presentation}: N must be a positive integer")
-        p = builtin[kind](int(size))
+        # symmetric-N builds N(N-1)/2 vectors of N^2 entries: cap N first
+        p = builtin[kind](_cap(config, "generators", int(size), "generators"))
     else:
         data = _read_json(args.presentation, config)
         try:
             p = koszul.presentation_from_json(data)
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad presentation: {exc}")
-    order = args.max_deg
-    if order > koszul.MAX_KOSZUL_DEGREE and not config.unsafe_no_cap:
-        raise InputError(f"--max-deg exceeds cap {koszul.MAX_KOSZUL_DEGREE}")
+        _cap(config, "generators", p.generator_count, "generators")
+    # the criterion keeps its own lower bound, N >= 2
+    order = _cap(config, "max-deg", args.max_deg, "koszul_deg", least=None)
     verdict = koszul.koszul_criterion(p, order)
     result = verdict.to_json()
     _emit(config, result, text=verdict.note + "\n")
@@ -370,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--functor", action="store_true",
                    help="also check the level/configuration functor composition laws; "
-                        "under the cap at k <= min(max-level, 2), as the check name shows")
+                        "at k <= min(max-level, functor_level) unless --unsafe-no-cap")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chain", help="validate a single chain JSON file instead")

@@ -21,9 +21,6 @@ from .forests import (
     pullback,
 )
 
-MAX_STRATA_POINTS = 5
-
-
 class Stratum:
     """A closed stratum, carried entirely by its indexing forest."""
 
@@ -148,13 +145,11 @@ def stratum_maps_equivalent(a: StratumMap, b: StratumMap) -> bool:
 
 
 class StrataPoset:
-    """All strata over a fixed ground set, ordered by inclusion of forests."""
+    """The strata over {1..n}, one per forest, ordered by inclusion; the caller bounds n."""
 
     __slots__ = ("n", "strata", "covers")
 
     def __init__(self, n: int):
-        if not 1 <= n <= MAX_STRATA_POINTS:
-            raise ValueError(f"n must satisfy 1 <= n <= {MAX_STRATA_POINTS}")
         forests = enumerate_forests(n)
         strata = [Stratum(f) for f in forests]
         # g covers exactly the forests g minus one non-singleton block; deleting

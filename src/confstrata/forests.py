@@ -233,8 +233,6 @@ def from_poset(p: ForestPoset) -> Forest:
 
 # -- enumeration --------------------------------------------------------------
 
-MAX_ENUMERATION = 6
-
 
 def _trees_on(labels, cache):
     """All trees on a label set: the full block plus a forest of proper sub-blocks.
@@ -283,9 +281,9 @@ def _forests_on(labels, cache):
 
 
 def enumerate_forests(n: int):
-    """All forests on {1, ..., n}, canonically sorted, no duplicates."""
-    if not 1 <= n <= MAX_ENUMERATION:
-        raise ValueError(f"n must satisfy 1 <= n <= {MAX_ENUMERATION}")
+    """All forests on {1, ..., n}, canonically sorted, no duplicates; the caller bounds n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     ground = FiniteSet(range(1, n + 1))
     forests = [Forest(ground, blocks) for blocks in _forests_on(ground.labels, {})]
     return sorted(forests, key=lambda f: (len(f.blocks), f.blocks))
@@ -420,8 +418,6 @@ def hom_count(phi: Forest, psi: Forest) -> HomCount:
     forests.  The two counts can disagree, which is exactly the subtlety the
     canonical representation resolves in favour of poset maps.
     """
-    if len(phi.ground) > 5 or len(psi.ground) > 5:
-        raise ValueError("hom counting is capped at ground sets of size 5")
     src_blocks = list(phi.blocks)
     tgt_blocks = list(psi.blocks)
 

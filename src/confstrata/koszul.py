@@ -125,20 +125,15 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
                                  regraded_from=p.regraded_from)
 
 
-MAX_KOSZUL_DEGREE = 12
-
-
 def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
     """Graded dimensions of T(V)/<R_eff> up to degree N.
 
     Degree n is computed as (A_{n-1} tensor V) modulo the image of
     (A_{n-2} tensor R), maintaining normal forms so the next degree can reuse
-    them.
+    them.  Degree n has up to g^n candidates; the caller bounds g and N.
     """
     if N < 0:
         raise ValueError("truncation order must be non-negative")
-    if N > MAX_KOSZUL_DEGREE:
-        raise ValueError(f"truncation order {N} exceeds the resource cap {MAX_KOSZUL_DEGREE}")
     g = p.generator_count
     relations = [[(i // g, i % g, v) for i, v in enumerate(integerize(vec)) if v]
                  for vec in p.effective_relations()]
@@ -254,9 +249,11 @@ def presentation_from_json(data) -> QuadraticPresentation:
     """Decode a presentation; a malformed shape raises one ValueError naming the field."""
     if not isinstance(data, dict):
         raise ValueError("presentation JSON must be an object")
-    g, raw = data["generators"], data.get("relations", [])
+    g, raw, regraded = data["generators"], data.get("relations", []), data.get("regraded_from")
     if type(g) is not int:
         raise ValueError(f'"generators" must be an integer, not {g!r}')
+    if regraded is not None and not (type(regraded) is int and regraded > 0):
+        raise ValueError(f'"regraded_from" must be null or a positive integer, not {regraded!r}')
     if not isinstance(raw, list):
         raise ValueError(f'"relations" must be a list of coefficient lists, not {raw!r}')
     relations = []
@@ -268,7 +265,7 @@ def presentation_from_json(data) -> QuadraticPresentation:
         g,
         relations,
         data.get("convention", "graded-commutative"),
-        data.get("regraded_from"),
+        regraded,
     )
 
 

@@ -227,8 +227,10 @@ def descriptor_from_json(data) -> VarietyDescriptor:
     """Decode a descriptor; a malformed shape raises one ValueError naming the field."""
     if not isinstance(data, dict):
         raise ValueError("descriptor JSON must be an object")
-    raw, d, q = data["cohomology"], data["d"], data.get("q", 2)
+    name, raw, d, q = data["name"], data["cohomology"], data["d"], data.get("q", 2)
     vanishes = data.get("diagonal_class_vanishes", False)
+    if not isinstance(name, str):
+        raise ValueError(f'"name" must be a string, not {name!r}')
     if not isinstance(raw, dict):
         raise ValueError('"cohomology" must be an object mapping degrees to lists')
     for field, value in (("d", d), ("q", q)):
@@ -250,7 +252,7 @@ def descriptor_from_json(data) -> VarietyDescriptor:
                 if not _is_int(e.get(key)):
                     raise ValueError(f'{where}[{i}]["{key}"] must be an integer, not {e.get(key)!r}')
         cohomology[degree] = WeightMultiset([(e["weight"], e["mult"]) for e in entries])
-    return VarietyDescriptor(data["name"], d, cohomology, vanishes, q)
+    return VarietyDescriptor(name, d, cohomology, vanishes, q)
 
 
 def kunneth_power(x: VarietyDescriptor, n: int) -> WeightedGradedSpace:
@@ -587,20 +589,15 @@ class HilbertReport:
         }
 
 
-MAX_HILBERT_DEGREE = 60
-
-
 def hilbert_series(algebra: PresentationAlgebra, N: int) -> HilbertReport:
     """Dimensions and weight multisets of the quotient, degree by degree.
 
     Monomial relations prune the monomial basis; the remaining relations are
     spanned through every degree and reduced with exact arithmetic, one
-    (degree, weight) block at a time.
+    (degree, weight) block at a time.  The caller bounds N and the presentation.
     """
     if N < 0:
         raise ValueError("truncation degree must be non-negative")
-    if N > MAX_HILBERT_DEGREE:
-        raise ValueError(f"truncation degree {N} exceeds the resource cap {MAX_HILBERT_DEGREE}")
     engine = _Engine(algebra)
     lines = []
     pure = True

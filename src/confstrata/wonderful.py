@@ -15,8 +15,6 @@ from collections import namedtuple
 from .finchains import FiniteSet, SetMap, label_key
 from .forests import Forest, _set_partitions, enumerate_forests
 
-MAX_POINTS = 6
-
 
 # -- partitions of {1..n}: the polydiagonal bookkeeping ------------------------
 
@@ -68,8 +66,8 @@ def partition_codim(key, n: int, d: int) -> int:
 
 
 def _check_points(n: int, d: int):
-    if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"n must satisfy 1 <= n <= {MAX_POINTS}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     _check_dimension(d)
 
 
@@ -85,7 +83,8 @@ class DiagonalLattice:
     as partition keys.  The order is refinement (reverse inclusion of
     subvarieties), the join merges overlapping blocks (intersection), and the
     codimension is d times (n minus the number of blocks).  Order and join are
-    tabulated once from these closed forms.
+    tabulated once from these closed forms, one join per pair of partitions;
+    the caller bounds n.
     """
 
     __slots__ = ("n", "d", "elements", "codim", "_up", "_joins")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import confstrata
+from confstrata import cli
 from confstrata.cli import main
 
 
@@ -70,6 +71,53 @@ def test_unsafe_no_cap_override(capsys):
     assert "exceeds the cap 40" in capsys.readouterr().err
     assert main(hilbert + ["--unsafe-no-cap"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["dims"]) == 42
+
+
+# (CAPS entry, lowered cap, a request one over it, the name in the error line).
+# Lowering the caps keeps every request small, with the flag too.
+CAPPED = [
+    ("n", 2, ["forests", "--n", "3", "--count"], "n"),
+    ("n", 2, ["nests", "--n", "3", "--count"], "n"),
+    ("n", 2, ["blowup-validate", "--n", "3"], "n"),
+    ("n", 2, ["hilbert", "--n", "3", "--max-deg", "2"], "n"),
+    ("n", 2, ["purity", "--n", "3", "--max-deg", "2"], "n"),
+    ("n", 2, ["forget-centers", "--source", "1,2", "--target", "1,2,3"], "target size"),
+    ("strata_n", 2, ["strata", "--n", "3"], "n"),
+    ("max_deg", 2, ["hilbert", "--n", "2", "--max-deg", "3"], "max-deg"),
+    ("max_deg", 2, ["purity", "--n", "2", "--max-deg", "3"], "max-deg"),
+    ("max_level", 1, ["deltafin-check", "--max-level", "2", "--max-size", "1"], "max-level"),
+    ("max_size", 1, ["deltafin-check", "--max-level", "1", "--max-size", "2"], "max-size"),
+    ("koszul_deg", 3, ["koszul", "--presentation", "genus-1", "--max-deg", "4"], "max-deg"),
+    ("generators", 2, ["koszul", "--presentation", "exterior-3", "--max-deg", "3"], "generators"),
+    ("generators", 2, ["koszul", "--presentation", "symmetric-3", "--max-deg", "3"], "generators"),
+]
+
+
+def test_every_cap_is_in_the_table():
+    assert len(cli.CAPS) == 8
+    assert {row[0] for row in CAPPED} | {"functor_level"} == set(cli.CAPS)
+
+
+@pytest.mark.parametrize("key,cap,argv,name", CAPPED,
+                         ids=[f"{row[0]}:{' '.join(row[2][:3])}" for row in CAPPED])
+def test_over_cap_is_refused_and_the_flag_lifts_it(monkeypatch, capsys, key, cap, argv, name):
+    monkeypatch.setitem(cli.CAPS, key, cap)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {name}={cap + 1} exceeds the cap {cap} (use --unsafe-no-cap to override)\n")
+    assert main(argv + ["--unsafe-no-cap"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_functor_level_cap_clamps_and_the_flag_lifts_it(monkeypatch, capsys):
+    monkeypatch.setitem(cli.CAPS, "functor_level", 1)
+    argv = ["deltafin-check", "--max-level", "2", "--max-size", "1", "--functor", "--format", "text"]
+    assert main(argv) == 0
+    assert "level functor (k<=1, |S|<=1)" in capsys.readouterr().out
+    assert main(argv + ["--unsafe-no-cap"]) == 0
+    assert "level functor (k<=2, |S|<=1)" in capsys.readouterr().out
 
 
 def test_strata_dot_artifact(tmp_path, capsys):
@@ -332,9 +380,9 @@ def test_unwritable_log_path_is_input_error(tmp_path, capsys):
 
 
 def test_n_zero_names_the_valid_range(capsys):
-    for command in ("nests", "blowup-validate"):
+    for command in ("forests", "nests", "strata", "blowup-validate"):
         assert main([command, "--n", "0"]) == 1
-        assert capsys.readouterr().err == "error: n must satisfy 1 <= n <= 6\n"
+        assert capsys.readouterr().err == "error: n must be at least 1\n"
 
 
 BAD_FLAGS = [
@@ -357,6 +405,8 @@ BAD_FLAGS = [
      "error: --target label '' is not an integer\n"),
     ("target-over-cap", ["forget-centers", "--source", "1,2", "--target", "1,2,3,4,5,6,7"],
      "error: target size=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"),
+    ("generators-over-cap", ["koszul", "--presentation", "exterior-7", "--max-deg", "2"],
+     "error: generators=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"),
 ]
 
 
@@ -406,6 +456,20 @@ BAD_SHAPES = [
      "relations[0][1] must be a number or a numeric string, not None"),
     ("generators-list", KOSZUL, {"generators": [2], "relations": []},
      '"generators" must be an integer, not [2]'),
+    ("generators-over-cap", KOSZUL, {"generators": 7, "relations": []},
+     "generators=7 exceeds the cap 6"),
+    ("generators-huge", KOSZUL, {"generators": 100000, "relations": []},
+     "generators=100000 exceeds the cap 6"),
+    ("regraded-from-object", KOSZUL, {"generators": 2, "regraded_from": {"x": [1]}},
+     '"regraded_from" must be null or a positive integer'),
+    ("regraded-from-zero", KOSZUL, {"generators": 2, "regraded_from": 0},
+     '"regraded_from" must be null or a positive integer'),
+    ("name-list", [*HILBERT, "--variety"], {"name": ["x"], "d": 1, "cohomology": H0},
+     'bad variety descriptor: "name" must be a string'),
+    ("label-list", ["forget-centers", "--injection"], {"source": [[1]], "target": [1]},
+     '"source"[0] must be an integer or a string label'),
+    ("label-bool", ["forget-centers", "--injection"], {"source": [1], "target": [1, True]},
+     '"target"[1] must be an integer or a string label'),
 ]
 
 

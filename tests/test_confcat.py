@@ -213,8 +213,9 @@ def test_strata_covers_match_pairwise_definition():
 
 
 def test_strata_poset_cap():
-    with pytest.raises(ValueError):
-        strata_poset(6)
+    # the size cap lives in cli.CAPS; the library keeps only its domain, n >= 1
+    with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+        strata_poset(0)
 
 
 def test_strata_dot():

@@ -162,8 +162,9 @@ def test_enumeration_no_duplicates():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        enumerate_forests(7)
+    # the size cap lives in cli.CAPS; the library keeps only its domain, n >= 1
+    with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+        enumerate_forests(0)
 
 
 def test_hom_count_point_to_point():

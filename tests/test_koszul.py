@@ -181,8 +181,10 @@ def test_engine_matches_dense_oracle_randomized():
 
 
 def test_hilbert_cap():
-    with pytest.raises(ValueError):
-        hilbert_of_quadratic(exterior_presentation(2), 40)
+    # the degree cap lives in cli.CAPS; the library refuses only N < 0
+    with pytest.raises(ValueError, match=r"^truncation order must be non-negative$"):
+        hilbert_of_quadratic(exterior_presentation(2), -1)
+    assert hilbert_of_quadratic(exterior_presentation(2), 40).coefficients == (1, 2, 1) + (0,) * 38
 
 
 # -- the criterion --------------------------------------------------------------------

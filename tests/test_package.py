@@ -1,4 +1,7 @@
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +46,21 @@ def test_version_and_unknown_names():
         confstrata.no_such_name
     with pytest.raises(ImportError):
         exec("from confstrata import no_such_name", {})
+
+
+def test_only_cli_holds_size_limits():
+    """cli.CAPS is the one table of caps: no other module defines MAX_* or raises a cap."""
+    offenders = []
+    for path in sorted(Path(confstrata.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and node.id.startswith("MAX_"):
+                offenders.append(f"{path.name}:{node.lineno} defines {node.id}")
+            if isinstance(node, ast.Raise):
+                for part in ast.walk(node):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str) \
+                            and re.search(r"\bcap", part.value, re.IGNORECASE):
+                        offenders.append(f"{path.name}:{node.lineno} raises {part.value!r}")
+    assert offenders == []

@@ -298,8 +298,10 @@ def test_hilbert_detects_impure_monomials():
 
 
 def test_hilbert_truncation_cap():
-    with pytest.raises(ValueError):
-        hilbert_series(presentation(affine_line(), 2), 100)
+    # the degree cap lives in cli.CAPS; the library refuses only N < 0
+    with pytest.raises(ValueError, match=r"^truncation degree must be non-negative$"):
+        hilbert_series(presentation(affine_line(), 2), -1)
+    assert hilbert_series(presentation(affine_line(), 2), 100).dims() == [1, 0, 1] + [0] * 98
 
 
 def test_presentation_algebra_validates():
