@@ -104,7 +104,7 @@ def _selftest(command: str) -> int:
 
 
 def _cmd_forests(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "n")
+    n = _cap(config, "n", args.n, "n", least=1)
     all_forests = forests.enumerate_forests(n)
     result: dict = {"n": n, "count": len(all_forests)}
     if not args.count:
@@ -120,7 +120,7 @@ def _cmd_forests(args, config: RunConfig) -> int:
 
 
 def _cmd_nests(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "n")
+    n = _cap(config, "n", args.n, "n", least=1)
     nests = wonderful.enumerate_nests(n, args.d)
     result: dict = {"n": n, "d": args.d, "count": len(nests)}
     if not args.count:
@@ -134,7 +134,7 @@ def _cmd_nests(args, config: RunConfig) -> int:
 
 
 def _cmd_strata(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "strata_n")
+    n = _cap(config, "n", args.n, "strata_n", least=1)
     poset = confcat.strata_poset(n)
     result = {
         "n": n,
@@ -183,7 +183,7 @@ def _cmd_deltafin_check(args, config: RunConfig) -> int:
 
 
 def _cmd_blowup_validate(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "n")
+    n = _cap(config, "n", args.n, "n", least=1)
     bset = wonderful.diagonal_building_set(n, args.d)
     if args.order:
         data = _read_json(args.order, config)
@@ -278,7 +278,7 @@ def _load_descriptor(args, config: RunConfig):
 
 def _cmd_purity(args, config: RunConfig) -> int:
     x = _load_descriptor(args, config)
-    n = _cap(config, "n", args.n, "n")
+    n = _cap(config, "n", args.n, "n", least=1)
     max_deg = _cap(config, "max-deg", args.max_deg, "max_deg")
     verdict = weights.purity_theorem_check(x, n, max_deg)
     conf2 = weights.conf2_purity_report(x)
@@ -295,7 +295,7 @@ def _cmd_purity(args, config: RunConfig) -> int:
 
 def _cmd_hilbert(args, config: RunConfig) -> int:
     x = _load_descriptor(args, config)
-    n = _cap(config, "n", args.n, "n")
+    n = _cap(config, "n", args.n, "n", least=1)
     max_deg = _cap(config, "max-deg", args.max_deg, "max_deg")
     algebra = weights.presentation(x, n, args.relations)
     report = weights.hilbert_series(algebra, max_deg)

@@ -4,9 +4,11 @@ A presentation is a relation subspace of the g^2-dimensional quadratic part
 of the tensor algebra on g degree-one generators.  Under the
 graded-commutative convention the generators are odd, so the effective
 relation space also contains every symmetrizer e_i*e_j + e_j*e_i.  The dual
-presentation is the annihilator under the monomial pairing.  The criterion
-H_A(t) * H_dual(-t) = 1 is necessary for Koszulness, never sufficient: a PASS
-only means "consistent to the checked order".
+presentation is the annihilator under the monomial pairing.  Hilbert series
+count the words that avoid the leading bigrams once a degree-3 check
+certifies them as a PBW basis, and run exact normal forms when it does not.
+The criterion H_A(t) * H_dual(-t) = 1 is necessary for Koszulness, never
+sufficient: a PASS only means "consistent to the checked order".
 """
 
 from __future__ import annotations
@@ -125,12 +127,28 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
                                  regraded_from=p.regraded_from)
 
 
+def _word_counts(allowed, N):
+    """Words of length 0..N whose adjacent pairs are all allowed, by transfer matrix."""
+    counts, ends = [1], [1] * len(allowed)
+    for _ in range(N):
+        counts.append(sum(ends))
+        ends = [sum(e for e, row in zip(ends, allowed) if row[j]) for j in range(len(allowed))]
+    return counts
+
+
 def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
-    """Graded dimensions of T(V)/<R_eff> up to degree N.
+    """Graded dimensions of T(V)/<R_eff> up to degree N: certify, then count.
 
     Degree n is computed as (A_{n-1} tensor V) modulo the image of
     (A_{n-2} tensor R), maintaining normal forms so the next degree can reuse
-    them.  Degree n has up to g^n candidates; the caller bounds g and N.
+    them.  Candidates are in lex order, so the degree-2 pivots are the leading
+    bigrams of R_eff, and the words avoiding them span every degree.  By
+    Bergman's diamond lemma they are a basis, a PBW basis (Priddy 1970;
+    Polishchuk-Positselski, Quadratic Algebras, ch. 4), once every overlap
+    resolves: exactly when their count equals the degree-3 dimension.  Then
+    the transfer-matrix count of those words gives every higher degree.
+    Otherwise the loop runs on to degree N, where degree n has up to g^n
+    candidates; the caller bounds g and N.
     """
     if N < 0:
         raise ValueError("truncation order must be non-negative")
@@ -162,6 +180,10 @@ def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
                 ech.add(row)
         pivots = ech.back_substitute()
         basis = [idx for idx in range(dim_prev * g) if idx not in pivots]
+        if n == 2:  # candidate i * g + j is the word e_i e_j
+            words = _word_counts([[i * g + j not in pivots for j in range(g)] for i in range(g)], N)
+        elif n == 3 and len(basis) == words[3]:
+            return TruncatedSeries(tuple(words))
         basis_pos = {idx: pos for pos, idx in enumerate(basis)}
         nf_cur = []
         for idx in range(dim_prev * g):

@@ -6,8 +6,12 @@ guards are the stated runtime caps.
 """
 
 import itertools
+import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from confstrata import checks
 from confstrata.confcat import Stratum, stratum_codim, stratum_intersect
@@ -221,6 +225,37 @@ def test_criterion_9_koszul_criterion():
         ok = ok and koszul_criterion(symmetric_presentation(g), 10).passed
         ok = ok and koszul_criterion(exterior_presentation(g), 10).passed
     _verdict(9, "Koszul criterion: genus-1 through t^10, symmetric/exterior g<=4", ok)
+
+
+# in cap, and each ran past 45 s before standard monomials were counted
+IN_CAP_GUARDS = [
+    (["purity", "--variety", "elliptic", "--n", "6", "--max-deg", "40"],
+     lambda result: result["verdict"] == "pure"),
+    (["hilbert", "--variety", "elliptic", "--n", "6", "--max-deg", "14"],
+     lambda result: result["report"]["pure"]),
+]
+GUARD_SECONDS = 3.0
+
+
+def test_criterion_10_in_cap_runtime_guards():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ok, times = True, []
+    for argv, answered in IN_CAP_GUARDS:
+        start = time.monotonic()
+        try:
+            proc = subprocess.run([sys.executable, "-m", "confstrata.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=GUARD_SECONDS)
+        except subprocess.TimeoutExpired:
+            ok = False
+            times.append(f"{argv[0]} killed")
+            continue
+        elapsed = time.monotonic() - start
+        times.append(f"{argv[0]} {elapsed:.2f}s")
+        ok = (ok and proc.returncode == 0 and elapsed < GUARD_SECONDS
+              and answered(json.loads(proc.stdout)["result"]))
+    _verdict(10, f"in-cap elliptic n=6 purity deg 40 and hilbert deg 14 under {GUARD_SECONDS:.0f}s",
+             ok, ", ".join(times))
 
 
 if __name__ == "__main__":

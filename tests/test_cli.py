@@ -380,9 +380,11 @@ def test_unwritable_log_path_is_input_error(tmp_path, capsys):
 
 
 def test_n_zero_names_the_valid_range(capsys):
-    for command in ("forests", "nests", "strata", "blowup-validate"):
-        assert main([command, "--n", "0"]) == 1
-        assert capsys.readouterr().err == "error: n must be at least 1\n"
+    for command in ("forests", "nests", "strata", "blowup-validate", "hilbert", "purity"):
+        for n in ("-1", "0"):
+            assert main([command, "--n", n]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: n must be at least 1\n")
 
 
 BAD_FLAGS = [

@@ -8,7 +8,11 @@ arrangement lattice that the tabulated partition lattice replaced; the
 re-proved every forest morphism and searched for nests with is_nest; the
 `strata` report and DOT file from the pairwise cover search, and the
 `hilbert` report on a JSON descriptor from the loader before it checked shapes.
-Any change to exact-rank arithmetic, the lattice, the level functor, the nest
+The impure-descriptor `hilbert` report (a seeded descriptor whose H^2 has
+weight 3) was captured from the rank loop before standard monomials were
+counted; it pins `pure: false`, every weight multiset and the
+`first_violation` witness.  Any change to exact-rank arithmetic, the
+standard-monomial count, the lattice, the level functor, the nest
 enumeration, the strata covers or the loaders must reproduce them exactly.
 """
 
@@ -27,6 +31,7 @@ RATIONAL = "tests/fixtures/koszul_rational_presentation.json"
 PAIRS_FIRST = "tests/fixtures/blowup_order_pairs_first_n4.json"
 STRING_CHAIN = "tests/fixtures/chain_string_labels.json"
 AFFINE_LINE = "tests/fixtures/affine_line_descriptor.json"
+IMPURE = "tests/fixtures/impure_descriptor_seed1.json"
 
 REPORTS = [
     ("hilbert_elliptic_n4_deg8.json",
@@ -53,6 +58,8 @@ REPORTS = [
     ("strata_n4.json", ["strata", "--n", "4"]),
     ("hilbert_affine_line_json_n2_deg4.json",
      ["hilbert", "--variety", AFFINE_LINE, "--n", "2", "--max-deg", "4"]),
+    ("hilbert_impure_seed1_n3_deg8.json",
+     ["hilbert", "--variety", IMPURE, "--n", "3", "--max-deg", "8"]),
 ]
 
 

@@ -17,6 +17,7 @@ from confstrata.koszul import (
     quadratic_dual,
     symmetric_presentation,
 )
+from confstrata.koszul import _word_counts
 from confstrata.linalg import Echelon, nullspace, rank
 
 # found by seeded random search; both series verified against the dense oracle below
@@ -162,6 +163,21 @@ def test_engine_matches_dense_oracle():
     dual = quadratic_dual(non_koszul_presentation())
     dual_series = hilbert_of_quadratic(dual, 6)
     assert list(dual_series.coefficients) == dense_dims(3, dual.relations, 6)
+
+
+def test_failed_certificate_keeps_the_normal_form_loop():
+    primal = non_koszul_presentation()
+    for p in (primal, quadratic_dual(primal)):
+        g = p.generator_count
+        ech = Echelon()
+        for vec in p.effective_relations():
+            ech.add({i: v for i, v in enumerate(vec) if v})
+        # words that avoid the leading bigrams (the pivots) count the dims only under PBW
+        allowed = [[i * g + j not in ech.pivots for j in range(g)] for i in range(g)]
+        avoiding = _word_counts(allowed, 4)
+        exact = dense_dims(g, p.relations, 4)
+        assert avoiding[3] != exact[3]  # the degree-3 certificate fails
+        assert list(hilbert_of_quadratic(p, 4).coefficients) == exact
 
 
 def test_engine_matches_dense_oracle_randomized():

@@ -27,6 +27,7 @@ from confstrata.weights import (
     tensor,
     thom_relative,
 )
+from confstrata.weights import _Engine, _rank_basis, _standard_basis
 
 
 def corrupted_curve():
@@ -295,6 +296,53 @@ def test_hilbert_detects_impure_monomials():
     report = hilbert_series(algebra, 4)
     assert not report.pure
     assert report.first_violation == (2, 0, "u")
+
+
+def non_pbw_algebra():
+    """Even degree-2 generators a, b, c modulo a*c - b*b and a*b - b*c."""
+    a, b, c = (Generator(label, 2, 2) for label in "abc")
+    return PresentationAlgebra(
+        generators=(a, b, c),
+        relations=(Relation("r1", ((1, ("a", "c")), (-1, ("b", "b")))),
+                   Relation("r2", ((1, ("a", "b")), (-1, ("b", "c"))))),
+    )
+
+
+def test_failed_certificate_falls_back_to_the_rank_loop():
+    engine = _Engine(non_pbw_algebra())
+    assert _standard_basis(engine, 6) is None
+    assert hilbert_series(non_pbw_algebra(), 6).dims() == [1, 0, 3, 0, 4, 0, 4]
+    # counting the monomials that avoid the leading words a*b and a*c would be wrong
+    naive = engine.monomials(engine.forbidden | {(0, 1), (0, 2)}, 6)
+    assert sum(deg == 6 for _, deg, _ in naive) == 5
+
+
+BUILTIN_VARIETIES = [affine_line(), projective_line(), elliptic_curve(), affine_space(2)]
+
+
+@pytest.mark.parametrize("x", BUILTIN_VARIETIES, ids=[x.name for x in BUILTIN_VARIETIES])
+def test_certified_count_equals_the_rank_loop(x):
+    for n in (1, 2, 3):
+        engine = _Engine(presentation(x, n))
+        N = 4 * x.d * n  # past the top degree, n * 2d
+        count = _standard_basis(engine, N)
+        assert count is not None
+        assert count == _rank_basis(engine, N)
+
+
+def test_monomial_walk_matches_brute_force():
+    algebra = presentation(elliptic_curve(), 3)
+    engine = _Engine(algebra)
+    avoid = engine.forbidden | {(0, 7), (4, 4)}
+    for max_deg, max_len in ((5, 5), (9, 3)):
+        walked = engine.monomials(avoid, max_deg, max_len)
+        brute = []
+        for length in range(max_len + 1):
+            for mono in itertools.combinations_with_replacement(range(len(engine.gens)), length):
+                deg = sum(engine.degree[g] for g in mono)
+                if deg <= max_deg and not any(p in avoid for p in itertools.combinations(mono, 2)):
+                    brute.append((mono, deg, sum(engine.weight[g] for g in mono)))
+        assert walked == sorted(brute)
 
 
 def test_hilbert_truncation_cap():
