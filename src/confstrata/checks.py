@@ -9,6 +9,7 @@ exhaustive for their size range and no class is checked twice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -66,6 +67,8 @@ def check_simplicial_identities(max_level=3, max_size=3, samples=0, sample_size=
 
 def _identities_on(chain: FinChain, result: CheckResult):
     k = chain.level_count
+    faces = [face(chain, i) for i in range(k + 1)] if k >= 1 else []
+    degens = [degeneracy(chain, j) for j in range(k + 1)]
 
     def record(condition, message):
         result.checked += 1
@@ -74,21 +77,21 @@ def _identities_on(chain: FinChain, result: CheckResult):
 
     if k >= 2:
         for i, j in itertools.combinations(range(k + 1), 2):
-            record(face(face(chain, j), i) == face(face(chain, i), j - 1),
+            record(face(faces[j], i) == face(faces[i], j - 1),
                    f"d_{i} d_{j} != d_{j - 1} d_{i}")
     for i, j in itertools.product(range(k + 1), repeat=2):
         if i <= j:
-            record(degeneracy(degeneracy(chain, j), i) == degeneracy(degeneracy(chain, i), j + 1),
+            record(degeneracy(degens[j], i) == degeneracy(degens[i], j + 1),
                    f"s_{i} s_{j} != s_{j + 1} s_{i}")
     for j in range(k + 1):
-        record(face(degeneracy(chain, j), j) == chain, f"d_{j} s_{j} != id")
-        record(face(degeneracy(chain, j), j + 1) == chain, f"d_{j + 1} s_{j} != id")
+        record(face(degens[j], j) == chain, f"d_{j} s_{j} != id")
+        record(face(degens[j], j + 1) == chain, f"d_{j + 1} s_{j} != id")
     for i, j in itertools.product(range(k + 2), range(k + 1)):
         if i < j:
-            record(face(degeneracy(chain, j), i) == degeneracy(face(chain, i), j - 1),
+            record(face(degens[j], i) == degeneracy(faces[i], j - 1),
                    f"d_{i} s_{j} != s_{j - 1} d_{i}")
         elif i > j + 1 and k >= 1:
-            record(face(degeneracy(chain, j), i) == degeneracy(face(chain, i - 1), j),
+            record(face(degens[j], i) == degeneracy(faces[i - 1], j),
                    f"d_{i} s_{j} != s_{j} d_{i - 1}")
     result.checked += 1
     if not finchains.validate_chain(chain):
@@ -110,14 +113,14 @@ def _elementary_into(chain: FinChain, allow_degeneracies=True):
     return out
 
 
-def _check_pair(f_sm: SimplexMap, g_sm: SimplexMap, result: CheckResult):
+def _check_pair(f_sm: SimplexMap, g_sm: SimplexMap, result: CheckResult, violations):
     composite = f_sm.then(g_sm)
     ff = level_functor_morphism(f_sm)
     fg = level_functor_morphism(g_sm)
     fc = level_functor_morphism(composite)
     result.checked += 1
     for sm, mor in ((f_sm, ff), (g_sm, fg), (composite, fc)):
-        problems = forests.morphism_violations(mor)
+        problems = violations(mor)
         if problems:
             result.failures.append(f"F of {sm!r} is not a morphism: {problems}")
             return
@@ -150,9 +153,11 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     non-canonical block, which ForMorphism keeps as given.
     level_functor_morphism, pullback and ForMorphism.signature are memoised
     (lru_cache, 65536 entries each), so each distinct simplex map is checked
-    and mapped once and its shared, immutable result reused.
+    and mapped once and its shared, immutable result reused; within one call,
+    each distinct morphism runs forests.morphism_violations once.
     """
     result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
+    violations = functools.lru_cache(maxsize=None)(forests.morphism_violations)
     chains = list(enumerate_chains(max_level, max_size))
     for chain in chains:
         phi = level_functor_object(chain)
@@ -170,7 +175,7 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
         for sm in _elementary_into(chain, allow_degeneracies=False):
             mor = level_functor_morphism(sm)
             result.checked += 1
-            problems = forests.morphism_violations(mor)
+            problems = violations(mor)
             if problems:
                 result.failures.append(f"face into {chain!r} is not a morphism: {problems}")
                 continue
@@ -182,7 +187,7 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     for chain in chains:
         for g_sm in _elementary_into(chain):
             for f_sm in _elementary_into(g_sm.source):
-                _check_pair(f_sm, g_sm, result)
+                _check_pair(f_sm, g_sm, result, violations)
     if pair_samples:
         rng = random.Random(seed)
         for _ in range(pair_samples):
@@ -194,7 +199,7 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
             ka = rng.randint(0, kb)
             delta_f = tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1)))
             f_sm = SimplexMap(delta_f, precompose(g_sm.source, delta_f), g_sm.source)
-            _check_pair(f_sm, g_sm, result)
+            _check_pair(f_sm, g_sm, result, violations)
     return result
 
 

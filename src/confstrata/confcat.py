@@ -10,7 +10,9 @@ followed by a stratum inclusion.
 
 from __future__ import annotations
 
-from .finchains import FinChain, SetMap, SimplexMap
+from operator import attrgetter
+
+from .finchains import FinChain, SetMap, SimplexMap, _Value, _fill
 from .forests import (
     ForMorphism,
     Forest,
@@ -21,16 +23,14 @@ from .forests import (
     pullback,
 )
 
-class Stratum:
+class Stratum(_Value):
     """A closed stratum, carried entirely by its indexing forest."""
 
     __slots__ = ("forest",)
+    _fields = attrgetter("forest")
 
     def __init__(self, forest: Forest):
-        object.__setattr__(self, "forest", forest)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Stratum is immutable")
+        _fill(self, forest)
 
     @property
     def codim(self) -> int:
@@ -38,12 +38,6 @@ class Stratum:
 
     def is_interior(self) -> bool:
         return self.codim == 0
-
-    def __eq__(self, other):
-        return isinstance(other, Stratum) and self.forest == other.forest
-
-    def __hash__(self):
-        return hash(("Stratum", self.forest))
 
     def __repr__(self):
         return f"Stratum(codim={self.codim}, {self.forest!r})"
@@ -64,7 +58,7 @@ def stratum_intersect(phi: Forest, psi: Forest):
     return Stratum(Forest(phi.ground, blocks))
 
 
-class StratumMap:
+class StratumMap(_Value):
     """A map of strata: a point-forgetting step followed by a stratum inclusion.
 
     Fixed by a forest morphism g: (S, phi) -> (T, psi); the stratum of psi
@@ -76,12 +70,10 @@ class StratumMap:
     """
 
     __slots__ = ("morphism",)
+    _fields = attrgetter("morphism")
 
     def __init__(self, morphism: ForMorphism):
-        object.__setattr__(self, "morphism", morphism)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StratumMap is immutable")
+        _fill(self, morphism)
 
     @property
     def witness(self) -> SetMap:
@@ -119,12 +111,6 @@ class StratumMap:
 
     def signature(self):
         return (self.source, self.target, self.morphism.signature())
-
-    def __eq__(self, other):
-        return isinstance(other, StratumMap) and self.morphism == other.morphism
-
-    def __hash__(self):
-        return hash(("StratumMap", self.morphism))
 
     def __repr__(self):
         return f"StratumMap({self.kind}: {self.source!r} -> {self.target!r})"

@@ -10,26 +10,56 @@ construction in `forests` is functorial over.
 
 from __future__ import annotations
 
+from operator import attrgetter, le, sub
+
 
 def label_key(label):
     """Sort key valid for mixed int/str label sets."""
     return (label.__class__.__name__, label)
 
 
-class FiniteSet:
-    """Ordered finite set of labels; order is canonical so equality is structural."""
+_set = object.__setattr__
 
-    __slots__ = ("labels",)
+
+class _Value:
+    """An immutable value: equal to another of its class with equal _fields.
+
+    _fields is an attrgetter of the fields that make the value; the hash of
+    (class name, fields) is computed on first use and kept.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self)
+                                 and self._fields(self) == self._fields(other))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((type(self).__name__, self._fields(self))))
+            return self._hash
+
+
+class FiniteSet(_Value):
+    """Ordered finite set of labels; order is canonical so equality is structural.
+
+    positions maps each label to its index in labels.
+    """
+
+    __slots__ = ("labels", "positions", "_identity")
+    _fields = attrgetter("labels")
 
     def __init__(self, labels=()):
         labels = tuple(sorted(labels, key=label_key))
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise ValueError(f"duplicate label {a!r}")
-        object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSet is immutable")
+        _fill(self, labels, {x: i for i, x in enumerate(labels)})
 
     def __iter__(self):
         return iter(self.labels)
@@ -40,20 +70,20 @@ class FiniteSet:
     def __contains__(self, label):
         return label in self.labels
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteSet) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(("FiniteSet", self.labels))
-
     def __repr__(self):
         return f"FiniteSet({list(self.labels)!r})"
 
 
-class SetMap:
-    """A total map of finite sets, stored as explicit label assignments."""
+class SetMap(_Value):
+    """A total map of finite sets, stored as a position table.
 
-    __slots__ = ("source", "target", "pairs")
+    table[i] is the position in target.labels of the image of source.labels[i];
+    pairs, as_dict and calls are views of it.  The constructor validates a
+    label assignment; maps built inside the package compose tables unchecked.
+    """
+
+    __slots__ = ("source", "target", "table")
+    _fields = attrgetter("table", "source", "target")
 
     def __init__(self, source: FiniteSet, target: FiniteSet, assignment):
         assignment = dict(assignment)
@@ -62,62 +92,74 @@ class SetMap:
         for value in assignment.values():
             if value not in target:
                 raise ValueError(f"image label {value!r} not in target")
-        pairs = tuple((x, assignment[x]) for x in source.labels)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetMap is immutable")
+        _fill(self, source, target, tuple(target.positions[assignment[x]] for x in source))
 
     @classmethod
     def identity(cls, s: FiniteSet) -> "SetMap":
-        return cls(s, s, {x: x for x in s})
+        """The identity of s, built once per set."""
+        try:
+            return s._identity
+        except AttributeError:
+            _set(s, "_identity", _setmap(s, s, tuple(range(len(s)))))
+            return s._identity
+
+    @property
+    def pairs(self):
+        labels = self.target.labels
+        return tuple(zip(self.source.labels, [labels[j] for j in self.table]))
 
     def __call__(self, label):
-        for k, v in self.pairs:
-            if k == label:
-                return v
-        raise KeyError(label)
+        return self.target.labels[self.table[self.source.positions[label]]]
 
     def as_dict(self):
         return dict(self.pairs)
 
     def then(self, other: "SetMap") -> "SetMap":
         """Diagrammatic composite: first self, then other."""
-        if other.source != self.target:
+        if other.source is not self.target and other.source != self.target:
             raise ValueError("maps do not compose")
-        table = other.as_dict()
-        return SetMap(self.source, other.target, {k: table[v] for k, v in self.pairs})
+        table = other.table
+        return _setmap(self.source, other.target, tuple([table[i] for i in self.table]))
 
     def fiber(self, label):
         return tuple(k for k, v in self.pairs if v == label)
 
     def image(self):
-        return frozenset(v for _, v in self.pairs)
+        labels = self.target.labels
+        return frozenset(labels[j] for j in self.table)
 
     def is_injective(self) -> bool:
-        return len(self.image()) == len(self.source)
+        return len(set(self.table)) == len(self.table)
 
     def is_identity(self) -> bool:
-        return self.source == self.target and all(k == v for k, v in self.pairs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return hash(("SetMap", self.source, self.target, self.pairs))
+        return self.source == self.target and self.table == tuple(range(len(self.table)))
 
     def __repr__(self):
-        return f"SetMap({self.source!r}, {self.target!r}, {dict(self.pairs)!r})"
+        return f"SetMap({self.source!r}, {self.target!r}, {self.as_dict()!r})"
 
 
-class FinChain:
+def _fill(obj, *values):
+    """Set the slots of obj's class, in order: construction without the immutability guard."""
+    for name, value in zip(type(obj).__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
+_map_source, _map_target, _map_table = (SetMap.source.__set__, SetMap.target.__set__,
+                                        SetMap.table.__set__)
+
+
+def _setmap(source: FiniteSet, target: FiniteSet, table: tuple) -> SetMap:
+    """The map with this position table, unchecked: _fill without its loop, since
+    the simplicial checks build hundreds of thousands of maps and chains."""
+    f = object.__new__(SetMap)
+    _map_source(f, source)
+    _map_target(f, target)
+    _map_table(f, table)
+    return f
+
+
+class FinChain(_Value):
     """A composable chain S_0 -> ... -> S_k of maps of finite sets.
 
     Construction enforces shape only (len(maps) == len(sets) - 1); whether the
@@ -126,6 +168,7 @@ class FinChain:
     """
 
     __slots__ = ("sets", "maps")
+    _fields = attrgetter("sets", "maps")
 
     def __init__(self, sets, maps=()):
         sets = tuple(sets)
@@ -134,29 +177,30 @@ class FinChain:
             raise ValueError("a chain needs at least one set")
         if len(maps) != len(sets) - 1:
             raise ValueError("a chain on k+1 sets needs exactly k maps")
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "maps", maps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinChain is immutable")
+        _fill(self, sets, maps)
 
     @property
     def level_count(self) -> int:
         return len(self.sets) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, FinChain) and self.sets == other.sets and self.maps == other.maps
-
-    def __hash__(self):
-        return hash(("FinChain", self.sets, self.maps))
 
     def __repr__(self):
         sizes = "->".join(str(len(s)) for s in self.sets)
         return f"FinChain({sizes})"
 
 
+_chain_sets, _chain_maps = FinChain.sets.__set__, FinChain.maps.__set__
+
+
+def _chain(sets: tuple, maps: tuple) -> FinChain:
+    """The chain on these tuples, unchecked (slot setters as in _setmap)."""
+    chain = object.__new__(FinChain)
+    _chain_sets(chain, sets)
+    _chain_maps(chain, maps)
+    return chain
+
+
 def identity_chain(s: FiniteSet) -> FinChain:
-    return FinChain((s,), ())
+    return _chain((s,), ())
 
 
 def chain_violations(chain: FinChain) -> list[str]:
@@ -174,82 +218,89 @@ def validate_chain(chain: FinChain) -> bool:
     return not chain_violations(chain)
 
 
+def _table(chain: FinChain, start: int, stop: int) -> tuple:
+    """Position table of the composite S_start -> S_stop of a valid chain."""
+    table = tuple(range(len(chain.sets[start])))
+    for f in chain.maps[start:stop]:
+        step = f.table
+        table = tuple([step[i] for i in table])
+    return table
+
+
 def _composite(chain: FinChain, start: int, stop: int) -> SetMap:
-    """The composite S_start -> S_stop along the chain (identity if start == stop)."""
-    f = SetMap.identity(chain.sets[start])
-    for i in range(start, stop):
-        f = f.then(chain.maps[i])
-    return f
+    """The composite S_start -> S_stop along a valid chain (identity if start == stop)."""
+    return chain.maps[start] if stop == start + 1 else _setmap(
+        chain.sets[start], chain.sets[stop], _table(chain, start, stop))
 
 
 def face(chain: FinChain, i: int) -> FinChain:
     """Face operator: outer faces drop an end set, inner faces compose two maps."""
-    k = chain.level_count
+    k = len(chain.sets) - 1
     if k < 1:
         raise IndexError("face needs a chain with at least one map")
     if not 0 <= i <= k:
         raise IndexError(f"face index {i} out of range 0..{k}")
     if i == 0:
-        return FinChain(chain.sets[1:], chain.maps[1:])
+        return _chain(chain.sets[1:], chain.maps[1:])
     if i == k:
-        return FinChain(chain.sets[:-1], chain.maps[:-1])
+        return _chain(chain.sets[:-1], chain.maps[:-1])
     maps = (
         chain.maps[: i - 1]
         + (chain.maps[i - 1].then(chain.maps[i]),)
         + chain.maps[i + 1 :]
     )
-    return FinChain(chain.sets[:i] + chain.sets[i + 1 :], maps)
+    return _chain(chain.sets[:i] + chain.sets[i + 1 :], maps)
 
 
 def degeneracy(chain: FinChain, i: int) -> FinChain:
     """Degeneracy operator: insert the identity map at position i."""
-    k = chain.level_count
+    k = len(chain.sets) - 1
     if not 0 <= i <= k:
         raise IndexError(f"degeneracy index {i} out of range 0..{k}")
     s = chain.sets[i]
     sets = chain.sets[: i + 1] + (s,) + chain.sets[i + 1 :]
     maps = chain.maps[:i] + (SetMap.identity(s),) + chain.maps[i:]
-    return FinChain(sets, maps)
+    return _chain(sets, maps)
 
 
 def precompose(chain: FinChain, delta) -> FinChain:
-    """The reindexed chain chain∘delta for a monotone delta: [k] -> [l]."""
+    """The reindexed chain chain∘delta for a valid chain and a monotone delta: [k] -> [l]."""
     delta = tuple(delta)
-    sets = tuple(chain.sets[j] for j in delta)
-    maps = tuple(_composite(chain, delta[t], delta[t + 1]) for t in range(len(delta) - 1))
-    return FinChain(sets, maps)
+    sets = tuple([chain.sets[j] for j in delta])
+    maps = tuple([_composite(chain, a, b) for a, b in zip(delta, delta[1:])])
+    return _chain(sets, maps)
 
 
-class SimplexMap:
+class SimplexMap(_Value):
     """A morphism of chains: monotone delta: [k] -> [l] with source = target∘delta."""
 
     __slots__ = ("delta", "source", "target")
+    _fields = attrgetter("delta", "source", "target")
 
     def __init__(self, delta, source: FinChain, target: FinChain):
-        object.__setattr__(self, "delta", tuple(delta))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexMap is immutable")
+        _fill(self, tuple(delta), source, target)
 
     def violations(self) -> list[str]:
         problems = []
-        k, l = self.source.level_count, self.target.level_count
-        if len(self.delta) != k + 1:
+        source, target, delta = self.source, self.target, self.delta
+        k, l = source.level_count, target.level_count
+        if len(delta) != k + 1:
             problems.append("delta length != source level count + 1")
             return problems
-        if any(not 0 <= j <= l for j in self.delta):
+        if any(not 0 <= j <= l for j in delta):
             problems.append("delta image out of range")
             return problems
-        if any(a > b for a, b in zip(self.delta, self.delta[1:])):
+        if any(a > b for a, b in zip(delta, delta[1:])):
             problems.append("delta is not weakly monotone")
             return problems
-        bad = chain_violations(self.source) + chain_violations(self.target)
+        bad = chain_violations(source) + chain_violations(target)
         if bad:
             problems.extend(bad)
             return problems
-        if precompose(self.target, self.delta) != self.source:
+        # compare tables: the source's maps against the target's composites along delta
+        if any(s != target.sets[j] for s, j in zip(source.sets, delta)) or any(
+                f.table != _table(target, a, b)
+                for f, a, b in zip(source.maps, delta, delta[1:])):
             problems.append("source chain != target chain reindexed along delta")
         return problems
 
@@ -283,17 +334,6 @@ class SimplexMap:
     def is_surjective(self) -> bool:
         return set(self.delta) == set(range(self.target.level_count + 1))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplexMap)
-            and self.delta == other.delta
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def __hash__(self):
-        return hash(("SimplexMap", self.delta, self.source, self.target))
-
     def __repr__(self):
         return f"SimplexMap({list(self.delta)!r}: {self.source!r} -> {self.target!r})"
 
@@ -306,9 +346,9 @@ def _multisets(kinds, budget):
     kinds holds (tree type, nodes per level) pairs; yields (types, budget left).
     """
     yield (), budget
-    kinds = [entry for entry in kinds if all(c <= b for c, b in zip(entry[1], budget))]
+    kinds = [entry for entry in kinds if all(map(le, entry[1], budget))]
     for j, (kind, counts) in enumerate(kinds):
-        for rest, unused in _multisets(kinds[j:], tuple(b - c for b, c in zip(budget, counts))):
+        for rest, unused in _multisets(kinds[j:], tuple(map(sub, budget, counts))):
             yield (kind,) + rest, unused
 
 
@@ -320,15 +360,18 @@ def _types(level: int, m: int):
             for children, unused in _multisets(_types(level - 1, m), (m,) * level)]
 
 
-def _realise(roots, k: int) -> FinChain:
-    """The chain with these level-k tree types, each level labelled 0.. top-down."""
+def _realise(roots, k: int, ranges) -> FinChain:
+    """The chain with these level-k tree types, each level labelled 0.. top-down.
+
+    ranges[m] is the set {0, ..., m-1}, shared by every chain of the enumeration.
+    """
     levels, tables = [roots], []
     for _ in range(k):
-        tables.insert(0, [p for p, node in enumerate(levels[0]) for _ in node])
+        tables.insert(0, tuple([p for p, node in enumerate(levels[0]) for _ in node]))
         levels.insert(0, [child for node in levels[0] for child in node])
-    sets = [FiniteSet(range(len(nodes))) for nodes in levels]
-    return FinChain(sets, [SetMap(sets[i], sets[i + 1], enumerate(table))
-                           for i, table in enumerate(tables)])
+    sets = tuple([ranges[len(nodes)] for nodes in levels])
+    return _chain(sets, tuple([_setmap(sets[i], sets[i + 1], table)
+                               for i, table in enumerate(tables)]))
 
 
 def enumerate_chains(max_level: int, max_size: int):
@@ -343,12 +386,13 @@ def enumerate_chains(max_level: int, max_size: int):
     a property verified on the representatives holds for every chain in range.
     Order: by k, then by (|S_0|, ..., |S_k|), then by the multiset of types.
     """
+    ranges = [FiniteSet(range(m)) for m in range(max_size + 1)]
     for k in range(max_level + 1):
         forests = [(tuple(max_size - u for u in unused), roots)
                    for roots, unused in _multisets(_types(k, max_size), (max_size,) * (k + 1))]
         for sizes, roots in sorted(forests, key=lambda forest: forest[0]):
             if min(sizes) >= 1:
-                yield _realise(roots, k)
+                yield _realise(roots, k, ranges)
 
 
 # -- JSON --------------------------------------------------------------------
@@ -375,6 +419,18 @@ def _decode_label(key: str, labels):
     raise ValueError(f"unknown label {key!r}")
 
 
+def _check_labels(i: int, raw: list):
+    """A label is an int or a str, and a map key must name one label of the set."""
+    ints = {str(x) for x in raw if type(x) is int}
+    for j, x in enumerate(raw):
+        if type(x) not in (int, str):
+            raise ValueError(f"chain JSON sets[{i}][{j}] is {x!r}: "
+                             "a label must be an integer or a string")
+        if type(x) is str and x in ints:
+            raise ValueError(f"chain JSON sets[{i}][{j}] is {x!r}: the set also holds the "
+                             f"integer {x}, and a map key cannot tell them apart")
+
+
 def chain_from_json(data) -> FinChain:
     """Decode a chain; a malformed shape raises one ValueError naming the field."""
     if not isinstance(data, dict):
@@ -386,6 +442,8 @@ def chain_from_json(data) -> FinChain:
         raise ValueError('chain JSON "sets" must be a list of lists of labels')
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ValueError('chain JSON "maps" must be a list of objects')
+    for i, raw in enumerate(raw_sets):
+        _check_labels(i, raw)
     sets = [FiniteSet(s) for s in raw_sets]
     maps = [None] * (len(sets) - 1)
     for n, entry in enumerate(entries):

@@ -17,12 +17,16 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from operator import attrgetter
 
 from .finchains import (
     FinChain,
     FiniteSet,
     SetMap,
     SimplexMap,
+    _Value,
+    _fill,
+    _setmap,
     chain_violations,
     label_key,
     precompose,
@@ -56,32 +60,28 @@ def is_forest(ground: FiniteSet, blocks) -> bool:
     return True
 
 
-class Forest:
-    """A validated forest; blocks are canonically sorted so equality is structural."""
+class Forest(_Value):
+    """A forest; blocks are canonically sorted so equality is structural.
+
+    The constructor validates; forests built inside the package (enumeration,
+    pullback, the level construction) have canonical blocks by construction
+    and are not re-checked.
+    """
 
     __slots__ = ("ground", "blocks")
+    _fields = attrgetter("blocks", "ground")
 
     def __init__(self, ground: FiniteSet, blocks):
         blocks = _canonical_blocks(blocks)
         if not is_forest(ground, blocks):
             raise ValueError("not a forest: missing singleton or overlapping blocks")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Forest is immutable")
+        _fill(self, ground, blocks)
 
     def block_sets(self):
         return [frozenset(b) for b in self.blocks]
 
     def non_singleton_blocks(self):
         return tuple(b for b in self.blocks if len(b) > 1)
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.ground == other.ground and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(("Forest", self.ground, self.blocks))
 
     def __le__(self, other):
         if self.ground != other.ground:
@@ -92,8 +92,13 @@ class Forest:
         return f"Forest({list(self.ground.labels)!r}, {[list(b) for b in self.blocks]!r})"
 
 
+def _forest(ground: FiniteSet, blocks: tuple) -> Forest:
+    """The forest with these canonical blocks, unchecked."""
+    return _fill(object.__new__(Forest), ground, blocks)
+
+
 def minimal_forest(ground: FiniteSet) -> Forest:
-    return Forest(ground, [(x,) for x in ground])
+    return _forest(ground, tuple((x,) for x in ground.labels))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -106,24 +111,21 @@ def pullback(j: SetMap, psi: Forest) -> Forest:
         raise ValueError("pullback requires an injective map")
     if psi.ground != j.target:
         raise ValueError("forest is not on the target of the injection")
-    inverse = {v: k for k, v in j.pairs}
-    blocks = set()
-    for block in psi.blocks:
-        pulled = tuple(inverse[x] for x in block if x in inverse)
-        if pulled:
-            blocks.add(pulled)
-    return Forest(j.source, blocks)
+    # blocks as sorted source positions, which sort canonically by (size, positions)
+    labels, names = j.target.labels, j.source.labels
+    back = {labels[t]: s for s, t in enumerate(j.table)}
+    pulled = {tuple(sorted([back[x] for x in block if x in back])) for block in psi.blocks}
+    pulled.discard(())
+    return _forest(j.source, tuple([tuple([names[s] for s in block])
+                                    for block in sorted(pulled, key=lambda b: (len(b), b))]))
 
 
 def trees_of(phi: Forest):
     """Split a forest into its trees: (root block, tree as a forest on the root)."""
     blocks = phi.block_sets()
-    roots = [b for b in blocks if not any(b < c for c in blocks)]
-    out = []
-    for root in sorted(roots, key=lambda b: _block_key(tuple(sorted(b, key=label_key)))):
-        members = [b for b in blocks if b <= root]
-        out.append((tuple(sorted(root, key=label_key)), Forest(FiniteSet(root), members)))
-    return out
+    roots = [b for b in phi.blocks if not any(frozenset(b) < c for c in blocks)]
+    return [(root, Forest(FiniteSet(root), [b for b in blocks if b <= frozenset(root)]))
+            for root in roots]
 
 
 # -- poset view ---------------------------------------------------------------
@@ -164,7 +166,7 @@ def poset_violations(elements, less) -> list[str]:
     return problems
 
 
-class ForestPoset:
+class ForestPoset(_Value):
     """A finite poset with totally ordered down-sets and no repeated maximal fibers.
 
     `less` holds the strict relation as (smaller, larger) pairs; the input is
@@ -172,6 +174,7 @@ class ForestPoset:
     """
 
     __slots__ = ("elements", "less")
+    _fields = attrgetter("elements", "less")
 
     def __init__(self, elements, less):
         elements = tuple(sorted(set(elements), key=label_key))
@@ -182,23 +185,13 @@ class ForestPoset:
         problems = poset_violations(elements, less)
         if problems:
             raise ValueError("; ".join(problems))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "less", less)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ForestPoset is immutable")
+        _fill(self, elements, less)
 
     def leq(self, a, b) -> bool:
         return a == b or (a, b) in self.less
 
     def maximal(self):
         return tuple(v for v in self.elements if not any((v, w) in self.less for w in self.elements))
-
-    def __eq__(self, other):
-        return isinstance(other, ForestPoset) and self.elements == other.elements and self.less == other.less
-
-    def __hash__(self):
-        return hash(("ForestPoset", self.elements, self.less))
 
     def __repr__(self):
         return f"ForestPoset({len(self.elements)} elements)"
@@ -234,30 +227,6 @@ def from_poset(p: ForestPoset) -> Forest:
 # -- enumeration --------------------------------------------------------------
 
 
-def _trees_on(labels, cache):
-    """All trees on a label set: the full block plus a forest of proper sub-blocks.
-
-    The sub-forest must not contain the full block itself, so it decomposes
-    along a partition into at least two parts.
-    """
-    key = frozenset(labels)
-    if key in cache:
-        return cache[key]
-    labels = tuple(sorted(labels, key=label_key))
-    if len(labels) == 1:
-        result = [frozenset({labels})]
-    else:
-        result = []
-        for partition in _set_partitions(list(labels)):
-            if len(partition) < 2:
-                continue
-            choices = [_trees_on(tuple(sorted(p, key=label_key)), cache) for p in partition]
-            for combo in itertools.product(*choices):
-                result.append(frozenset({labels}).union(*combo))
-    cache[key] = result
-    return result
-
-
 def _set_partitions(labels):
     labels = list(labels)
     if not labels:
@@ -270,22 +239,39 @@ def _set_partitions(labels):
         yield [[first]] + part
 
 
-def _forests_on(labels, cache):
-    """All forests as frozensets of blocks (blocks as sorted tuples)."""
-    out = []
-    for partition in _set_partitions(labels):
-        choices = [_trees_on(tuple(sorted(p, key=label_key)), cache) for p in partition]
-        for combo in itertools.product(*choices):
-            out.append(frozenset().union(*combo))
-    return out
+def _mask_forests(n: int):
+    """All forests on bits 0..n-1, each a tuple of block bitmasks.
+
+    Built bottom-up over masks, each after its submasks: a forest is the tree
+    holding the lowest point plus a forest on the rest, and a tree on two or
+    more points is its full block over a forest of at least two trees.
+    """
+    trees, forests = {}, {0: [()]}
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        split = [tree + other for sub in range(rest) if sub & rest == sub
+                 for tree in trees[low | sub] for other in forests[rest ^ sub]]
+        trees[mask] = [(mask,) + f for f in split] if rest else [(mask,)]
+        forests[mask] = split + trees[mask]
+    return forests[(1 << n) - 1]
 
 
 def enumerate_forests(n: int):
-    """All forests on {1, ..., n}, canonically sorted, no duplicates; the caller bounds n."""
+    """All forests on {1, ..., n}, canonically sorted, no duplicates; the caller bounds n.
+
+    Blocks are enumerated as bitmasks over the ground index; each mask's
+    label tuple and its rank in the canonical block order are tabulated once.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     ground = FiniteSet(range(1, n + 1))
-    forests = [Forest(ground, blocks) for blocks in _forests_on(ground.labels, {})]
+    points = [tuple(b for b in range(n) if mask >> b & 1) for mask in range(1 << n)]
+    block = [tuple(ground.labels[b] for b in p) for p in points]
+    order = sorted(range(1 << n), key=lambda m: (len(points[m]), points[m]))
+    rank = {mask: r for r, mask in enumerate(order)}
+    forests = [_forest(ground, tuple([block[m] for m in sorted(f, key=rank.__getitem__)]))
+               for f in _mask_forests(n)]
     return sorted(forests, key=lambda f: (len(f.blocks), f.blocks))
 
 
@@ -296,7 +282,7 @@ def forest_count(n: int) -> int:
 # -- morphisms (poset maps) ----------------------------------------------------
 
 
-class ForMorphism:
+class ForMorphism(_Value):
     """A morphism of forests as an injective poset map on blocks.
 
     The map must preserve the reverse-inclusion order and independence
@@ -309,39 +295,37 @@ class ForMorphism:
     """
 
     __slots__ = ("source", "target", "block_map")
+    _fields = attrgetter("block_map", "source", "target")
 
     def __init__(self, source: Forest, target: Forest, block_map):
         items = tuple(sorted(dict(block_map).items(), key=lambda kv: _block_key(kv[0])))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "block_map", items)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ForMorphism is immutable")
+        _fill(self, source, target, items)
 
     def mapping(self):
         return dict(self.block_map)
 
     @classmethod
     def identity(cls, forest: Forest) -> "ForMorphism":
-        return cls(forest, forest, {b: b for b in forest.blocks})
+        return _fill(object.__new__(cls), forest, forest, tuple([(b, b) for b in forest.blocks]))
 
     def then(self, other: "ForMorphism") -> "ForMorphism":
+        # the pairs keep self's order, which is the canonical source order
         if other.source != self.target:
             raise ValueError("morphisms do not compose")
         table = other.mapping()
-        return ForMorphism(self.source, other.target, {k: table[v] for k, v in self.block_map})
+        return _fill(object.__new__(ForMorphism), self.source, other.target,
+                     tuple([(k, table[v]) for k, v in self.block_map]))
 
     def is_identity(self) -> bool:
         return self.source == self.target and all(k == v for k, v in self.block_map)
 
     def max_lifts(self):
-        """All ground injections j with j(s) in the image block of {s}."""
+        """All ground injections j with j(s) in the image block of {s}, least labels first."""
         mapping = self.mapping()
-        ground = list(self.source.ground)
-        choices = [mapping[(s,)] for s in ground]
+        source, target = self.source.ground, self.target.ground
+        choices = [[target.positions[x] for x in mapping[(s,)]] for s in source]
         for combo in itertools.product(*choices):
-            yield SetMap(self.source.ground, self.target.ground, dict(zip(ground, combo)))
+            yield _setmap(source, target, combo)
 
     @functools.lru_cache(maxsize=65536)
     def signature(self) -> frozenset:
@@ -355,20 +339,7 @@ class ForMorphism:
 
     def canonical_lift(self) -> SetMap:
         """Deterministic ground injection: least available label in each image block."""
-        mapping = self.mapping()
-        assignment = {s: mapping[(s,)][0] for s in self.source.ground}
-        return SetMap(self.source.ground, self.target.ground, assignment)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ForMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.block_map == other.block_map
-        )
-
-    def __hash__(self):
-        return hash(("ForMorphism", self.source, self.target, self.block_map))
+        return next(self.max_lifts())
 
     def __repr__(self):
         return f"ForMorphism({self.source!r} -> {self.target!r})"
@@ -389,13 +360,22 @@ def morphism_violations(f: ForMorphism) -> list[str]:
     sets = {a: (frozenset(a), frozenset(v)) for a, v in mapping.items()}
     for a, b in itertools.combinations(f.source.blocks, 2):
         (sa, ia), (sb, ib) = sets[a], sets[b]
-        comparable_src = sa <= sb or sb <= sa
-        comparable_img = ia <= ib or ib <= ia
-        if comparable_src != comparable_img:
+        fault = _pair_fault(sa, sb, ia, ib)
+        if fault == "comparability":
             problems.append(f"comparability of {a!r},{b!r} not preserved")
-        elif comparable_src and ((sa >= sb) != (ia >= ib)):
+        elif fault:
             problems.append(f"order of {a!r},{b!r} reversed")
     return problems
+
+
+def _pair_fault(sa, sb, ia, ib):
+    """Which law blocks sa, sb with images ia, ib break: "comparability", "order" or None."""
+    comparable = sa <= sb or sb <= sa
+    if comparable != (ia <= ib or ib <= ia):
+        return "comparability"
+    if comparable and (sa >= sb) != (ia >= ib):
+        return "order"
+    return None
 
 
 def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
@@ -419,37 +399,17 @@ def hom_count(phi: Forest, psi: Forest) -> HomCount:
     canonical representation resolves in favour of poset maps.
     """
     src_blocks = list(phi.blocks)
-    tgt_blocks = list(psi.blocks)
 
     def compatible(assigned, a, b):
-        sa, ib = set(a), set(b)
-        for a2, b2 in assigned.items():
-            if b2 == b:
-                return False
-            sa2, ib2 = set(a2), set(b2)
-            comp_src = sa <= sa2 or sa2 <= sa
-            comp_img = ib <= ib2 or ib2 <= ib
-            if comp_src != comp_img:
-                return False
-            if comp_src and ((sa >= sa2) != (ib >= ib2)):
-                return False
-        return True
+        return not any(b2 == b or _pair_fault(set(a), set(a2), set(b), set(b2))
+                       for a2, b2 in assigned.items())
 
-    count = 0
-
-    def extend(i, assigned):
-        nonlocal count
-        if i == len(src_blocks):
-            count += 1
-            return
-        a = src_blocks[i]
-        for b in tgt_blocks:
-            if compatible(assigned, a, b):
-                assigned[a] = b
-                extend(i + 1, assigned)
-                del assigned[a]
-
-    extend(0, {})
+    def extend(assigned):
+        """The number of lawful extensions of a partial map on the first blocks."""
+        if len(assigned) == len(src_blocks):
+            return 1
+        a = src_blocks[len(assigned)]
+        return sum(extend({**assigned, a: b}) for b in psi.blocks if compatible(assigned, a, b))
 
     classes = set()
     for values in itertools.permutations(psi.ground.labels, len(phi.ground)):
@@ -457,99 +417,87 @@ def hom_count(phi: Forest, psi: Forest) -> HomCount:
         pulled = pullback(j, psi)
         if set(phi.blocks) <= set(pulled.blocks):
             classes.add(pulled)
-    return HomCount(count, len(classes))
+    return HomCount(extend({}), len(classes))
 
 
 # -- the level construction ----------------------------------------------------
 
 
 class _LevelData:
-    """Quotient classes of a chain: the scaffolding behind the level forest."""
+    """Quotient classes of a chain: the scaffolding behind the level forest.
 
-    __slots__ = ("chain", "class_of", "classes", "less", "maximal", "labels", "forest")
+    Points are flat integers, level by level in label order.  A class is a run
+    of points glued along singleton fibers, numbered by its earliest point;
+    last[c] is its deepest point as (level, position), blocks[c] its block and
+    order lists the classes in the forest's canonical block order.
+    """
+
+    __slots__ = ("offsets", "class_of", "last", "blocks", "order", "forest")
 
     def __init__(self, chain: FinChain):
         problems = chain_violations(chain)
         if problems:
             raise ValueError("; ".join(problems))
-        elems = [(i, x) for i, s in enumerate(chain.sets) for x in s]
-        parent = {e: e for e in elems}
-
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        def union(a, b):
-            parent[find(a)] = find(b)
+        sets = chain.sets
+        offsets = [0, *itertools.accumulate(len(s) for s in sets)]
 
         # glue x ~ f_i(x) exactly when the fiber over f_i(x) is {x}
-        for i, f in enumerate(chain.maps):
-            for y in chain.sets[i + 1]:
-                fiber = f.fiber(y)
+        class_of, first, last = [], [], []
+        for i, s in enumerate(sets):
+            fibers = [[] for _ in range(len(s))]
+            if i:
+                for x, y in enumerate(chain.maps[i - 1].table):
+                    fibers[y].append(offsets[i - 1] + x)
+            for y, fiber in enumerate(fibers):
                 if len(fiber) == 1:
-                    union((i, fiber[0]), (i + 1, y))
-
-        elem_key = lambda e: (e[0], label_key(e[1]))
-        roots = sorted({find(e) for e in elems}, key=elem_key)
-        index = {r: n for n, r in enumerate(roots)}
-        class_of = {e: index[find(e)] for e in elems}
-        classes = [[] for _ in roots]
-        for e in elems:
-            classes[class_of[e]].append(e)
-        classes = [tuple(sorted(c, key=elem_key)) for c in classes]
+                    c = class_of[fiber[0]]
+                    last[c] = (i, y)
+                else:
+                    c = len(first)
+                    first.append(offsets[i] + y)
+                    last.append((i, y))
+                class_of.append(c)
 
         # forward images sit below their sources
+        forward = [offsets[i + 1] + y for i, f in enumerate(chain.maps) for y in f.table]
         less = set()
-        for (i, x) in elems:
-            ci = class_of[(i, x)]
-            y = x
-            for j in range(i, chain.level_count):
-                y = chain.maps[j](y)
-                cj = class_of[(j + 1, y)]
-                if cj != ci:
-                    less.add((cj, ci))
-        for a, b in less:
-            if (b, a) in less:
-                raise AssertionError("level order is not antisymmetric")
-
-        maximal = [c for c in range(len(classes)) if not any((c, d) in less for d in range(len(classes)))]
+        for e, c in enumerate(class_of):
+            while e < len(forward):
+                e = forward[e]
+                if class_of[e] != c:
+                    less.add((class_of[e], c))
+        if any((b, a) in less for a, b in less):
+            raise AssertionError("level order is not antisymmetric")
+        lower = {a for a, _ in less}
+        maximal = [c for c in range(len(first)) if c not in lower]
 
         # ground labels: the earliest representative's value, disambiguated by
         # occurrence rank so that degeneracies do not disturb the labels
-        earliest = {c: classes[c][0] for c in range(len(classes))}
+        points = [x for s in sets for x in s.labels]
         by_value = {}
-        for c in sorted(maximal, key=lambda c: elem_key(earliest[c])):
-            by_value.setdefault(earliest[c][1], []).append(c)
+        for c in maximal:
+            by_value.setdefault(points[first[c]], []).append(c)
         labels = {}
         for value, group in by_value.items():
             for rank, c in enumerate(group):
                 labels[c] = value if len(group) == 1 else f"{value}#{rank}"
-
         ground = FiniteSet(labels.values())
-        blocks = set()
-        for c in range(len(classes)):
-            block = tuple(sorted(
-                (labels[m] for m in maximal if m == c or (c, m) in less), key=label_key
-            ))
-            blocks.add(block)
-        if len(blocks) != len(classes):
+
+        # a class's block: the maximal classes at or above it, as ground positions
+        above = [[] for _ in first]
+        for a, b in less | {(c, c) for c in maximal}:
+            if b in labels:
+                above[a].append(ground.positions[labels[b]])
+        keys = [tuple(sorted(p)) for p in above]
+        if len(set(keys)) != len(keys):
             raise AssertionError("level quotient has a repeated maximal fiber")
+        order = sorted(range(len(keys)), key=lambda c: (len(keys[c]), keys[c]))
+        names = ground.labels
+        blocks = [tuple([names[p] for p in key]) for key in keys]
 
-        self.chain = chain
-        self.class_of = class_of
-        self.classes = classes
-        self.less = less
-        self.maximal = maximal
-        self.labels = labels
-        self.forest = Forest(ground, blocks)
-
-    def block_of(self, c: int):
-        return tuple(sorted(
-            (self.labels[m] for m in self.maximal if m == c or (c, m) in self.less),
-            key=label_key,
-        ))
+        self.offsets, self.class_of, self.last, self.blocks, self.order = (
+            offsets, class_of, last, blocks, order)
+        self.forest = _forest(ground, tuple([blocks[c] for c in order]))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -578,19 +526,20 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     problems = sm.violations()
     if problems:
         raise ValueError("; ".join(problems))
-    target_data = _level_data(sm.target)
+    target = _level_data(sm.target)
     image = sorted(set(sm.delta))
     if len(image) == sm.target.level_count + 1:
-        return ForMorphism.identity(target_data.forest)
+        return ForMorphism.identity(target.forest)
 
-    # factor delta through its image; the surjective part is the identity
-    mid_data = _level_data(precompose(sm.target, image))
-    mapping = {}
-    for c, members in enumerate(mid_data.classes):
-        level, value = members[-1]
-        target_class = target_data.class_of[(image[level], value)]
-        mapping[mid_data.block_of(c)] = target_data.block_of(target_class)
-    return ForMorphism(mid_data.forest, target_data.forest, mapping)
+    # factor delta through its image; the surjective part is the identity.  A
+    # point of the image chain sits at the same position of level image[level]
+    mid = _level_data(precompose(sm.target, image))
+    items = []
+    for c in mid.order:
+        level, y = mid.last[c]
+        items.append((mid.blocks[c],
+                      target.blocks[target.class_of[target.offsets[image[level]] + y]]))
+    return _fill(object.__new__(ForMorphism), mid.forest, target.forest, tuple(items))
 
 
 # -- export -------------------------------------------------------------------
@@ -610,7 +559,6 @@ def forest_to_dot(phi: Forest) -> str:
         return '"b_' + "_".join(str(x) for x in block) + '"'
 
     lines = ["graph forest {", "  node [shape=circle];"]
-    blocks = phi.block_sets()
     for block in phi.blocks:
         fill = ' style=filled fillcolor="lightgrey"' if len(block) == 1 else ""
         label = ",".join(str(x) for x in block)

@@ -122,7 +122,7 @@ def test_criterion_3_functoriality():
     identities = checks.check_simplicial_identities(3, 3, samples=200, sample_size=4, seed=1)
     functor = checks.check_level_functor(3, 3, pair_samples=1000, seed=1)
     elapsed = time.monotonic() - start
-    ok = identities.ok and functor.ok and elapsed < 120
+    ok = identities.ok and functor.ok and elapsed < 30
     _verdict(3, "simplicial identities + F/con composition, k<=3 |S|<=3", ok,
              f"{identities.checked}+{functor.checked} checks, {elapsed:.1f}s")
 
@@ -237,25 +237,46 @@ IN_CAP_GUARDS = [
 GUARD_SECONDS = 3.0
 
 
-def test_criterion_10_in_cap_runtime_guards():
+def _run_cli(argv, seconds):
+    """Run one CLI process; (process, elapsed seconds), or (None, None) if it was killed."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.monotonic()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "confstrata.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        return None, None
+    return proc, time.monotonic() - start
+
+
+def test_criterion_10_in_cap_runtime_guards():
     ok, times = True, []
     for argv, answered in IN_CAP_GUARDS:
-        start = time.monotonic()
-        try:
-            proc = subprocess.run([sys.executable, "-m", "confstrata.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=GUARD_SECONDS)
-        except subprocess.TimeoutExpired:
+        proc, elapsed = _run_cli(argv, GUARD_SECONDS)
+        if proc is None:
             ok = False
             times.append(f"{argv[0]} killed")
             continue
-        elapsed = time.monotonic() - start
         times.append(f"{argv[0]} {elapsed:.2f}s")
         ok = (ok and proc.returncode == 0 and elapsed < GUARD_SECONDS
               and answered(json.loads(proc.stdout)["result"]))
     _verdict(10, f"in-cap elliptic n=6 purity deg 40 and hilbert deg 14 under {GUARD_SECONDS:.0f}s",
              ok, ", ".join(times))
+
+
+# the largest in-cap chain range: 7,242 chains, 260,511 simplicial identities
+CHAIN_GUARD_SECONDS = 6.0
+
+
+def test_criterion_11_in_cap_chain_guard():
+    argv = ["deltafin-check", "--max-level", "3", "--max-size", "4"]
+    proc, elapsed = _run_cli(argv, CHAIN_GUARD_SECONDS)
+    ok = proc is not None and proc.returncode == 0 and elapsed < CHAIN_GUARD_SECONDS
+    checked = json.loads(proc.stdout)["result"]["checks"][0]["checked"] if ok else None
+    ok = ok and checked == 260511
+    detail = "killed" if proc is None else f"{checked} checks, {elapsed:.2f}s"
+    _verdict(11, f"in-cap deltafin-check k<=3 |S|<=4 under {CHAIN_GUARD_SECONDS:.0f}s", ok, detail)
 
 
 if __name__ == "__main__":

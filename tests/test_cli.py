@@ -424,6 +424,7 @@ ONE_MAP = {"from": 0, "assignment": {"0": 0}}
 HILBERT = ["hilbert", "--n", "1", "--max-deg", "2"]
 H0 = {"0": [{"weight": 0, "mult": 1}]}
 KOSZUL = ["koszul", "--max-deg", "4", "--presentation"]
+NAN = float("nan")
 BAD_SHAPES = [
     ("sets-int", ["deltafin-check", "--chain"], {"sets": 5}, 'chain JSON "sets"'),
     ("from-out-of-range", ["deltafin-check", "--chain"],
@@ -472,6 +473,24 @@ BAD_SHAPES = [
      '"source"[0] must be an integer or a string label'),
     ("label-bool", ["forget-centers", "--injection"], {"source": [1], "target": [1, True]},
      '"target"[1] must be an integer or a string label'),
+    # chain labels are ints or strings, and a map key must name exactly one of them
+    ("chain-label-nan-twice", ["deltafin-check", "--chain"], {"sets": [[NAN, NAN]]},
+     "chain JSON sets[0][0] is nan: a label must be an integer or a string"),
+    ("chain-label-nan-image", ["deltafin-check", "--chain"],
+     {"sets": [[0], [NAN]], "maps": [{"from": 0, "assignment": {"0": NAN}}]},
+     "chain JSON sets[1][0] is nan"),
+    ("chain-label-true", ["deltafin-check", "--chain"],
+     {"sets": [[0], [True]], "maps": [{"from": 0, "assignment": {"0": True}}]},
+     "chain JSON sets[1][0] is True"),
+    ("chain-label-float", ["deltafin-check", "--chain"],
+     {"sets": [[0], [1.5]], "maps": [{"from": 0, "assignment": {"0": 1.5}}]},
+     "chain JSON sets[1][0] is 1.5"),
+    ("chain-label-null", ["deltafin-check", "--chain"],
+     {"sets": [[0], [None]], "maps": [{"from": 0, "assignment": {"0": None}}]},
+     "chain JSON sets[1][0] is None"),
+    ("chain-label-int-and-str", ["deltafin-check", "--chain"],
+     {"sets": [[1, "1"], [0]], "maps": [{"from": 0, "assignment": {"1": 0}}]},
+     "chain JSON sets[0][1] is '1': the set also holds the integer 1"),
 ]
 
 

@@ -274,6 +274,10 @@ BAD_CHAIN_JSON = [
     ({"sets": [[0, 1], [0]], "maps": []}, "missing map in chain JSON"),
     ({"sets": [[0, 1], [0]], "maps": [{"from": 0, "assignment": {"0": 0, "7": 0}}]},
      "unknown label '7'"),
+    ({"sets": [[0], [False]]}, r"sets\[1\]\[0\] is False: a label must be an integer or a string"),
+    ({"sets": [[0, 2.0]]}, r"sets\[0\]\[1\] is 2.0: a label must be"),
+    ({"sets": [["a", None]]}, r"sets\[0\]\[1\] is None: a label must be"),
+    ({"sets": [["7", 3, 7]]}, r"sets\[0\]\[0\] is '7': the set also holds the integer 7"),
 ]
 
 
@@ -281,3 +285,12 @@ BAD_CHAIN_JSON = [
 def test_chain_from_json_names_the_bad_field(data, message):
     with pytest.raises(ValueError, match=message):
         chain_from_json(data)
+
+
+def test_chain_from_json_keeps_int_and_str_labels_apart_across_sets():
+    # "1" and 1 may live in different sets: each map key is read in its own source set
+    data = {"sets": [["1", "x"], [1]],
+            "maps": [{"from": 0, "assignment": {"1": 1, "x": 1}}]}
+    chain = chain_from_json(data)
+    assert chain.sets[0].labels == ("1", "x") and chain.sets[1].labels == (1,)
+    assert chain_from_json(chain_to_json(chain)) == chain

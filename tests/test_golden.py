@@ -11,9 +11,13 @@ re-proved every forest morphism and searched for nests with is_nest; the
 The impure-descriptor `hilbert` report (a seeded descriptor whose H^2 has
 weight 3) was captured from the rank loop before standard monomials were
 counted; it pins `pure: false`, every weight multiset and the
-`first_violation` witness.  Any change to exact-rank arithmetic, the
-standard-monomial count, the lattice, the level functor, the nest
-enumeration, the strata covers or the loaders must reproduce them exactly.
+`first_violation` witness.  The full `forests --n 5` report (which pins the
+enumeration order), the DOT file of forest 51 at n = 4 and the (3, 3)
+functor report were captured from the label-based chains and forests that
+the position tables and block bitmasks replaced.  Any change to exact-rank
+arithmetic, the standard-monomial count, the lattice, the level functor,
+the forest or nest enumeration, the strata covers or the loaders must
+reproduce them exactly.
 """
 
 import json
@@ -54,7 +58,11 @@ REPORTS = [
     ("deltafin_check_functor_l3_s2_uncapped_seed1.json",
      ["deltafin-check", "--max-level", "3", "--max-size", "2", "--functor", "--unsafe-no-cap",
       "--samples", "300", "--seed", "1"]),
+    ("deltafin_check_functor_l3_s3_uncapped_seed11.json",
+     ["deltafin-check", "--max-level", "3", "--max-size", "3", "--functor",
+      "--samples", "300", "--seed", "11", "--unsafe-no-cap"]),
     ("deltafin_check_chain_string_labels.json", ["deltafin-check", "--chain", STRING_CHAIN]),
+    ("forests_n5.json", ["forests", "--n", "5"]),
     ("strata_n4.json", ["strata", "--n", "4"]),
     ("hilbert_affine_line_json_n2_deg4.json",
      ["hilbert", "--variety", AFFINE_LINE, "--n", "2", "--max-deg", "4"]),
@@ -79,3 +87,10 @@ def test_rational_dual_matches_golden():
 
 def test_strata_dot_matches_golden():
     assert strata_poset(4).to_dot() == (GOLDEN / "strata_n4.dot").read_text()
+
+
+def test_forest_dot_matches_golden(tmp_path, capsys):
+    dot = tmp_path / "forest.dot"
+    assert main(["forests", "--n", "4", "--dot", str(dot), "--index", "51"]) == 0
+    capsys.readouterr()
+    assert dot.read_text() == (GOLDEN / "forests_n4_index51.dot").read_text()

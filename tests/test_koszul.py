@@ -33,30 +33,34 @@ def non_koszul_presentation():
 
 
 def dense_echelon(rows, ncols):
-    """Independent oracle: Gaussian elimination over Fraction on dense rows.
+    """Independent oracle: exact Gaussian elimination over Fraction.
 
-    Sweeps each incoming row left to right, cancelling every nonzero entry
-    that sits on an existing pivot and stopping at the first one that does
-    not.  Returns (flags, pivot columns): flags[k] says whether row k raised
-    the rank.  Shares no code with confstrata.linalg.
+    Each incoming row, kept sparse as a dict, is eliminated at its least
+    column while that column holds a pivot; the first column that holds none
+    becomes a new pivot (the row scaled to 1 there).  Once every column holds
+    a pivot, the rest of the rows are dependent and are not eliminated.
+    Returns (flags, pivot columns): flags[k] says whether row k raised the
+    rank.  Shares no code with confstrata.linalg.
     """
-    pivots = {}  # column -> nonzero (column, entry) pairs of a row with 1 there
+    pivots = {}  # column -> row (column -> entry) with 1 there and 0 left of it
     flags = []
     for sparse in rows:
-        row = [0] * ncols
-        for c, v in sparse.items():
-            row[c] = Fraction(v)
+        row = {c: Fraction(v) for c, v in sparse.items() if v}
         new = False
-        for c in range(ncols):
-            if not row[c]:
-                continue
+        while row and len(pivots) < ncols:
+            c = min(row)
             if c not in pivots:
-                pivots[c] = [(k, x / row[c]) for k, x in enumerate(row) if x]
+                lead = row[c]
+                pivots[c] = {k: x / lead for k, x in row.items()}
                 new = True
                 break
             factor = row[c]
-            for k, x in pivots[c]:
-                row[k] -= factor * x
+            for k, x in pivots[c].items():
+                y = row.get(k, 0) - factor * x
+                if y:
+                    row[k] = y
+                else:
+                    row.pop(k, None)
         flags.append(new)
     return flags, sorted(pivots)
 
