@@ -124,8 +124,8 @@ def _cmd_nests(args, config: RunConfig) -> int:
     nests = wonderful.enumerate_nests(n, args.d)
     result: dict = {"n": n, "d": args.d, "count": len(nests)}
     if not args.count:
-        result["nests"] = sorted(
-            [[list(b) for b in m] for m in sorted(nest)] for nest in nests)
+        result["nests"] = sorted([[list(b) for b in m] for m in sorted(
+            map(wonderful.partition_blocks, nest))] for nest in nests)
     if args.dot is not None:
         _write_artifact(args.dot, wonderful.nest_poset_dot(n, args.d))
         result["dot"] = args.dot
@@ -194,8 +194,7 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
                     isinstance(b, list) and all(type(x) is int for x in b) for b in member)):
                 raise InputError(
                     f"{args.order}: order[{i}] must be a list of blocks of integer labels")
-        order = [wonderful.partition_key([tuple(b) for b in m]) for m in data]
-        schedule = wonderful.BlowUpSchedule(bset, order)
+        schedule = wonderful.BlowUpSchedule(bset, [wonderful.partition_key(m, n) for m in data])
     else:
         schedule = wonderful.default_order(bset)
     bad_prefix = wonderful.first_invalid_prefix(schedule)
@@ -250,14 +249,15 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
     # one center per subset of the source with two or more labels
     _cap(config, "target size", len(inj.target), "n")
     centers = wonderful.forgetful_centers(inj, args.d)
+    labels = inj.target.labels
     result = {
         "source": list(inj.source.labels),
-        "target": list(inj.target.labels),
+        "target": list(labels),
         "d": args.d,
-        "centers": [[list(b) for b in c] for c in centers],
+        "centers": [[list(b) for b in wonderful.partition_blocks(c, labels)] for c in centers],
     }
     _emit(config, result,
-          text="".join(wonderful.partition_label(c) + "\n" for c in centers))
+          text="".join(wonderful.partition_label(c, labels) + "\n" for c in centers))
     return 0
 
 

@@ -453,6 +453,10 @@ def chain_from_json(data) -> FinChain:
                              f'0 <= from < {len(maps)} must appear once')
         if not isinstance(assignment, dict):
             raise ValueError(f'chain JSON maps[{n}]["assignment"] must be an object')
+        for k, v in assignment.items():
+            if type(v) not in (int, str):
+                raise ValueError(f'chain JSON maps[{n}]["assignment"]["{k}"] is {v!r}: '
+                                 "an image label must be an integer or a string")
         src, tgt = sets[i], sets[i + 1]
         maps[i] = SetMap(src, tgt, {_decode_label(k, src.labels): v for k, v in assignment.items()})
     if any(m is None for m in maps):

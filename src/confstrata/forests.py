@@ -227,18 +227,6 @@ def from_poset(p: ForestPoset) -> Forest:
 # -- enumeration --------------------------------------------------------------
 
 
-def _set_partitions(labels):
-    labels = list(labels)
-    if not labels:
-        yield []
-        return
-    first, rest = labels[0], labels[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 def _mask_forests(n: int):
     """All forests on bits 0..n-1, each a tuple of block bitmasks.
 

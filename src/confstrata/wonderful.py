@@ -4,6 +4,11 @@ The lattice order is reverse inclusion of subvarieties (larger = smaller
 subvariety), join is intersection, and codimension is carried in complex
 units.  Transversality is proxied by codimension additivity of the minimal
 members over each intersection, which is exact for diagonal arrangements.
+
+Inside, a partition of {1..n} is the sorted tuple of its non-singleton
+blocks, each block a bitmask (bit i - 1 for point i).  Labels are read only by
+partition_key and written only through partition_blocks and partition_label,
+which list blocks by size, then by labels, as every report does.
 """
 
 from __future__ import annotations
@@ -11,53 +16,72 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from operator import attrgetter
 
-from .finchains import FiniteSet, SetMap, label_key
-from .forests import Forest, _set_partitions, enumerate_forests
+from .finchains import FiniteSet, SetMap, _fill, _Value
+from .forests import Forest, _mask_forests
 
 
 # -- partitions of {1..n}: the polydiagonal bookkeeping ------------------------
 
-def partition_key(blocks):
-    """Canonical key: the sorted tuple of sorted non-singleton blocks."""
-    blocks = [tuple(sorted(b, key=label_key)) for b in blocks if len(b) > 1]
-    return tuple(sorted(blocks, key=lambda b: (len(b), tuple(label_key(x) for x in b))))
+def partition_key(blocks, n: int):
+    """The partition of {1..n} with these blocks, or None if they are not one.
+
+    Blocks and their labels may come in any order; singleton and empty blocks
+    are dropped.  A block label outside 1..n, or one that appears twice, makes
+    the blocks no partition.
+    """
+    blocks = [b for b in blocks if len(b) > 1]
+    labels = [x for b in blocks for x in b]
+    if not all(isinstance(x, int) and 0 < x <= n for x in labels) or len(set(labels)) < len(labels):
+        return None
+    return tuple(sorted(sum(1 << (x - 1) for x in b) for b in blocks))
 
 
 def diagonal(labels):
-    """The diagonal indexed by one subset with at least two elements."""
-    labels = tuple(sorted(labels, key=label_key))
-    if len(labels) < 2:
-        raise ValueError("a diagonal needs at least two labels")
-    return partition_key([labels])
+    """The diagonal indexed by one subset of {1, 2, ...} with at least two elements."""
+    labels = tuple(labels)
+    key = partition_key([labels], max(labels, default=0))
+    if not key:
+        raise ValueError("a diagonal needs at least two distinct points 1, 2, ...")
+    return key
 
 
-def partition_label(key) -> str:
-    return "|".join("{" + ",".join(str(x) for x in b) + "}" for b in key)
+def partition_blocks(key, labels=None) -> tuple:
+    """The blocks as label tuples, by size, then by labels: the form every report shows.
+
+    Bit i names labels[i], or the point i + 1 when no labels are given.
+    """
+    blocks = sorted((tuple(i for i in range(b.bit_length()) if b >> i & 1) for b in key),
+                    key=lambda p: (len(p), p))
+    return tuple(tuple(i + 1 if labels is None else labels[i] for i in p) for p in blocks)
+
+
+def partition_label(key, labels=None) -> str:
+    return "|".join("{" + ",".join(map(str, b)) + "}" for b in partition_blocks(key, labels))
 
 
 def partition_refines(p, q) -> bool:
     """Every non-singleton block of p sits inside a block of q."""
-    return all(any(set(b) <= set(c) for c in q) for b in p)
+    return all(any(b & c == b for c in q) for b in p)
 
 
 def partition_join(p, q):
-    """Finest common coarsening: merge overlapping blocks."""
-    blocks = [set(b) for b in p] + [set(b) for b in q]
-    merged = True
-    while merged:
-        merged = False
-        for i, j in itertools.combinations(range(len(blocks)), 2):
-            if blocks[i] & blocks[j]:
-                blocks[i] |= blocks[j]
-                del blocks[j]
-                merged = True
-                break
-    return partition_key(blocks)
+    """Finest common coarsening: each block of q absorbs the blocks it overlaps."""
+    merged = list(p)
+    for b in q:
+        rest = []
+        for c in merged:
+            if c & b:
+                b |= c
+            else:
+                rest.append(c)
+        merged = rest + [b]
+    return tuple(sorted(merged))
 
 
 def partition_codim(key, n: int, d: int) -> int:
-    merged = sum(len(b) - 1 for b in key)
+    merged = sum(b.bit_count() - 1 for b in key)
     assert merged <= n - 1
     return d * merged
 
@@ -76,42 +100,30 @@ def _check_dimension(d: int):
         raise ValueError("complex dimension must be positive")
 
 
-class DiagonalLattice:
+class DiagonalLattice(_Value):
     """The polydiagonal lattice of X^n for X of complex dimension d.
 
     Its elements are the set partitions of {1..n} with a non-singleton block,
     as partition keys.  The order is refinement (reverse inclusion of
     subvarieties), the join merges overlapping blocks (intersection), and the
     codimension is d times (n minus the number of blocks).  Order and join are
-    tabulated once from these closed forms, one join per pair of partitions;
-    the caller bounds n.
+    computed on demand from these closed forms; the caller bounds n.
     """
 
-    __slots__ = ("n", "d", "elements", "codim", "_up", "_joins")
+    __slots__ = ("n", "d", "elements", "codim")
+    _fields = attrgetter("n", "d")
+    leq = staticmethod(partition_refines)
+    join = staticmethod(partition_join)
 
     def __init__(self, n: int, d: int = 1):
         _check_points(n, d)
-        keys = {partition_key(p) for p in _set_partitions(range(1, n + 1))}
-        elements = tuple(sorted(keys - {()}))
-        joins = {}
-        for a, b in itertools.combinations(elements, 2):
-            joins[a, b] = joins[b, a] = partition_join(a, b)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "codim", {e: partition_codim(e, n, d) for e in elements})
-        object.__setattr__(self, "_up", {
-            a: frozenset(b for b in elements if partition_refines(a, b)) for a in elements})
-        object.__setattr__(self, "_joins", joins)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiagonalLattice is immutable")
-
-    def leq(self, a, b) -> bool:
-        return b in self._up[a]
-
-    def join(self, a, b):
-        return a if a == b else self._joins[a, b]
+        parts = [()]  # the set partitions of the first i points: each joins a block or starts one
+        for bit in (1 << i for i in range(n)):
+            parts = [p + (bit,) for p in parts] + [
+                p[:j] + (p[j] | bit,) + p[j + 1:] for p in parts for j in range(len(p))]
+        elements = sorted(tuple(sorted(b for b in p if b & (b - 1))) for p in parts)
+        elements = tuple(elements[1:])  # all but the finest partition, ()
+        _fill(self, n, d, elements, {e: partition_codim(e, n, d) for e in elements})
 
     def join_all(self, items):
         items = list(items)
@@ -130,66 +142,50 @@ def diagonal_lattice(n: int, d: int = 1) -> DiagonalLattice:
 
 
 def intersection_closure(lattice: DiagonalLattice, members):
-    closure = set(members)
-    frontier = list(closure)
-    while frontier:
-        new = []
-        for a, b in itertools.product(frontier, sorted(closure)):
-            j = lattice.join(a, b)
-            if j not in closure:
-                closure.add(j)
-                new.append(j)
-        frontier = new
+    """All joins of members: adding m to G adds m and m v c for every c in closure(G)."""
+    closure = set()
+    for m in members:
+        closure |= {m, *(lattice.join(m, c) for c in closure)}
     return closure
 
 
 def factors(lattice: DiagonalLattice, members, s):
     """Minimal members containing s as subvarieties (lattice-maximal below s)."""
-    below = [m for m in members if lattice.leq(m, s)]
-    return [m for m in below if not any(m != m2 and lattice.leq(m, m2) for m2 in below)]
+    maximal = []
+    # a member below another has the smaller codimension, so it comes after it here
+    for m in sorted((m for m in members if lattice.leq(m, s)), key=lattice.codim.get, reverse=True):
+        if not any(lattice.leq(m, f) for f in maximal):
+            maximal.append(m)
+    return maximal
+
+
+def _transversal(lattice: DiagonalLattice, members, s) -> bool:
+    """Codimension additivity and join-exactness of the factors over one intersection s."""
+    fs = factors(lattice, members, s)
+    return (bool(fs) and sum(lattice.codim[f] for f in fs) == lattice.codim[s]
+            and lattice.join_all(fs) == s)
 
 
 def is_building_set(lattice: DiagonalLattice, members) -> bool:
-    """Codimension additivity and join-exactness of the factors over every intersection."""
+    """The factors over every intersection are transversal and meet in it."""
     members = set(members)
-    unknown = members - set(lattice.elements)
+    unknown = [m for m in members if m not in lattice.codim]
     if unknown:
-        raise ValueError(f"members not in the lattice: {sorted(unknown)}")
-    for s in intersection_closure(lattice, members):
-        fs = factors(lattice, members, s)
-        if not fs:
-            return False
-        if sum(lattice.codim[f] for f in fs) != lattice.codim[s]:
-            return False
-        if lattice.join_all(fs) != s:
-            return False
-    return True
+        raise ValueError(f"members not in the lattice: {', '.join(sorted(map(repr, unknown)))}")
+    return all(_transversal(lattice, members, s) for s in intersection_closure(lattice, members))
 
 
-class BuildingSet:
+class BuildingSet(_Value):
     """A validated building set inside an arrangement lattice."""
 
     __slots__ = ("lattice", "members")
+    _fields = attrgetter("lattice", "members")
 
     def __init__(self, lattice: DiagonalLattice, members):
-        members = tuple(sorted(set(members)))
+        members = set(members)
         if not is_building_set(lattice, members):
             raise ValueError("not a building set")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "members", members)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BuildingSet is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BuildingSet)
-            and (self.lattice.n, self.lattice.d) == (other.lattice.n, other.lattice.d)
-            and self.members == other.members
-        )
-
-    def __hash__(self):
-        return hash(("BuildingSet", self.lattice.n, self.lattice.d, self.members))
+        _fill(self, lattice, tuple(sorted(members)))
 
     def __repr__(self):
         return f"BuildingSet({len(self.members)} members)"
@@ -227,8 +223,7 @@ def enumerate_nests(n: int, d: int = 1):
     (De Concini-Procesi); checks.check_forest_nest_bijection compares them with is_nest.
     """
     _check_points(n, d)
-    return [frozenset(diagonal(b) for b in phi.non_singleton_blocks())
-            for phi in enumerate_forests(n)]
+    return [frozenset([(b,) for b in blocks if b & (b - 1)]) for blocks in _mask_forests(n)]
 
 
 def nest_count(n: int, d: int = 1) -> int:
@@ -243,7 +238,7 @@ def nest_to_forest(n: int, nest) -> Forest:
     for member in nest:
         if len(member) != 1:
             raise ValueError("only diagonal members correspond to forest blocks")
-        blocks.append(member[0])
+        blocks.append(partition_blocks(member)[0])
     return Forest(ground, blocks)
 
 
@@ -252,35 +247,39 @@ def nest_to_forest(n: int, nest) -> Forest:
 DivisorRecord = namedtuple("DivisorRecord", ["index", "center", "label"])
 
 
-class BlowUpSchedule:
+class BlowUpSchedule(_Value):
     """An ordering of a building set with the exceptional-divisor registry."""
 
     __slots__ = ("building_set", "order", "divisor_registry")
+    _fields = attrgetter("building_set", "order")
 
     def __init__(self, building_set: BuildingSet, order):
         order = tuple(order)
-        if sorted(order) != sorted(building_set.members):
+        if len(order) != len(building_set.members) or set(order) != set(building_set.members):
             raise ValueError("order must be a permutation of the building-set members")
         registry = tuple(
             DivisorRecord(i, center, f"E_{partition_label(center)}")
             for i, center in enumerate(order)
         )
-        object.__setattr__(self, "building_set", building_set)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "divisor_registry", registry)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlowUpSchedule is immutable")
+        _fill(self, building_set, order, registry)
 
     def __repr__(self):
         return f"BlowUpSchedule({[partition_label(c) for c in self.order]})"
 
 
 def first_invalid_prefix(schedule: BlowUpSchedule):
-    """Length of the shortest prefix that is not a building set, or None."""
+    """Length of the shortest prefix that is not a building set, or None.
+
+    One intersection closure grows along the order.  Adding m changes the
+    factors only over the intersections above m; every other one passed at
+    the previous prefix, so only those above m are checked (L. Li, 2009).
+    """
     lattice = schedule.building_set.lattice
-    for i in range(1, len(schedule.order) + 1):
-        if not is_building_set(lattice, schedule.order[:i]):
+    members, closure = set(), set()
+    for i, m in enumerate(schedule.order, 1):
+        members.add(m)
+        closure |= {m, *(lattice.join(m, c) for c in closure)}
+        if not all(_transversal(lattice, members, s) for s in closure if lattice.leq(m, s)):
             return i
     return None
 
@@ -291,9 +290,9 @@ def validate_li_order(schedule: BlowUpSchedule) -> bool:
 
 
 def default_order(building_set: BuildingSet) -> BlowUpSchedule:
-    """Members in order of increasing dimension (decreasing codimension), lex ties."""
+    """Members in order of increasing dimension (decreasing codimension), ties in label order."""
     lattice = building_set.lattice
-    ordered = sorted(building_set.members, key=lambda m: (-lattice.codim[m], m))
+    ordered = sorted(building_set.members, key=lambda m: (-lattice.codim[m], partition_blocks(m)))
     return BlowUpSchedule(building_set, ordered)
 
 
@@ -301,30 +300,27 @@ def forgetful_centers(inj: SetMap, d: int = 1):
     """Diagonal centers {Delta_i(U)} for U a subset of the source with |U| >= 2.
 
     These are the blow-up centers of the intermediate space through which the
-    point-forgetting map along the injection factors, in default order.
+    point-forgetting map along the injection factors, in default order:
+    larger centers first, ties in the target's label order.  A center is a
+    diagonal over the target's positions; partition_blocks(c, inj.target.labels)
+    names it.
     """
     _check_dimension(d)
     if not inj.is_injective():
         raise ValueError("forgetful centers require an injective map")
-    table = inj.as_dict()
-    centers = []
-    for size in range(2, len(inj.source) + 1):
-        for combo in itertools.combinations(inj.source.labels, size):
-            centers.append(diagonal(table[x] for x in combo))
-    n = len(inj.target)
-    centers.sort(key=lambda c: (-partition_codim(c, n, d), c))
-    return centers
+    positions = sorted(inj.table)  # combinations of sorted positions come in label order
+    return [(sum(1 << j for j in combo),) for size in range(len(positions), 1, -1)
+            for combo in itertools.combinations(positions, size)]
 
 
 def divisor_components(building_set: BuildingSet):
     """One divisor component per member, labelled by the one-big-block forest."""
-    lattice = building_set.lattice
-    ground = FiniteSet(range(1, lattice.n + 1))
+    ground = FiniteSet(range(1, building_set.lattice.n + 1))
     out = []
-    for member in sorted(building_set.members, key=lambda m: (-lattice.codim[m], m)):
+    for member in default_order(building_set).order:
         if len(member) != 1:
             raise ValueError("divisor components require the diagonal building set")
-        blocks = [(x,) for x in ground] + [member[0]]
+        blocks = [(x,) for x in ground] + [partition_blocks(member)[0]]
         out.append((member, Forest(ground, blocks)))
     return out
 
@@ -335,28 +331,28 @@ def building_set_to_json(bset: BuildingSet) -> dict:
     return {
         "n": bset.lattice.n,
         "d": bset.lattice.d,
-        "members": [[list(b) for b in m] for m in bset.members],
+        "members": [[list(b) for b in m] for m in sorted(map(partition_blocks, bset.members))],
     }
 
 
 def building_set_from_json(data) -> BuildingSet:
     lattice = diagonal_lattice(int(data["n"]), int(data.get("d", 1)))
-    members = [partition_key([tuple(b) for b in m]) for m in data["members"]]
-    return BuildingSet(lattice, members)
+    return BuildingSet(lattice, [partition_key(m, lattice.n) for m in data["members"]])
 
 
 def schedule_to_json(schedule: BlowUpSchedule) -> list:
-    return [[list(b) for b in m] for m in schedule.order]
+    return [[list(b) for b in partition_blocks(m)] for m in schedule.order]
 
 
 def nest_poset_dot(n: int, d: int = 1) -> str:
     """The poset of nests under inclusion, as a DOT digraph (covers only)."""
-    nests = sorted(enumerate_nests(n, d), key=lambda s: (len(s), sorted(s)))
+    nests = sorted(enumerate_nests(n, d),
+                   key=lambda s: (len(s), sorted(map(partition_blocks, s))))
     names = {}
     lines = ["digraph nests {", "  rankdir=BT;", "  node [shape=box];"]
     for i, nest in enumerate(nests):
         names[nest] = f"n{i}"
-        text = ", ".join(partition_label(m) for m in sorted(nest)) or "(empty)"
+        text = ", ".join(partition_label(m) for m in sorted(nest, key=partition_blocks)) or "(empty)"
         lines.append(f'  n{i} [label="{text}"];')
     for a, b in itertools.permutations(nests, 2):
         if a < b and len(b) == len(a) + 1:

@@ -279,6 +279,24 @@ def test_criterion_11_in_cap_chain_guard():
     _verdict(11, f"in-cap deltafin-check k<=3 |S|<=4 under {CHAIN_GUARD_SECONDS:.0f}s", ok, detail)
 
 
+# the in-cap partition commands at the n cap: 5,504 nests, 57-member building set
+PARTITION_GUARD_SECONDS = 1.5
+
+
+def test_criterion_12_in_cap_partition_guards():
+    # --count prints the count alone
+    guards = [(["nests", "--n", "6", "--count"], lambda out: out == "5504\n"),
+              (["blowup-validate", "--n", "6"], lambda out: json.loads(out)["result"]["valid"])]
+    ok, times = True, []
+    for argv, answered in guards:
+        proc, elapsed = _run_cli(argv, PARTITION_GUARD_SECONDS)
+        times.append(f"{argv[0]} killed" if proc is None else f"{argv[0]} {elapsed:.2f}s")
+        ok = (ok and proc is not None and proc.returncode == 0
+              and elapsed < PARTITION_GUARD_SECONDS and answered(proc.stdout) is True)
+    _verdict(12, f"in-cap nests n=6 and blowup-validate n=6 under {PARTITION_GUARD_SECONDS}s",
+             ok, ", ".join(times))
+
+
 if __name__ == "__main__":
     failed = 0
     for name, fn in sorted(globals().items()):

@@ -233,6 +233,28 @@ def test_blowup_validate_bad_order(tmp_path, capsys):
     assert payload["result"]["first_invalid_prefix"] == 3
 
 
+# each member in place of {1,2} (or the last row, a repeated member) is no member
+REST = [[[1, 3]], [[2, 3]], [[1, 2, 3]]]
+BAD_ORDERS = [
+    ("label-zero", [[[0, 1]], *REST]),
+    ("label-twice", [[[1, 1, 2]], *REST]),
+    ("label-negative", [[[-1, 2]], *REST]),
+    ("blocks-overlap", [[[1, 2], [2, 3]], *REST]),
+    ("singleton", [[[1]], *REST]),
+    ("member-repeated", [[[1, 3]], *REST]),
+]
+
+
+@pytest.mark.parametrize("name,order", BAD_ORDERS, ids=[b[0] for b in BAD_ORDERS])
+def test_blowup_validate_refuses_an_order_that_is_no_permutation(tmp_path, capsys, name, order):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order))
+    assert main(["blowup-validate", "--n", "3", "--order", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: order must be a permutation of the building-set members\n")
+
+
 def test_forget_centers_inline(capsys):
     code, out = run_cli(capsys, "forget-centers", "--source", "1,2", "--target", "1,2,3")
     assert code == 0
@@ -246,6 +268,17 @@ def test_forget_centers_injection_file(tmp_path, capsys):
     code, out = run_cli(capsys, "forget-centers", "--injection", str(inj))
     assert code == 0
     assert json.loads(out)["result"]["centers"] == [[[1, 3]]]
+
+
+def test_forget_centers_on_mixed_labels_sorts_ties_in_label_order(tmp_path, capsys):
+    inj = tmp_path / "inj.json"
+    inj.write_text(json.dumps({"source": [1, "a", 2], "target": [1, "a", 2, "b"]}))
+    code, out = run_cli(capsys, "forget-centers", "--injection", str(inj))
+    assert code == 0
+    assert json.loads(out)["result"]["centers"] == [
+        [[1, 2, "a"]], [[1, 2]], [[1, "a"]], [[2, "a"]]]
+    assert main(["forget-centers", "--injection", str(inj), "--format", "text"]) == 0
+    assert capsys.readouterr().out == "{1,2,a}\n{1,2}\n{1,a}\n{2,a}\n"
 
 
 def test_forget_centers_cap_counts_target_labels(tmp_path, capsys):
@@ -491,6 +524,13 @@ BAD_SHAPES = [
     ("chain-label-int-and-str", ["deltafin-check", "--chain"],
      {"sets": [[1, "1"], [0]], "maps": [{"from": 0, "assignment": {"1": 0}}]},
      "chain JSON sets[0][1] is '1': the set also holds the integer 1"),
+    # an assignment value equal to a label under == but of another type is no label
+    ("chain-value-true", ["deltafin-check", "--chain"],
+     {"sets": [[0], [1]], "maps": [{"from": 0, "assignment": {"0": True}}]},
+     'chain JSON maps[0]["assignment"]["0"] is True: an image label must be an integer'),
+    ("chain-value-float", ["deltafin-check", "--chain"],
+     {"sets": [[0], [1]], "maps": [{"from": 0, "assignment": {"0": 1.0}}]},
+     'chain JSON maps[0]["assignment"]["0"] is 1.0'),
 ]
 
 

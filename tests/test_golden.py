@@ -14,9 +14,13 @@ counted; it pins `pure: false`, every weight multiset and the
 `first_violation` witness.  The full `forests --n 5` report (which pins the
 enumeration order), the DOT file of forest 51 at n = 4 and the (3, 3)
 functor report were captured from the label-based chains and forests that
-the position tables and block bitmasks replaced.  Any change to exact-rank
+the position tables and block bitmasks replaced.  The nest-poset DOT file
+at n = 4 (which pins its node numbering), `blowup-validate --n 6`, an order
+written in lenient forms (blocks and labels unsorted, singleton and empty
+blocks) and `forget-centers` on string labels were captured from the
+label-tuple partitions and tabulated lattice that block bitmasks replaced.  Any change to exact-rank
 arithmetic, the standard-monomial count, the lattice, the level functor,
-the forest or nest enumeration, the strata covers or the loaders must
+the forest or nest enumeration, the strata covers, the partitions or the loaders must
 reproduce them exactly.
 """
 
@@ -36,6 +40,8 @@ PAIRS_FIRST = "tests/fixtures/blowup_order_pairs_first_n4.json"
 STRING_CHAIN = "tests/fixtures/chain_string_labels.json"
 AFFINE_LINE = "tests/fixtures/affine_line_descriptor.json"
 IMPURE = "tests/fixtures/impure_descriptor_seed1.json"
+LENIENT_ORDER = "tests/fixtures/blowup_order_lenient_n3.json"
+STRING_INJECTION = "tests/fixtures/injection_string_labels.json"
 
 REPORTS = [
     ("hilbert_elliptic_n4_deg8.json",
@@ -68,6 +74,9 @@ REPORTS = [
      ["hilbert", "--variety", AFFINE_LINE, "--n", "2", "--max-deg", "4"]),
     ("hilbert_impure_seed1_n3_deg8.json",
      ["hilbert", "--variety", IMPURE, "--n", "3", "--max-deg", "8"]),
+    ("blowup_validate_n6.json", ["blowup-validate", "--n", "6"]),
+    ("blowup_validate_n3_lenient.json", ["blowup-validate", "--n", "3", "--order", LENIENT_ORDER]),
+    ("forget_centers_string_labels.json", ["forget-centers", "--injection", STRING_INJECTION]),
 ]
 
 
@@ -94,3 +103,10 @@ def test_forest_dot_matches_golden(tmp_path, capsys):
     assert main(["forests", "--n", "4", "--dot", str(dot), "--index", "51"]) == 0
     capsys.readouterr()
     assert dot.read_text() == (GOLDEN / "forests_n4_index51.dot").read_text()
+
+
+def test_nest_poset_dot_matches_golden(tmp_path, capsys):
+    dot = tmp_path / "nests.dot"
+    assert main(["nests", "--n", "4", "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    assert dot.read_text() == (GOLDEN / "nests_n4.dot").read_text()

@@ -2,17 +2,16 @@
 
 The oracle is `bct_series` from perfbench/oracles.py, which the benchmark
 uses too: prod_{j<n} (P_X(t, u) + j t^{2d} u^{2d}), weight-refined, the
-Poincare series of n points in X x R (Topology 28, 1989).  The file is read
-and executed from its path, so nothing is imported from or written under
-perfbench/, and a test keeps it free of imports from this package.
+Poincare series of n points in X x R (Topology 28, 1989).  `shared_oracles`
+reads and executes the file from its path, so nothing is imported from or
+written under perfbench/, and a test keeps it free of imports from this package.
 """
 
 import ast
 import random
-import types
-from pathlib import Path
 
 import pytest
+from shared_oracles import ORACLES, oracles
 
 from confstrata.weights import (
     VarietyDescriptor,
@@ -23,17 +22,6 @@ from confstrata.weights import (
     presentation,
     projective_line,
 )
-
-ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
-
-
-def load_oracles():
-    module = types.ModuleType("perfbench_oracles")
-    exec(compile(ORACLES.read_text(), str(ORACLES), "exec"), module.__dict__)
-    return module
-
-
-oracles = load_oracles()
 
 
 def test_oracle_module_imports_nothing_from_confstrata():

@@ -1,6 +1,10 @@
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
+from shared_oracles import oracles
 
 from confstrata import wonderful
 from confstrata.checks import check_forest_nest_bijection
@@ -24,6 +28,7 @@ from confstrata.wonderful import (
     nest_count,
     nest_poset_dot,
     nest_to_forest,
+    partition_blocks,
     partition_join,
     partition_key,
     partition_label,
@@ -31,33 +36,19 @@ from confstrata.wonderful import (
 )
 
 
-# -- an independent partition oracle (merge-by-connectivity, no lattice code) ----
+# -- the independent partition oracle of perfbench/oracles.py, on label sets ----
 
-def oracle_join(p, q, n):
-    labels = list(range(1, n + 1))
-    parent = {x: x for x in labels}
+def points(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for block in list(p) + list(q):
-        for a, b in zip(block, block[1:]):
-            union(a, b)
-    groups = {}
-    for x in labels:
-        groups.setdefault(find(x), []).append(x)
-    return partition_key(groups.values())
+def as_sets(key):
+    """A partition of block masks as the oracle's set of label frozensets."""
+    return frozenset(frozenset(points(b)) for b in key)
 
 
 def oracle_refines(p, q):
-    """Each block of p lies inside one block of q."""
-    block_of = {x: i for i, block in enumerate(q) for x in block}
-    return all(len({block_of.get(x, ("single", x)) for x in block}) == 1 for block in p)
+    return oracles._refines(as_sets(p), as_sets(q))
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
@@ -73,7 +64,8 @@ def test_join_matches_oracle():
                 assert lattice.codim[a] < lattice.codim[b]
         for a, b in itertools.combinations_with_replacement(lattice.elements, 2):
             j = lattice.join(a, b)
-            assert j == lattice.join(b, a) == oracle_join(a, b, n)
+            assert j == lattice.join(b, a)
+            assert as_sets(j) == oracles._join(as_sets(a), as_sets(b))
             assert oracle_refines(a, j) and oracle_refines(b, j)
             for u in lattice.elements:
                 if oracle_refines(a, u) and oracle_refines(b, u):
@@ -147,7 +139,7 @@ def test_nests_agree_with_forests_exhaustively():
         singletons = [(x,) for x in ground]
         for r in range(len(bset.members) + 1):
             for subset in itertools.combinations(bset.members, r):
-                blocks = singletons + [m[0] for m in subset]
+                blocks = singletons + [points(m[0]) for m in subset]
                 assert is_nest(lattice, bset, subset) == is_forest(ground, blocks)
 
 
@@ -287,3 +279,52 @@ def test_forgetful_centers_rejects_non_positive_dimension():
     for d in (0, -3):
         with pytest.raises(ValueError, match=r"^complex dimension must be positive$"):
             forgetful_centers(inj, d)
+
+
+def test_partition_key_decodes_lenient_forms_and_refuses_non_partitions():
+    # blocks and labels in any order; singleton and empty blocks dropped
+    assert partition_key([[3, 2], [5, 4, 1]], 5) == partition_key([(1, 4, 5), (2, 3)], 6) == (6, 25)
+    assert partition_key([[2, 1], [3], []], 3) == diagonal([1, 2]) == (3,)
+    assert partition_key([[1]], 3) == partition_key([[7]], 3) == partition_key([], 3) == ()
+    # a repeated label, or one outside 1..n, is no partition: neither folded nor shifted
+    for blocks in ([[0, 1]], [[1, 1, 2]], [[-1, 2]], [[1, 2], [2, 3]], [[1, 2], [1, 2]],
+                   [["a", "b"]], [[1, 4]], [[1, 2 ** 70]]):
+        assert partition_key(blocks, 3) is None
+    with pytest.raises(ValueError):
+        diagonal([1, 1])
+
+
+def test_partition_blocks_list_label_order_not_mask_order():
+    # as masks {1,2,3} = 7 < {4,5} = 24, but reports list the smaller block first
+    key = partition_join(diagonal([4, 5]), diagonal([1, 2, 3]))
+    assert key == (7, 24)
+    assert partition_blocks(key) == ((4, 5), (1, 2, 3))
+    assert partition_label(key) == "{4,5}|{1,2,3}"
+    assert partition_label(key, "abcde") == "{d,e}|{a,b,c}"
+    # {1,3} < {2,3} < {1,2,3} as masks; {1,2,3} comes second in label order
+    pairs = sorted(diagonal(u) for u in [(1, 2), (1, 3), (2, 3), (1, 2, 3)])
+    assert [partition_label(m) for m in sorted(pairs, key=partition_blocks)] == [
+        "{1,2}", "{1,2,3}", "{1,3}", "{2,3}"]
+
+
+PAIRS_FIRST = Path(__file__).resolve().parent / "fixtures" / "blowup_order_pairs_first_n4.json"
+
+
+def _orders_for_the_oracle():
+    for n in range(2, 7):
+        yield diagonal_building_set(n), default_order(diagonal_building_set(n)).order
+    rng = random.Random(2009)
+    for _ in range(200):
+        bset = diagonal_building_set(rng.randint(2, 5))
+        yield bset, rng.sample(bset.members, len(bset.members))
+    members = [partition_key(m, 4) for m in json.loads(PAIRS_FIRST.read_text())]
+    yield diagonal_building_set(4), members
+
+
+def test_first_invalid_prefix_matches_the_definition_oracle():
+    outcomes = []
+    for bset, order in _orders_for_the_oracle():
+        got = first_invalid_prefix(BlowUpSchedule(bset, order))
+        assert got == oracles.first_invalid_prefix([points(m[0]) for m in order])
+        outcomes.append(got is None)
+    assert min(outcomes.count(True), outcomes.count(False)) > 50  # both outcomes compared
