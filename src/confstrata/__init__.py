@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "finchains": """FinChain FiniteSet SetMap SimplexMap degeneracy enumerate_chains face
         validate_chain""",
-    "forests": """ForMorphism Forest ForestPoset enumerate_forests forest_count from_poset
-        hom_count is_forest level_functor_morphism level_functor_object minimal_forest
-        pullback to_poset trees_of""",
+    "forests": """ForMorphism Forest ForestPoset enumerate_forests from_poset is_forest
+        level_functor_morphism level_functor_object minimal_forest pullback to_poset
+        trees_of""",
     "wonderful": """BlowUpSchedule BuildingSet DiagonalLattice default_order diagonal
-        diagonal_building_set diagonal_lattice divisor_components forgetful_centers
-        is_building_set is_nest nest_count validate_li_order""",
-    "confcat": """StrataPoset Stratum StratumMap con_morphism con_object strata_poset
-        stratum_codim stratum_intersect""",
+        diagonal_building_set diagonal_lattice forgetful_centers is_building_set is_nest
+        validate_li_order""",
+    "confcat": """StrataPoset Stratum StratumMap con_morphism strata_poset stratum_codim
+        stratum_intersect""",
     "weights": """HypothesisRefusal PresentationAlgebra VarietyDescriptor WeightMultiset
         WeightedGradedSpace affine_line affine_space check_pure conf2_purity_report
         elliptic_curve hilbert_series kunneth_power presentation purity_theorem_check

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .finchains import FinChain, SetMap, SimplexMap, _Value, _fill
+from .finchains import SetMap, SimplexMap, _Value, _fill
 from .forests import (
     ForMorphism,
     Forest,
     enumerate_forests,
     is_forest,
     level_functor_morphism,
-    level_functor_object,
     pullback,
 )
 
@@ -35,9 +34,6 @@ class Stratum(_Value):
     @property
     def codim(self) -> int:
         return len(self.forest.non_singleton_blocks())
-
-    def is_interior(self) -> bool:
-        return self.codim == 0
 
     def __repr__(self):
         return f"Stratum(codim={self.codim}, {self.forest!r})"
@@ -116,11 +112,6 @@ class StratumMap(_Value):
         return f"StratumMap({self.kind}: {self.source!r} -> {self.target!r})"
 
 
-def con_object(chain: FinChain) -> Stratum:
-    """The stratum indexed by the level forest of a chain."""
-    return Stratum(level_functor_object(chain))
-
-
 def con_morphism(sm: SimplexMap) -> StratumMap:
     """Contravariant image of a chain morphism: forgetful then inclusion."""
     return StratumMap(level_functor_morphism(sm))
@@ -151,11 +142,6 @@ class StrataPoset:
 
     def __setattr__(self, name, value):
         raise AttributeError("StrataPoset is immutable")
-
-    def interior(self) -> Stratum:
-        interiors = [s for s in self.strata if s.is_interior()]
-        assert len(interiors) == 1
-        return interiors[0]
 
     def to_dot(self) -> str:
         lines = ["digraph strata {", "  rankdir=BT;", "  node [shape=box];"]

@@ -121,13 +121,6 @@ class SetMap(_Value):
         table = other.table
         return _setmap(self.source, other.target, tuple([table[i] for i in self.table]))
 
-    def fiber(self, label):
-        return tuple(k for k, v in self.pairs if v == label)
-
-    def image(self):
-        labels = self.target.labels
-        return frozenset(labels[j] for j in self.table)
-
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
@@ -304,9 +297,6 @@ class SimplexMap(_Value):
             problems.append("source chain != target chain reindexed along delta")
         return problems
 
-    def is_valid(self) -> bool:
-        return not self.violations()
-
     @classmethod
     def identity(cls, chain: FinChain) -> "SimplexMap":
         return cls(range(chain.level_count + 1), chain, chain)
@@ -330,9 +320,6 @@ class SimplexMap(_Value):
             raise ValueError("simplex maps do not compose")
         delta = tuple(other.delta[j] for j in self.delta)
         return SimplexMap(delta, self.source, other.target)
-
-    def is_surjective(self) -> bool:
-        return set(self.delta) == set(range(self.target.level_count + 1))
 
     def __repr__(self):
         return f"SimplexMap({list(self.delta)!r}: {self.source!r} -> {self.target!r})"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import namedtuple
 from operator import attrgetter
 
 from .finchains import (
@@ -263,10 +262,6 @@ def enumerate_forests(n: int):
     return sorted(forests, key=lambda f: (len(f.blocks), f.blocks))
 
 
-def forest_count(n: int) -> int:
-    return len(enumerate_forests(n))
-
-
 # -- morphisms (poset maps) ----------------------------------------------------
 
 
@@ -348,22 +343,12 @@ def morphism_violations(f: ForMorphism) -> list[str]:
     sets = {a: (frozenset(a), frozenset(v)) for a, v in mapping.items()}
     for a, b in itertools.combinations(f.source.blocks, 2):
         (sa, ia), (sb, ib) = sets[a], sets[b]
-        fault = _pair_fault(sa, sb, ia, ib)
-        if fault == "comparability":
+        comparable = sa <= sb or sb <= sa
+        if comparable != (ia <= ib or ib <= ia):
             problems.append(f"comparability of {a!r},{b!r} not preserved")
-        elif fault:
+        elif comparable and (sa >= sb) != (ia >= ib):
             problems.append(f"order of {a!r},{b!r} reversed")
     return problems
-
-
-def _pair_fault(sa, sb, ia, ib):
-    """Which law blocks sa, sb with images ia, ib break: "comparability", "order" or None."""
-    comparable = sa <= sb or sb <= sa
-    if comparable != (ia <= ib or ib <= ia):
-        return "comparability"
-    if comparable and (sa >= sb) != (ia >= ib):
-        return "order"
-    return None
 
 
 def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
@@ -373,39 +358,6 @@ def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
         and f.target == g.target
         and f.signature() == g.signature()
     )
-
-
-HomCount = namedtuple("HomCount", ["poset_maps", "injection_classes"])
-
-
-def hom_count(phi: Forest, psi: Forest) -> HomCount:
-    """Count morphisms phi -> psi both ways.
-
-    poset_maps counts injective order- and independence-preserving block maps;
-    injection_classes counts ground injections modulo equality of pullback
-    forests.  The two counts can disagree, which is exactly the subtlety the
-    canonical representation resolves in favour of poset maps.
-    """
-    src_blocks = list(phi.blocks)
-
-    def compatible(assigned, a, b):
-        return not any(b2 == b or _pair_fault(set(a), set(a2), set(b), set(b2))
-                       for a2, b2 in assigned.items())
-
-    def extend(assigned):
-        """The number of lawful extensions of a partial map on the first blocks."""
-        if len(assigned) == len(src_blocks):
-            return 1
-        a = src_blocks[len(assigned)]
-        return sum(extend({**assigned, a: b}) for b in psi.blocks if compatible(assigned, a, b))
-
-    classes = set()
-    for values in itertools.permutations(psi.ground.labels, len(phi.ground)):
-        j = SetMap(phi.ground, psi.ground, dict(zip(phi.ground, values)))
-        pulled = pullback(j, psi)
-        if set(phi.blocks) <= set(pulled.blocks):
-            classes.add(pulled)
-    return HomCount(extend({}), len(classes))
 
 
 # -- the level construction ----------------------------------------------------
@@ -534,10 +486,6 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
 
 def forest_to_json(phi: Forest) -> dict:
     return {"ground": list(phi.ground.labels), "blocks": [list(b) for b in phi.blocks]}
-
-
-def forest_from_json(data) -> Forest:
-    return Forest(FiniteSet(data["ground"]), [tuple(b) for b in data["blocks"]])
 
 
 def forest_to_dot(phi: Forest) -> str:

@@ -1,11 +1,10 @@
 """Frobenius-weight bookkeeping for configuration spaces of X x R.
 
-Eigenvalues are abstracted to integer weights with multiplicities; q is
-carried as metadata only.  The convention throughout: a Tate twist by n
-raises every weight by 2n.  The purity pipeline runs from per-variety
-weight data through the Künneth/Thom ledger for two points up to the
-presentation of the cohomology of n points with its Hilbert series and
-weight decomposition.  The series counts standard monomials once a
+Eigenvalues are abstracted to integer weights with multiplicities.  The
+convention throughout: a Tate twist by n raises every weight by 2n.  The
+purity pipeline runs from per-variety weight data through the Künneth/Thom
+ledger for two points up to the presentation of the cohomology of n points
+with its Hilbert series and weight decomposition.  The series counts standard monomials once a
 word-length-3 check certifies the quadratic relations as a Groebner basis
 (Buchberger's criterion), and falls back to exact ranks when it does not.
 """
@@ -128,7 +127,6 @@ class WeightedGradedSpace:
 
 @dataclass(frozen=True)
 class PurityReport:
-    rule: object
     violations: tuple
 
     @property
@@ -136,20 +134,14 @@ class PurityReport:
         return not self.violations
 
 
-def check_pure(space: WeightedGradedSpace, rule="degree") -> PurityReport:
-    """List every (degree, weight, mult) entry violating the purity rule.
-
-    rule="degree" demands weight == degree in every degree; an integer rule
-    demands that fixed weight everywhere.
-    """
+def check_pure(space: WeightedGradedSpace) -> PurityReport:
+    """List every (degree, weight, mult) entry whose weight is not its degree."""
     violations = []
-    weight_equals_degree = rule in ("degree", "weight-equals-degree")
     for degree, ws in space.by_degree:
-        expected = degree if weight_equals_degree else int(rule)
         for w, m in ws.entries:
-            if w != expected:
+            if w != degree:
                 violations.append((degree, w, m))
-    return PurityReport(rule, tuple(violations))
+    return PurityReport(tuple(violations))
 
 
 def tate_twist(space: WeightedGradedSpace, n: int) -> WeightedGradedSpace:
@@ -169,9 +161,9 @@ def tensor(a: WeightedGradedSpace, b: WeightedGradedSpace) -> WeightedGradedSpac
 class VarietyDescriptor:
     """Weight data of a connected smooth variety of complex dimension d."""
 
-    __slots__ = ("name", "d", "cohomology", "diagonal_class_vanishes", "q")
+    __slots__ = ("name", "d", "cohomology", "diagonal_class_vanishes")
 
-    def __init__(self, name, d, cohomology, diagonal_class_vanishes=True, q=2):
+    def __init__(self, name, d, cohomology, diagonal_class_vanishes=True):
         cohomology = cohomology if isinstance(cohomology, WeightedGradedSpace) else WeightedGradedSpace(cohomology)
         if d < 1:
             raise ValueError("complex dimension must be positive")
@@ -183,7 +175,6 @@ class VarietyDescriptor:
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "cohomology", cohomology)
         object.__setattr__(self, "diagonal_class_vanishes", bool(diagonal_class_vanishes))
-        object.__setattr__(self, "q", int(q))
 
     def __setattr__(self, name, value):
         raise AttributeError("VarietyDescriptor is immutable")
@@ -192,34 +183,20 @@ class VarietyDescriptor:
         return f"VarietyDescriptor({self.name!r}, d={self.d})"
 
 
-def elliptic_curve(q: int = 2) -> VarietyDescriptor:
-    return VarietyDescriptor(
-        "elliptic", 1, {0: {0: 1}, 1: {1: 2}, 2: {2: 1}}, True, q)
+def elliptic_curve() -> VarietyDescriptor:
+    return VarietyDescriptor("elliptic", 1, {0: {0: 1}, 1: {1: 2}, 2: {2: 1}}, True)
 
 
-def affine_space(d: int, q: int = 2) -> VarietyDescriptor:
-    return VarietyDescriptor(f"affine_{d}", d, {0: {0: 1}}, True, q)
+def affine_space(d: int) -> VarietyDescriptor:
+    return VarietyDescriptor(f"affine_{d}", d, {0: {0: 1}}, True)
 
 
-def affine_line(q: int = 2) -> VarietyDescriptor:
-    return affine_space(1, q)
+def affine_line() -> VarietyDescriptor:
+    return affine_space(1)
 
 
-def projective_line(q: int = 2) -> VarietyDescriptor:
-    return VarietyDescriptor("P1", 1, {0: {0: 1}, 2: {2: 1}}, True, q)
-
-
-def descriptor_to_json(x: VarietyDescriptor) -> dict:
-    return {
-        "name": x.name,
-        "d": x.d,
-        "q": x.q,
-        "diagonal_class_vanishes": x.diagonal_class_vanishes,
-        "cohomology": {
-            str(deg): [{"weight": w, "mult": m} for w, m in ws.entries]
-            for deg, ws in x.cohomology.by_degree
-        },
-    }
+def projective_line() -> VarietyDescriptor:
+    return VarietyDescriptor("P1", 1, {0: {0: 1}, 2: {2: 1}}, True)
 
 
 def _is_int(value) -> bool:
@@ -227,7 +204,10 @@ def _is_int(value) -> bool:
 
 
 def descriptor_from_json(data) -> VarietyDescriptor:
-    """Decode a descriptor; a malformed shape raises one ValueError naming the field."""
+    """Decode a descriptor; a malformed shape raises one ValueError naming the field.
+
+    An optional integer "q" is checked and then ignored: no computation reads it.
+    """
     if not isinstance(data, dict):
         raise ValueError("descriptor JSON must be an object")
     name, raw, d, q = data["name"], data["cohomology"], data["d"], data.get("q", 2)
@@ -255,7 +235,7 @@ def descriptor_from_json(data) -> VarietyDescriptor:
                 if not _is_int(e.get(key)):
                     raise ValueError(f'{where}[{i}]["{key}"] must be an integer, not {e.get(key)!r}')
         cohomology[degree] = WeightMultiset([(e["weight"], e["mult"]) for e in entries])
-    return VarietyDescriptor(name, d, cohomology, vanishes, q)
+    return VarietyDescriptor(name, d, cohomology, vanishes)
 
 
 def kunneth_power(x: VarietyDescriptor, n: int) -> WeightedGradedSpace:
@@ -280,7 +260,7 @@ def thom_relative(x: VarietyDescriptor, k: int) -> WeightMultiset:
 
 
 def _require_hypotheses(x: VarietyDescriptor):
-    report = check_pure(x.cohomology, "degree")
+    report = check_pure(x.cohomology)
     if not report.pure:
         deg, w, _ = report.violations[0]
         raise HypothesisRefusal(

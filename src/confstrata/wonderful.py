@@ -226,11 +226,6 @@ def enumerate_nests(n: int, d: int = 1):
     return [frozenset([(b,) for b in blocks if b & (b - 1)]) for blocks in _mask_forests(n)]
 
 
-def nest_count(n: int, d: int = 1) -> int:
-    """Number of nests (the empty nest included) of the full diagonal building set."""
-    return len(enumerate_nests(n, d))
-
-
 def nest_to_forest(n: int, nest) -> Forest:
     """Adjoin the singletons: the forest a nest corresponds to."""
     ground = FiniteSet(range(1, n + 1))
@@ -313,32 +308,7 @@ def forgetful_centers(inj: SetMap, d: int = 1):
             for combo in itertools.combinations(positions, size)]
 
 
-def divisor_components(building_set: BuildingSet):
-    """One divisor component per member, labelled by the one-big-block forest."""
-    ground = FiniteSet(range(1, building_set.lattice.n + 1))
-    out = []
-    for member in default_order(building_set).order:
-        if len(member) != 1:
-            raise ValueError("divisor components require the diagonal building set")
-        blocks = [(x,) for x in ground] + [partition_blocks(member)[0]]
-        out.append((member, Forest(ground, blocks)))
-    return out
-
-
 # -- export ------------------------------------------------------------------------
-
-def building_set_to_json(bset: BuildingSet) -> dict:
-    return {
-        "n": bset.lattice.n,
-        "d": bset.lattice.d,
-        "members": [[list(b) for b in m] for m in sorted(map(partition_blocks, bset.members))],
-    }
-
-
-def building_set_from_json(data) -> BuildingSet:
-    lattice = diagonal_lattice(int(data["n"]), int(data.get("d", 1)))
-    return BuildingSet(lattice, [partition_key(m, lattice.n) for m in data["members"]])
-
 
 def schedule_to_json(schedule: BlowUpSchedule) -> list:
     return [[list(b) for b in partition_blocks(m)] for m in schedule.order]

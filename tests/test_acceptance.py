@@ -50,7 +50,6 @@ from confstrata.wonderful import (
     enumerate_nests,
     first_invalid_prefix,
     is_nest,
-    nest_count,
     nest_to_forest,
     validate_li_order,
 )
@@ -92,7 +91,7 @@ def test_criterion_1_forest_nest_bijection():
         forests = enumerate_forests(n)
         searched = nests_by_search(n)
         counts.append(len(forests))
-        ok = ok and len(forests) == nest_count(n) == len(searched) == len(set(searched))
+        ok = ok and len(forests) == len(enumerate_nests(n)) == len(searched) == len(set(searched))
         ok = ok and set(enumerate_nests(n)) == set(searched)
         ok = ok and {nest_to_forest(n, nest) for nest in searched} == set(forests)
     elapsed = time.monotonic() - start
@@ -119,7 +118,7 @@ def test_criterion_2_poset_round_trip():
 
 def test_criterion_3_functoriality():
     start = time.monotonic()
-    identities = checks.check_simplicial_identities(3, 3, samples=200, sample_size=4, seed=1)
+    identities = checks.check_simplicial_identities(3, 3, samples=200, seed=1)
     functor = checks.check_level_functor(3, 3, pair_samples=1000, seed=1)
     elapsed = time.monotonic() - start
     ok = identities.ok and functor.ok and elapsed < 30

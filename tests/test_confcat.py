@@ -8,7 +8,6 @@ from confstrata.confcat import (
     Stratum,
     StratumMap,
     con_morphism,
-    con_object,
     strata_poset,
     stratum_codim,
     stratum_intersect,
@@ -22,7 +21,13 @@ from confstrata.finchains import (
     enumerate_chains,
     identity_chain,
 )
-from confstrata.forests import Forest, enumerate_forests, level_functor_morphism, minimal_forest
+from confstrata.forests import (
+    Forest,
+    enumerate_forests,
+    level_functor_morphism,
+    level_functor_object,
+    minimal_forest,
+)
 from confstrata.wonderful import diagonal_building_set, enumerate_nests, nest_to_forest
 
 
@@ -85,15 +90,15 @@ def test_intersect_ground_mismatch():
 
 def test_con_object_examples():
     s = FiniteSet([1, 2, 3])
-    assert con_object(identity_chain(s)) == Stratum(minimal_forest(s))
+    assert Stratum(level_functor_object(identity_chain(s))) == Stratum(minimal_forest(s))
 
     s2, star = FiniteSet([1, 2]), FiniteSet(["*"])
     pair = FinChain([s2, star], [SetMap(s2, star, {1: "*", 2: "*"})])
-    assert con_object(pair).codim == 1
+    assert Stratum(level_functor_object(pair)).codim == 1
 
     ab = FiniteSet(["a", "b"])
     partial = FinChain([s, ab], [SetMap(s, ab, {1: "a", 2: "a", 3: "b"})])
-    stratum = con_object(partial)
+    stratum = Stratum(level_functor_object(partial))
     assert stratum.codim == 1
     assert stratum.forest == F([1, 2, 3], [(1,), (2,), (3,), (1, 2)])
 
@@ -185,7 +190,7 @@ def test_strata_poset_counts():
     two = strata_poset(2)
     assert len(two.strata) == 2
     assert len(two.covers) == 1
-    assert two.interior().codim == 0
+    assert [s.codim for s in two.strata].count(0) == 1
 
     three = strata_poset(3)
     assert len(three.strata) == 8

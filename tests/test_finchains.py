@@ -144,19 +144,19 @@ def test_face_degeneracy_preserve_validity():
 def test_simplex_map_face_and_degeneracy_are_valid():
     chain = two_to_one()
     for i in range(2):
-        assert SimplexMap.face(chain, i).is_valid()
+        assert not SimplexMap.face(chain, i).violations()
     for i in range(2):
         sm = SimplexMap.degeneracy(chain, i)
-        assert sm.is_valid()
-        assert sm.is_surjective()
+        assert not sm.violations()
+        assert set(sm.delta) == set(range(chain.level_count + 1))  # onto every level
 
 
 def test_simplex_map_rejects_wrong_source():
     chain = two_to_one()
     wrong = SimplexMap((0,), identity_chain(FiniteSet([7])), chain)
-    assert not wrong.is_valid()
+    assert wrong.violations()
     nonmono = SimplexMap((1, 0), chain, chain)
-    assert not nonmono.is_valid()
+    assert nonmono.violations()
 
 
 def test_precompose_identity():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from shared_oracles import oracles
 
 from confstrata.finchains import FiniteSet, SetMap
 from confstrata.forests import (
@@ -8,12 +9,8 @@ from confstrata.forests import (
     ForestPoset,
     ForMorphism,
     enumerate_forests,
-    forest_count,
-    forest_from_json,
     forest_to_dot,
-    forest_to_json,
     from_poset,
-    hom_count,
     is_forest,
     minimal_forest,
     morphism_violations,
@@ -129,30 +126,19 @@ def test_from_poset_generic_labels():
 
 
 def test_enumeration_counts():
-    assert forest_count(1) == 1
-    assert forest_count(2) == 2
-    assert forest_count(3) == 8
+    assert [len(enumerate_forests(n)) for n in (1, 2, 3)] == [1, 2, 8]
 
 
-def bruteforce_forests(labels):
-    """Oracle: every family of non-singleton blocks that passes is_forest."""
-    ground = FiniteSet(labels)
-    singletons = [(x,) for x in ground]
-    candidates = []
-    for size in range(2, len(ground) + 1):
-        candidates.extend(itertools.combinations(ground.labels, size))
-    out = []
-    for r in range(len(candidates) + 1):
-        for extra in itertools.combinations(candidates, r):
-            if is_forest(ground, singletons + list(extra)):
-                out.append(Forest(ground, singletons + list(extra)))
-    return out
-
-
-def test_enumeration_paths_agree_at_4():
-    brute = set(bruteforce_forests(range(1, 5)))
-    assert brute == set(enumerate_forests(4))
-    assert len(brute) == 52
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_laminar_oracle(n):
+    """The non-singleton blocks of each forest are one laminar family, each family once."""
+    families = [frozenset(frozenset(b) for b in phi.non_singleton_blocks())
+                for phi in enumerate_forests(n)]
+    oracle = oracles.laminar_families(n)
+    assert len(families) == len(oracle)
+    assert set(families) == set(oracle)
+    if n == 4:
+        assert len(families) == 52
 
 
 def test_enumeration_no_duplicates():
@@ -165,30 +151,6 @@ def test_enumeration_cap():
     # the size cap lives in cli.CAPS; the library keeps only its domain, n >= 1
     with pytest.raises(ValueError, match=r"^n must be at least 1$"):
         enumerate_forests(0)
-
-
-def test_hom_count_point_to_point():
-    point = minimal_forest(FiniteSet([1]))
-    assert hom_count(point, point) == (1, 1)
-
-
-def test_hom_count_point_into_antichain():
-    point = minimal_forest(FiniteSet([1]))
-    pair = minimal_forest(FiniteSet([1, 2]))
-    counts = hom_count(point, pair)
-    assert counts.poset_maps == 2
-    assert counts.injection_classes == 1
-
-
-def test_hom_count_automorphisms_of_one_tree():
-    phi = F([1, 2], [(1,), (2,), (1, 2)])
-    counts = hom_count(phi, phi)
-    assert counts.poset_maps == 2  # identity and the swap
-
-
-def test_json_round_trip():
-    phi = F([1, 2, 3], [(1,), (2,), (3,), (1, 2)])
-    assert forest_from_json(forest_to_json(phi)) == phi
 
 
 def test_dot_export_shape():

@@ -18,7 +18,9 @@ the position tables and block bitmasks replaced.  The nest-poset DOT file
 at n = 4 (which pins its node numbering), `blowup-validate --n 6`, an order
 written in lenient forms (blocks and labels unsorted, singleton and empty
 blocks) and `forget-centers` on string labels were captured from the
-label-tuple partitions and tabulated lattice that block bitmasks replaced.  Any change to exact-rank
+label-tuple partitions and tabulated lattice that block bitmasks replaced.
+The `--selftest` output of every subcommand (its check names and counts) was
+captured before the unused names, methods and parameters were deleted.  Any change to exact-rank
 arithmetic, the standard-monomial count, the lattice, the level functor,
 the forest or nest enumeration, the strata covers, the partitions or the loaders must
 reproduce them exactly.
@@ -110,3 +112,14 @@ def test_nest_poset_dot_matches_golden(tmp_path, capsys):
     assert main(["nests", "--n", "4", "--dot", str(dot)]) == 0
     capsys.readouterr()
     assert dot.read_text() == (GOLDEN / "nests_n4.dot").read_text()
+
+
+SELFTESTS = ["forests", "nests", "strata", "deltafin-check", "blowup-validate", "forget-centers",
+             "purity", "hilbert", "koszul"]
+
+
+@pytest.mark.parametrize("command", SELFTESTS)
+def test_selftest_matches_golden(command, capsys):
+    assert main([command, "--selftest"]) == 0
+    golden = GOLDEN / f"selftest_{command.replace('-', '_')}.txt"
+    assert capsys.readouterr().out == golden.read_text()

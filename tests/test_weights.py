@@ -16,7 +16,6 @@ from confstrata.weights import (
     check_pure,
     conf2_purity_report,
     descriptor_from_json,
-    descriptor_to_json,
     elliptic_curve,
     hilbert_series,
     kunneth_power,
@@ -35,28 +34,21 @@ def corrupted_curve():
     return VarietyDescriptor("corrupted", 1, {0: {0: 1}, 1: {0: 2}, 2: {2: 1}}, True)
 
 
-# -- purity rule ----------------------------------------------------------------
+# -- purity: weight = degree ----------------------------------------------------
 
 def test_check_pure_weight_equals_degree():
     space = WeightedGradedSpace({0: {0: 1}, 1: {1: 2}, 2: {2: 1}})
-    assert check_pure(space, "degree").pure
-    assert check_pure(space, "weight-equals-degree").pure
+    assert check_pure(space).pure
 
 
 def test_check_pure_reports_violation():
     space = WeightedGradedSpace({1: {0: 1}})
-    report = check_pure(space, "degree")
+    report = check_pure(space)
     assert report.violations == ((1, 0, 1),)
 
 
-def test_check_pure_fixed_weight():
-    space = WeightedGradedSpace({0: {4: 1}, 3: {4: 2}})
-    assert check_pure(space, 4).pure
-    assert not check_pure(space, 2).pure
-
-
 def test_elliptic_descriptor_is_pure():
-    assert check_pure(elliptic_curve().cohomology, "degree").pure
+    assert check_pure(elliptic_curve().cohomology).pure
 
 
 # -- twist ------------------------------------------------------------------------
@@ -387,13 +379,15 @@ def test_descriptor_validation():
         VarietyDescriptor("bad", 1, {0: {0: 2}})  # disconnected H^0
 
 
-def test_descriptor_json_round_trip():
+def test_descriptor_from_json_reads_a_literal():
+    data = {"name": "elliptic", "d": 1, "q": 2, "diagonal_class_vanishes": True,
+            "cohomology": {"0": [{"weight": 0, "mult": 1}], "1": [{"weight": 1, "mult": 2}],
+                           "2": [{"weight": 2, "mult": 1}]}}
     e = elliptic_curve()
-    data = descriptor_to_json(e)
-    back = descriptor_from_json(data)
-    assert back.cohomology == e.cohomology
-    assert back.d == e.d and back.q == e.q
-    assert back.diagonal_class_vanishes
+    for decoded in (descriptor_from_json(data),
+                    descriptor_from_json({k: v for k, v in data.items() if k != "q"})):
+        assert (decoded.name, decoded.d, decoded.cohomology, decoded.diagonal_class_vanishes) == (
+            e.name, e.d, e.cohomology, True)
 
 
 GOOD_H0 = {"0": [{"weight": 0, "mult": 1}]}

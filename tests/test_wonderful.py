@@ -9,23 +9,19 @@ from shared_oracles import oracles
 from confstrata import wonderful
 from confstrata.checks import check_forest_nest_bijection
 from confstrata.finchains import FiniteSet, SetMap
-from confstrata.forests import Forest, enumerate_forests, is_forest
+from confstrata.forests import enumerate_forests, is_forest
 from confstrata.wonderful import (
     BlowUpSchedule,
     BuildingSet,
-    building_set_from_json,
-    building_set_to_json,
     default_order,
     diagonal,
     diagonal_building_set,
     diagonal_lattice,
-    divisor_components,
     enumerate_nests,
     first_invalid_prefix,
     forgetful_centers,
     is_building_set,
     is_nest,
-    nest_count,
     nest_poset_dot,
     nest_to_forest,
     partition_blocks,
@@ -126,9 +122,7 @@ def test_is_nest_requires_membership():
 
 
 def test_nest_counts_small():
-    assert nest_count(1) == 1
-    assert nest_count(2) == 2
-    assert nest_count(3) == 8
+    assert [len(enumerate_nests(n)) for n in (1, 2, 3)] == [1, 2, 8]
 
 
 def test_nests_agree_with_forests_exhaustively():
@@ -248,24 +242,6 @@ def test_forgetful_centers_rejects_non_injection():
     bad = SetMap(FiniteSet([1, 2]), FiniteSet([1]), {1: 1, 2: 1})
     with pytest.raises(ValueError):
         forgetful_centers(bad)
-
-
-def test_divisor_components():
-    two = divisor_components(diagonal_building_set(2, 1))
-    assert len(two) == 1
-    member, forest = two[0]
-    assert member == diagonal([1, 2])
-    assert forest == Forest(FiniteSet([1, 2]), [(1,), (2,), (1, 2)])
-
-    assert len(divisor_components(diagonal_building_set(3, 1))) == 4
-    assert divisor_components(diagonal_building_set(1, 1)) == []
-
-
-def test_building_set_json_round_trip():
-    bset = diagonal_building_set(3, 2)
-    data = building_set_to_json(bset)
-    assert data["n"] == 3 and data["d"] == 2
-    assert building_set_from_json(data).members == bset.members
 
 
 def test_nest_poset_dot():
