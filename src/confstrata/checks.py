@@ -12,18 +12,19 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import confcat, finchains, forests, koszul, weights, wonderful
 from .finchains import FinChain, SimplexMap, enumerate_chains, face, degeneracy, precompose
 from .forests import level_functor_morphism, level_functor_object, morphisms_equivalent
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str, checked: int = 0, failures=None):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -97,41 +98,45 @@ def _identities_on(chain: FinChain, result: CheckResult):
 # -- the level functor and the configuration functor ------------------------------
 
 
-def _elementary_into(chain: FinChain, allow_degeneracies=True):
+def _elementary_into(chain: FinChain):
+    """The faces (none at k = 0), then the k + 1 degeneracies, into chain."""
     k = chain.level_count
-    out = []
-    if k >= 1:
-        for i in range(k + 1):
-            out.append(SimplexMap.face(chain, i))
-    if allow_degeneracies:
-        for i in range(k + 1):
-            out.append(SimplexMap.degeneracy(chain, i))
-    return out
+    faces = [SimplexMap.face(chain, i) for i in range(k + 1)] if k >= 1 else []
+    return faces + [SimplexMap.degeneracy(chain, i) for i in range(k + 1)]
 
 
-def _check_pair(f_sm: SimplexMap, g_sm: SimplexMap, result: CheckResult, violations):
-    composite = f_sm.then(g_sm)
-    ff = level_functor_morphism(f_sm)
-    fg = level_functor_morphism(g_sm)
-    fc = level_functor_morphism(composite)
-    result.checked += 1
-    for sm, mor in ((f_sm, ff), (g_sm, fg), (composite, fc)):
+def _pair_fault(ff, fg, fc, violations):
+    """(checks made, fault) for F f, F g and F(f then g); fault is None, "F" or
+    "con" for a failed composition law, or the index and problems of the first
+    of the three that is not a morphism."""
+    for k, mor in enumerate((ff, fg, fc)):
         problems = violations(mor)
         if problems:
-            result.failures.append(f"F of {sm!r} is not a morphism: {problems}")
-            return
+            return 1, (k, problems)
     left = ff.then(fg)
     if left != fc and not morphisms_equivalent(left, fc):
+        return 1, "F"
+    sf, sg = confcat.StratumMap(ff), confcat.StratumMap(fg)
+    if not confcat.stratum_maps_equivalent(sg.then(sf), confcat.StratumMap(fc)):
+        return 2, "con"
+    return 2, None
+
+
+def _check_pair(f_sm, ff, g_sm, fg, result, faults, violations):
+    """Check F(f then g) against F f then F g; faults memoises _pair_fault per triple."""
+    composite = f_sm.then(g_sm)
+    triple = (ff, fg, level_functor_morphism(composite))
+    outcome = faults.get(triple)
+    if outcome is None:
+        outcome = faults[triple] = _pair_fault(*triple, violations)
+    checked, fault = outcome
+    result.checked += checked
+    if fault in ("F", "con"):
+        result.failures.append(f"{fault} composition failed: {f_sm!r} then {g_sm!r}")
+    elif fault is not None:
+        k, problems = fault
         result.failures.append(
-            f"F composition failed: {f_sm!r} then {g_sm!r}")
-        return
-    sc = confcat.StratumMap(fc)
-    sf = confcat.StratumMap(ff)
-    sg = confcat.StratumMap(fg)
-    result.checked += 1
-    if not confcat.stratum_maps_equivalent(sg.then(sf), sc):
-        result.failures.append(
-            f"con composition failed: {f_sm!r} then {g_sm!r}")
+            f"F of {(f_sm, g_sm, composite)[k]!r} is not a morphism: {problems}")
 
 
 def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> CheckResult:
@@ -147,13 +152,30 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     the only proof behind each confcat.StratumMap, which is its forest
     morphism and proves nothing on construction; it also reports a
     non-canonical block, which ForMorphism keeps as given.
-    level_functor_morphism, pullback and ForMorphism.signature are memoised
-    (lru_cache, 65536 entries each), so each distinct simplex map is checked
-    and mapped once and its shared, immutable result reused; within one call,
-    each distinct morphism runs forests.morphism_violations once.
+
+    What is memoised, and for how long:
+    - for the whole process, in bounded tables (lru_cache, 65536 entries
+      each): level_functor_morphism per distinct simplex map, its image per
+      (target chain, image of delta), the level data per chain, pullback,
+      ForMorphism.signature, and the shared copies of chains and morphisms;
+    - for this call only, in tables that go with it: the elementary maps into
+      each distinct chain with their images, forests.morphism_violations per
+      distinct morphism, and the outcome of each distinct (F f, F g,
+      F(f then g)) triple.  Every pair still counts its checks and reports
+      its own failure.
     """
     result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
     violations = functools.lru_cache(maxsize=None)(forests.morphism_violations)
+    into, faults = {}, {}
+
+    def elementary(chain):
+        """The elementary maps into chain with their images, faces first."""
+        maps = into.get(chain)
+        if maps is None:
+            maps = into[chain] = [(sm, level_functor_morphism(sm))
+                                  for sm in _elementary_into(chain)]
+        return maps
+
     chains = list(enumerate_chains(max_level, max_size))
     for chain in chains:
         phi = level_functor_object(chain)
@@ -161,15 +183,15 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
         result.checked += 1
         if not (ident.is_identity() and ident.source == phi):
             result.failures.append(f"identity law failed on {chain!r}")
-        for i in range(chain.level_count + 1):
-            sm = SimplexMap.degeneracy(chain, i)
+        maps = elementary(chain)
+        faces = len(maps) - chain.level_count - 1  # the degeneracies come last
+        for i, (sm, mor) in enumerate(maps[faces:]):
             result.checked += 1
-            if not level_functor_morphism(sm).is_identity():
+            if not mor.is_identity():
                 result.failures.append(f"degeneracy {i} not sent to identity on {chain!r}")
             elif level_functor_object(sm.source) != phi:
                 result.failures.append(f"degeneracy {i} changed the level forest of {chain!r}")
-        for sm in _elementary_into(chain, allow_degeneracies=False):
-            mor = level_functor_morphism(sm)
+        for sm, mor in maps[:faces]:
             result.checked += 1
             problems = violations(mor)
             if problems:
@@ -181,9 +203,9 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
             if len(mor.signature()) != 1:
                 result.failures.append(f"ambiguous signature for face into {chain!r}")
     for chain in chains:
-        for g_sm in _elementary_into(chain):
-            for f_sm in _elementary_into(g_sm.source):
-                _check_pair(f_sm, g_sm, result, violations)
+        for g_sm, fg in elementary(chain):
+            for f_sm, ff in elementary(g_sm.source):
+                _check_pair(f_sm, ff, g_sm, fg, result, faults, violations)
     if pair_samples:
         rng = random.Random(seed)
         for _ in range(pair_samples):
@@ -195,7 +217,8 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
             ka = rng.randint(0, kb)
             delta_f = tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1)))
             f_sm = SimplexMap(delta_f, precompose(g_sm.source, delta_f), g_sm.source)
-            _check_pair(f_sm, g_sm, result, violations)
+            _check_pair(f_sm, level_functor_morphism(f_sm), g_sm, level_functor_morphism(g_sm),
+                        result, faults, violations)
     return result
 
 

@@ -105,7 +105,9 @@ def _selftest(command: str) -> int:
 
 def _cmd_forests(args, config: RunConfig) -> int:
     n = _cap(config, "n", args.n, "n", least=1)
-    all_forests = forests.enumerate_forests(n)
+    # a bare count needs no labelled, sorted forests: count the bitmask ones
+    all_forests = (forests._mask_forests(n) if args.count and args.dot is None
+                   else forests.enumerate_forests(n))
     result: dict = {"n": n, "count": len(all_forests)}
     if not args.count:
         result["forests"] = [forests.forest_to_json(f) for f in all_forests]
@@ -316,7 +318,8 @@ def _cmd_koszul(args, config: RunConfig) -> int:
     if args.presentation == "genus-1":
         p = koszul.genus_one_presentation()
     elif dash and kind in builtin:
-        if not (size.isdigit() and int(size) > 0):
+        # isdecimal, not isdigit: int() refuses digits such as "²" that isdigit accepts
+        if not (size.isdecimal() and int(size) > 0):
             raise InputError(f"bad presentation {args.presentation}: N must be a positive integer")
         # symmetric-N builds N(N-1)/2 vectors of N^2 entries: cap N first
         p = builtin[kind](_cap(config, "generators", int(size), "generators"))

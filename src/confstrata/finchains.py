@@ -10,6 +10,7 @@ construction in `forests` is functorial over.
 
 from __future__ import annotations
 
+import functools
 from operator import attrgetter, le, sub
 
 
@@ -160,7 +161,7 @@ class FinChain(_Value):
     be inspected and diagnosed rather than being unrepresentable.
     """
 
-    __slots__ = ("sets", "maps")
+    __slots__ = ("sets", "maps", "_problems")
     _fields = attrgetter("sets", "maps")
 
     def __init__(self, sets, maps=()):
@@ -192,18 +193,32 @@ def _chain(sets: tuple, maps: tuple) -> FinChain:
     return chain
 
 
+# The chains a SimplexMap holds are shared, one object per equal value, so the
+# level construction's caches and comparisons find them by identity.  Bounded
+# like those caches; an evicted chain stays valid, it is only no longer shared.
+_shared_chain = functools.lru_cache(maxsize=65536)(lambda chain: chain)
+
+
 def identity_chain(s: FiniteSet) -> FinChain:
     return _chain((s,), ())
 
 
 def chain_violations(chain: FinChain) -> list[str]:
-    """Diagnostics for every violated chain invariant (empty list iff valid)."""
+    """Diagnostics for every violated chain invariant (empty list iff valid).
+
+    Found once per chain object and kept with it, like its hash.
+    """
+    try:
+        return list(chain._problems)
+    except AttributeError:
+        pass
     problems = []
     for i, f in enumerate(chain.maps):
         if f.source != chain.sets[i]:
             problems.append(f"map {i} has source != S_{i}")
         if f.target != chain.sets[i + 1]:
             problems.append(f"map {i} has target != S_{i + 1}")
+    _set(chain, "_problems", tuple(problems))
     return problems
 
 
@@ -213,6 +228,8 @@ def validate_chain(chain: FinChain) -> bool:
 
 def _table(chain: FinChain, start: int, stop: int) -> tuple:
     """Position table of the composite S_start -> S_stop of a valid chain."""
+    if stop == start + 1:
+        return chain.maps[start].table
     table = tuple(range(len(chain.sets[start])))
     for f in chain.maps[start:stop]:
         step = f.table
@@ -265,13 +282,16 @@ def precompose(chain: FinChain, delta) -> FinChain:
 
 
 class SimplexMap(_Value):
-    """A morphism of chains: monotone delta: [k] -> [l] with source = target∘delta."""
+    """A morphism of chains: monotone delta: [k] -> [l] with source = target∘delta.
+
+    Its chains are the shared copies of the chains it is given.
+    """
 
     __slots__ = ("delta", "source", "target")
     _fields = attrgetter("delta", "source", "target")
 
     def __init__(self, delta, source: FinChain, target: FinChain):
-        _fill(self, tuple(delta), source, target)
+        _fill(self, tuple(delta), _shared_chain(source), _shared_chain(target))
 
     def violations(self) -> list[str]:
         problems = []
@@ -318,8 +338,10 @@ class SimplexMap(_Value):
     def then(self, other: "SimplexMap") -> "SimplexMap":
         if other.source != self.target:
             raise ValueError("simplex maps do not compose")
-        delta = tuple(other.delta[j] for j in self.delta)
-        return SimplexMap(delta, self.source, other.target)
+        # both chains are shared already
+        delta = other.delta
+        return _fill(object.__new__(SimplexMap), tuple([delta[j] for j in self.delta]),
+                     self.source, other.target)
 
     def __repr__(self):
         return f"SimplexMap({list(self.delta)!r}: {self.source!r} -> {self.target!r})"

@@ -289,15 +289,15 @@ class ForMorphism(_Value):
 
     @classmethod
     def identity(cls, forest: Forest) -> "ForMorphism":
-        return _fill(object.__new__(cls), forest, forest, tuple([(b, b) for b in forest.blocks]))
+        return _morphism(forest, forest, tuple([(b, b) for b in forest.blocks]))
 
     def then(self, other: "ForMorphism") -> "ForMorphism":
         # the pairs keep self's order, which is the canonical source order
         if other.source != self.target:
             raise ValueError("morphisms do not compose")
         table = other.mapping()
-        return _fill(object.__new__(ForMorphism), self.source, other.target,
-                     tuple([(k, table[v]) for k, v in self.block_map]))
+        return _morphism(self.source, other.target,
+                         tuple([(k, table[v]) for k, v in self.block_map]))
 
     def is_identity(self) -> bool:
         return self.source == self.target and all(k == v for k, v in self.block_map)
@@ -326,6 +326,16 @@ class ForMorphism(_Value):
 
     def __repr__(self):
         return f"ForMorphism({self.source!r} -> {self.target!r})"
+
+
+# Morphisms built here are shared, one object per equal value, so that
+# comparisons and signature() find them by identity (bounded like pullback).
+_shared_morphism = functools.lru_cache(maxsize=65536)(lambda f: f)
+
+
+def _morphism(source: Forest, target: Forest, block_map: tuple) -> ForMorphism:
+    """The shared morphism with these pairs, already in canonical source order."""
+    return _shared_morphism(_fill(object.__new__(ForMorphism), source, target, block_map))
 
 
 def morphism_violations(f: ForMorphism) -> list[str]:
@@ -460,26 +470,33 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     results holds in the quotient category (compare with morphisms_equivalent
     or signatures), not as strict block-map equality.  The morphism laws and
     degeneracy invariance are checked by checks.check_level_functor, not here.
-    Memoised: equal simplex maps share one immutable result, and an invalid
-    one raises on every call, since exceptions are not cached.
+    Memoised: each distinct simplex map is validated once, and an invalid one
+    raises on every call, since exceptions are not cached.  A valid map's
+    morphism depends only on its target and the image of delta, and is
+    computed once per such pair (_image_morphism).
     """
     problems = sm.violations()
     if problems:
         raise ValueError("; ".join(problems))
-    target = _level_data(sm.target)
-    image = sorted(set(sm.delta))
-    if len(image) == sm.target.level_count + 1:
-        return ForMorphism.identity(target.forest)
+    return _image_morphism(sm.target, tuple(dict.fromkeys(sm.delta)))
+
+
+@functools.lru_cache(maxsize=65536)
+def _image_morphism(target: FinChain, image: tuple) -> ForMorphism:
+    """F of every valid simplex map into target whose (monotone) delta has this image."""
+    data = _level_data(target)
+    if len(image) == target.level_count + 1:
+        return ForMorphism.identity(data.forest)
 
     # factor delta through its image; the surjective part is the identity.  A
     # point of the image chain sits at the same position of level image[level]
-    mid = _level_data(precompose(sm.target, image))
+    mid = _level_data(precompose(target, image))
     items = []
     for c in mid.order:
         level, y = mid.last[c]
         items.append((mid.blocks[c],
-                      target.blocks[target.class_of[target.offsets[image[level]] + y]]))
-    return _fill(object.__new__(ForMorphism), mid.forest, target.forest, tuple(items))
+                      data.blocks[data.class_of[data.offsets[image[level]] + y]]))
+    return _morphism(mid.forest, data.forest, tuple(items))
 
 
 # -- export -------------------------------------------------------------------

@@ -14,7 +14,6 @@ sufficient: a PASS only means "consistent to the checked order".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -23,13 +22,27 @@ from .linalg import Echelon, integerize, nullspace
 CONVENTIONS = ("graded-commutative", "free")
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    coefficients: tuple
+    """The coefficients of a series truncated at some order, constant term first."""
 
-    def __post_init__(self):
-        if self.coefficients and self.coefficients[0] != 1:
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple):
+        if coefficients and coefficients[0] != 1:
             raise ValueError("a unital algebra has constant coefficient 1")
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, TruncatedSeries) and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(("TruncatedSeries", self.coefficients))
+
+    def __repr__(self):
+        return f"TruncatedSeries(coefficients={self.coefficients!r})"
 
     def __getitem__(self, k: int):
         return self.coefficients[k]
@@ -199,14 +212,19 @@ def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(dims))
 
 
-@dataclass(frozen=True)
 class KoszulVerdict:
-    passed: bool
-    order: int
-    first_discrepancy: tuple  # (k, coefficient) or None
-    series: TruncatedSeries
-    dual_series: TruncatedSeries
-    product: tuple
+    """The criterion's outcome; first_discrepancy is (k, coefficient) or None."""
+
+    __slots__ = ("passed", "order", "first_discrepancy", "series", "dual_series", "product")
+
+    def __init__(self, passed: bool, order: int, first_discrepancy: tuple,
+                 series: TruncatedSeries, dual_series: TruncatedSeries, product: tuple):
+        for name, value in zip(self.__slots__, (passed, order, first_discrepancy, series,
+                                                dual_series, product)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KoszulVerdict is immutable")
 
     @property
     def note(self) -> str:

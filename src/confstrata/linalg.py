@@ -6,23 +6,23 @@ with integer arithmetic only (fraction-free elimination in the manner of
 Bareiss, Math. Comp. 22, 1968): a rational row has its denominators cleared
 once, on entry, and each elimination step scales by cofactors of a gcd, so
 ranks and pivot columns are exactly those over Q.  Fraction appears only at
-the boundaries: rational input rows and the nullspace output.
+the boundaries: rational input rows, read through their numerator and
+denominator, and the nullspace output, the only code here that imports it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def _integer_row(row):
-    """A copy of a sparse rational row, scaled to integers, zeros dropped."""
+    """A copy of a sparse row of ints and Fractions, scaled to integers, zeros dropped."""
+    row = {c: v for c, v in row.items() if v}
     for v in row.values():
         if type(v) is not int:
             break
     else:
-        return {c: v for c, v in row.items() if v}
-    row = {c: Fraction(v) for c, v in row.items() if v}
+        return row
     den = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
@@ -127,6 +127,8 @@ def nullspace(vectors, dim):
     Input vectors are dense sequences; output is a list of dense Fraction
     vectors in reduced canonical form (pivot pattern of the RREF).
     """
+    from fractions import Fraction
+
     ech = Echelon()
     for v in vectors:
         ech.add({i: x for i, x in enumerate(v) if x})

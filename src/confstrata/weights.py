@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .linalg import Echelon
 
@@ -29,6 +28,37 @@ class HypothesisRefusal(Exception):
     def to_json(self):
         return {"refused": True, "reason": self.reason,
                 "violations": [list(v) for v in self.violations]}
+
+
+class _Record:
+    """An immutable record on __slots__, built from its fields by position or keyword,
+    equal to another of its class with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class WeightMultiset:
@@ -125,9 +155,8 @@ class WeightedGradedSpace:
         return f"WeightedGradedSpace({data!r})"
 
 
-@dataclass(frozen=True)
-class PurityReport:
-    violations: tuple
+class PurityReport(_Record):
+    __slots__ = ("violations",)
 
     @property
     def pure(self) -> bool:
@@ -271,16 +300,13 @@ def _require_hypotheses(x: VarietyDescriptor):
             f"descriptor {x.name!r} does not assert a vanishing diagonal class")
 
 
-@dataclass(frozen=True)
-class Conf2Report:
-    """The weight ledger for two points in X x R at degree 2d."""
+class Conf2Report(_Record):
+    """The weight ledger for two points in X x R at degree 2d.
 
-    d: int
-    weight: int
-    relative: dict  # degree -> WeightMultiset for the two relative groups used
-    ker_alpha: WeightMultiset
-    pure: bool
-    betti_interval: tuple
+    relative maps a degree to the WeightMultiset of each relative group used.
+    """
+
+    __slots__ = ("d", "weight", "relative", "ker_alpha", "pure", "betti_interval")
 
     def to_json(self):
         return {
@@ -323,37 +349,31 @@ def conf2_purity_report(x: VarietyDescriptor) -> Conf2Report:
 # -- presentation algebras and the normal-form oracle ---------------------------
 
 
-@dataclass(frozen=True)
-class Generator:
-    label: str
-    degree: int
-    weight: int
+class Generator(_Record):
+    __slots__ = ("label", "degree", "weight")
 
     @property
     def odd(self) -> bool:
         return self.degree % 2 == 1
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A homogeneous relation: sum of coeff * word, words as generator-label tuples."""
 
-    kind: str
-    terms: tuple
+    __slots__ = ("kind", "terms")
 
 
-@dataclass(frozen=True)
-class PresentationAlgebra:
+class PresentationAlgebra(_Record):
     """Generators with degrees and weights, plus a configurable relation set.
 
     The sign convention is graded commutativity with Koszul signs; odd
     generators square to zero automatically.
     """
 
-    generators: tuple
-    relations: tuple
+    __slots__ = ("generators", "relations")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple, relations: tuple):
+        super().__init__(generators, relations)
         labels = [g.label for g in self.generators]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
@@ -545,11 +565,8 @@ class _Engine:
         return "*".join(parts) or "1"
 
 
-@dataclass(frozen=True)
-class DegreeLine:
-    degree: int
-    dim: int
-    weights: WeightMultiset
+class DegreeLine(_Record):
+    __slots__ = ("degree", "dim", "weights")
 
     def to_json(self):
         return {"degree": self.degree, "dim": self.dim,
@@ -557,11 +574,10 @@ class DegreeLine:
                 "pure": all(w == self.degree for w, _ in self.weights.entries)}
 
 
-@dataclass(frozen=True)
-class HilbertReport:
-    lines: tuple
-    pure: bool
-    first_violation: tuple  # (degree, weight, monomial label) or None
+class HilbertReport(_Record):
+    """first_violation is (degree, weight, monomial label) or None."""
+
+    __slots__ = ("lines", "pure", "first_violation")
 
     def dims(self):
         return [line.dim for line in self.lines]
@@ -636,12 +652,8 @@ def hilbert_series(algebra: PresentationAlgebra, N: int) -> HilbertReport:
     return HilbertReport(lines, first_violation is None, first_violation)
 
 
-@dataclass(frozen=True)
-class PurityVerdict:
-    pure: bool
-    max_degree: int
-    first_violation: tuple
-    hilbert: HilbertReport
+class PurityVerdict(_Record):
+    __slots__ = ("pure", "max_degree", "first_violation", "hilbert")
 
     def to_json(self):
         return {

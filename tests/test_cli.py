@@ -349,27 +349,35 @@ def test_module_process_matches_in_process_main(capsys, argv):
 # Each request runs in a fresh process, so it loads exactly what it uses.  A
 # lazily registered module is a `_LazyModule` in `sys.modules` until its code
 # has run; the tracer in perfbench relies on all eight being registered.
+# Neither is needed on these paths: dataclasses alone costs about 10 ms of
+# imports (inspect, ast, dis, tokenize), and fractions brings decimal.
 LOAD_CONTRACT = """
 import json, sys, types
 from confstrata.cli import main
 {call}
 registered = [k for k in sys.modules if k.startswith("confstrata.")]
 ran = [k for k in registered if type(sys.modules[k]) is types.ModuleType]
-print(json.dumps([sorted(registered), sorted(ran)]))
+stdlib = [k for k in ("dataclasses", "fractions") if k in sys.modules]
+print(json.dumps([sorted(registered), sorted(ran), stdlib]))
 """
 LAZY = ["checks", "confcat", "finchains", "forests", "koszul", "linalg", "weights", "wonderful"]
 
 
-@pytest.mark.parametrize("call,ran", [
-    ("", ["cli"]),
-    ('main(["forests", "--n", "2", "--count"])', ["cli", "finchains", "forests"]),
-    ('main(["hilbert", "--n", "2", "--max-deg", "4"])', ["cli", "linalg", "weights"]),
-], ids=["import", "forests", "hilbert"])
-def test_a_request_runs_only_the_modules_it_uses(call, ran):
+@pytest.mark.parametrize("call,ran,stdlib", [
+    ("", ["cli"], []),
+    ('main(["forests", "--n", "2", "--count"])', ["cli", "finchains", "forests"], []),
+    ('main(["hilbert", "--n", "2", "--max-deg", "4"])', ["cli", "linalg", "weights"], []),
+    ('main(["koszul", "--presentation", "exterior-2", "--max-deg", "4"])',
+     ["cli", "koszul", "linalg"], ["fractions"]),
+    ('main(["deltafin-check", "--max-level", "1", "--max-size", "2", "--functor"])',
+     ["checks", "cli", "confcat", "finchains", "forests"], []),
+], ids=["import", "forests", "hilbert", "koszul", "deltafin-check"])
+def test_a_request_runs_only_the_modules_it_uses(call, ran, stdlib):
     proc = run_child("-c", LOAD_CONTRACT.format(call=call))
     assert proc.returncode == 0, proc.stderr
     registered = sorted(f"confstrata.{m}" for m in ["cli", *LAZY])
-    assert json.loads(proc.stdout.splitlines()[-1]) == [registered, [f"confstrata.{m}" for m in ran]]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        registered, [f"confstrata.{m}" for m in ran], stdlib]
 
 
 def test_nests_dot(tmp_path, capsys):
@@ -434,6 +442,8 @@ BAD_FLAGS = [
      "error: bad presentation exterior-x: N must be a positive integer\n"),
     ("presentation-size-negative", ["koszul", "--presentation", "symmetric--1"],
      "error: bad presentation symmetric--1: N must be a positive integer\n"),
+    ("presentation-size-superscript", ["koszul", "--presentation", "exterior-²"],
+     "error: bad presentation exterior-²: N must be a positive integer\n"),
     ("source-label-not-integer", ["forget-centers", "--source", "a,b", "--target", "1,2"],
      "error: --source label 'a' is not an integer\n"),
     ("target-label-empty", ["forget-centers", "--source", "1,2", "--target", "1,,3"],

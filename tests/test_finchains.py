@@ -48,7 +48,10 @@ def test_validate_chain_mismatched_target():
     s, t, u = FiniteSet([1, 2]), FiniteSet([1]), FiniteSet([5])
     bad = FinChain([s, u], [SetMap(s, t, {1: 1, 2: 1})])
     assert not validate_chain(bad)
-    assert chain_violations(bad)
+    problems = chain_violations(bad)
+    assert problems == ["map 0 has target != S_1"]
+    problems.clear()  # the diagnostics kept with the chain are not the caller's list
+    assert chain_violations(bad) == ["map 0 has target != S_1"]
 
 
 def test_validate_chain_degenerate():
@@ -149,6 +152,17 @@ def test_simplex_map_face_and_degeneracy_are_valid():
         sm = SimplexMap.degeneracy(chain, i)
         assert not sm.violations()
         assert set(sm.delta) == set(range(chain.level_count + 1))  # onto every level
+
+
+def test_simplex_maps_share_equal_chains():
+    chain = two_to_one()
+    rebuilt = FinChain(list(chain.sets), list(chain.maps))
+    assert rebuilt == chain and rebuilt is not chain
+    first, second = SimplexMap.face(chain, 0), SimplexMap.face(rebuilt, 0)
+    assert first.target is second.target and first.source is second.source
+    composite = SimplexMap.degeneracy(first.source, 0).then(first)
+    assert composite.source is SimplexMap.degeneracy(second.source, 0).source
+    assert composite.target is first.target
 
 
 def test_simplex_map_rejects_wrong_source():

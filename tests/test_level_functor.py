@@ -1,6 +1,6 @@
 import pytest
 
-from confstrata import checks
+from confstrata import checks, confcat
 from confstrata.checks import check_level_functor
 from confstrata.finchains import (
     FinChain,
@@ -149,6 +149,25 @@ def test_memoised_results_equal_the_uncached_originals():
         assert mor.signature() == ForMorphism.signature.__wrapped__(mor)
         for j in mor.max_lifts():
             assert pullback(j, mor.target) == pullback.__wrapped__(j, mor.target)
+
+
+def test_morphisms_of_one_target_and_image_are_one_object():
+    chain = collapse_pair()
+    identity = level_functor_morphism(SimplexMap.identity(chain))
+    for i in range(2):
+        assert level_functor_morphism(SimplexMap.degeneracy(chain, i)) is identity
+    assert identity.then(identity) is identity
+    assert ForMorphism.identity(level_functor_object(chain)) is identity
+
+
+def test_functor_check_reports_every_failing_pair(monkeypatch):
+    # each distinct (F f, F g, F(f then g)) triple is decided once, but every
+    # pair still counts its two checks and reports its own failure
+    monkeypatch.setattr(confcat, "stratum_maps_equivalent", lambda a, b: False)
+    result = check_level_functor(3, 2, pair_samples=300, seed=1)
+    assert result.checked == 6655
+    assert len(result.failures) == 3022
+    assert all(f.startswith("con composition failed: ") for f in result.failures)
 
 
 def test_functor_laws_small_range():

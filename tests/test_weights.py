@@ -279,6 +279,19 @@ def test_hilbert_weights_sum_generator_weights():
             assert line.weights.is_pure_of(line.degree)
 
 
+def test_records_build_by_position_or_keyword_and_stay_frozen():
+    u = Generator("u", 2, 0)
+    assert u == Generator(label="u", degree=2, weight=0) and hash(u) == hash(Generator("u", 2, 0))
+    assert repr(u) == "Generator(label='u', degree=2, weight=0)"
+    for args, kwargs in ((("u", 2), {}), (("u", 2, 0, 1), {}), (("u", 2), {"label": "v"})):
+        with pytest.raises(TypeError):
+            Generator(*args, **kwargs)
+    with pytest.raises(AttributeError):
+        u.degree = 4
+    with pytest.raises(ValueError, match="distinct"):
+        PresentationAlgebra(relations=(), generators=(u, u))
+
+
 def test_hilbert_detects_impure_monomials():
     # bypass the theorem gate: feed an impure generator directly
     algebra = PresentationAlgebra(
