@@ -10,9 +10,8 @@ followed by a stratum inclusion.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-from .finchains import SetMap, SimplexMap, _Value, _fill
+from . import _Value, _fill
+from .finchains import SetMap, SimplexMap
 from .forests import (
     ForMorphism,
     Forest,
@@ -26,7 +25,6 @@ class Stratum(_Value):
     """A closed stratum, carried entirely by its indexing forest."""
 
     __slots__ = ("forest",)
-    _fields = attrgetter("forest")
 
     def __init__(self, forest: Forest):
         _fill(self, forest)
@@ -66,7 +64,6 @@ class StratumMap(_Value):
     """
 
     __slots__ = ("morphism",)
-    _fields = attrgetter("morphism")
 
     def __init__(self, morphism: ForMorphism):
         _fill(self, morphism)
@@ -121,7 +118,7 @@ def stratum_maps_equivalent(a: StratumMap, b: StratumMap) -> bool:
     return a.signature() == b.signature()
 
 
-class StrataPoset:
+class StrataPoset(_Value):
     """The strata over {1..n}, one per forest, ordered by inclusion; the caller bounds n."""
 
     __slots__ = ("n", "strata", "covers")
@@ -136,12 +133,7 @@ class StrataPoset:
             (index[tuple(c for c in g.blocks if c != b)], index[g.blocks])
             for g in forests for b in g.non_singleton_blocks()
         ]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "strata", tuple(strata))
-        object.__setattr__(self, "covers", tuple(sorted(covers)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrataPoset is immutable")
+        _fill(self, n, tuple(strata), tuple(sorted(covers)))
 
     def to_dot(self) -> str:
         lines = ["digraph strata {", "  rankdir=BT;", "  node [shape=box];"]

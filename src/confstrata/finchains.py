@@ -13,37 +13,12 @@ from __future__ import annotations
 import functools
 from operator import attrgetter, le, sub
 
+from . import _Value, _fill
+
 
 def label_key(label):
     """Sort key valid for mixed int/str label sets."""
     return (label.__class__.__name__, label)
-
-
-_set = object.__setattr__
-
-
-class _Value:
-    """An immutable value: equal to another of its class with equal _fields.
-
-    _fields is an attrgetter of the fields that make the value; the hash of
-    (class name, fields) is computed on first use and kept.
-    """
-
-    __slots__ = ("_hash",)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return self is other or (type(other) is type(self)
-                                 and self._fields(self) == self._fields(other))
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            _set(self, "_hash", hash((type(self).__name__, self._fields(self))))
-            return self._hash
 
 
 class FiniteSet(_Value):
@@ -101,7 +76,7 @@ class SetMap(_Value):
         try:
             return s._identity
         except AttributeError:
-            _set(s, "_identity", _setmap(s, s, tuple(range(len(s)))))
+            object.__setattr__(s, "_identity", _setmap(s, s, tuple(range(len(s)))))
             return s._identity
 
     @property
@@ -130,13 +105,6 @@ class SetMap(_Value):
 
     def __repr__(self):
         return f"SetMap({self.source!r}, {self.target!r}, {self.as_dict()!r})"
-
-
-def _fill(obj, *values):
-    """Set the slots of obj's class, in order: construction without the immutability guard."""
-    for name, value in zip(type(obj).__slots__, values):
-        _set(obj, name, value)
-    return obj
 
 
 _map_source, _map_target, _map_table = (SetMap.source.__set__, SetMap.target.__set__,
@@ -218,7 +186,7 @@ def chain_violations(chain: FinChain) -> list[str]:
             problems.append(f"map {i} has source != S_{i}")
         if f.target != chain.sets[i + 1]:
             problems.append(f"map {i} has target != S_{i + 1}")
-    _set(chain, "_problems", tuple(problems))
+    object.__setattr__(chain, "_problems", tuple(problems))
     return problems
 
 
@@ -288,7 +256,6 @@ class SimplexMap(_Value):
     """
 
     __slots__ = ("delta", "source", "target")
-    _fields = attrgetter("delta", "source", "target")
 
     def __init__(self, delta, source: FinChain, target: FinChain):
         _fill(self, tuple(delta), _shared_chain(source), _shared_chain(target))

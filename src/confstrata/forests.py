@@ -18,13 +18,12 @@ import functools
 import itertools
 from operator import attrgetter
 
+from . import _Value, _fill
 from .finchains import (
     FinChain,
     FiniteSet,
     SetMap,
     SimplexMap,
-    _Value,
-    _fill,
     _setmap,
     chain_violations,
     label_key,
@@ -173,7 +172,6 @@ class ForestPoset(_Value):
     """
 
     __slots__ = ("elements", "less")
-    _fields = attrgetter("elements", "less")
 
     def __init__(self, elements, less):
         elements = tuple(sorted(set(elements), key=label_key))

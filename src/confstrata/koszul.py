@@ -14,15 +14,16 @@ sufficient: a PASS only means "consistent to the checked order".
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import sys
 from math import lcm
 
+from . import _Value, _fill
 from .linalg import Echelon, integerize, nullspace
 
 CONVENTIONS = ("graded-commutative", "free")
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Value):
     """The coefficients of a series truncated at some order, constant term first."""
 
     __slots__ = ("coefficients",)
@@ -30,19 +31,7 @@ class TruncatedSeries:
     def __init__(self, coefficients: tuple):
         if coefficients and coefficients[0] != 1:
             raise ValueError("a unital algebra has constant coefficient 1")
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(("TruncatedSeries", self.coefficients))
-
-    def __repr__(self):
-        return f"TruncatedSeries(coefficients={self.coefficients!r})"
+        _fill(self, coefficients)
 
     def __getitem__(self, k: int):
         return self.coefficients[k]
@@ -62,7 +51,14 @@ class TruncatedSeries:
         return tuple(out)
 
 
-class QuadraticPresentation:
+def _fraction(value):
+    """A coefficient that is not an int, as a Fraction: the one place koszul loads fractions."""
+    from fractions import Fraction
+
+    return Fraction(value)
+
+
+class QuadraticPresentation(_Value):
     """g generators in degree one and a relation subspace of the g^2 monomial basis.
 
     relations holds linearly independent vectors, coordinates indexed by
@@ -83,37 +79,26 @@ class QuadraticPresentation:
         vectors = []
         ech = Echelon()
         for rel in relations:
-            vec = tuple(Fraction(v) for v in rel)
+            vec = tuple(v if type(v) is int else _fraction(v) for v in rel)
             if len(vec) != g * g:
                 raise ValueError("relation vector must have g^2 coordinates")
             if not ech.add({i: v for i, v in enumerate(vec) if v}):
                 raise ValueError("relation vectors must be linearly independent")
             vectors.append(vec)
-        object.__setattr__(self, "generator_count", g)
-        object.__setattr__(self, "relations", tuple(vectors))
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "regraded_from", regraded_from)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticPresentation is immutable")
+        _fill(self, g, tuple(vectors), convention, regraded_from)
 
     def effective_relations(self):
         """Relation vectors with the commutativity law added under the gc convention.
 
         Degree-one generators are odd, so graded commutativity contributes
-        e_i e_j + e_j e_i for i < j and the squares e_i e_i.
+        e_i e_j + e_j e_i for i < j and the squares e_i e_i (the case i = j).
         """
         g = self.generator_count
         vectors = [list(v) for v in self.relations]
         if self.convention == "graded-commutative":
-            for i in range(g):
-                vec = [Fraction(0)] * (g * g)
-                vec[i * g + i] = Fraction(1)
-                vectors.append(vec)
-            for i, j in itertools.combinations(range(g), 2):
-                vec = [Fraction(0)] * (g * g)
-                vec[i * g + j] = Fraction(1)
-                vec[j * g + i] = Fraction(1)
+            for i, j in itertools.combinations_with_replacement(range(g), 2):
+                vec = [0] * (g * g)
+                vec[i * g + j] = vec[j * g + i] = 1
                 vectors.append(vec)
         ech = Echelon()
         independent = []
@@ -134,9 +119,7 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     """
     g = p.generator_count
     effective = p.effective_relations()
-    ann = nullspace(effective, g * g)
-    canonical = [integerize(v) for v in ann]
-    return QuadraticPresentation(g, canonical, convention="free",
+    return QuadraticPresentation(g, nullspace(effective, g * g), convention="free",
                                  regraded_from=p.regraded_from)
 
 
@@ -212,19 +195,10 @@ def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(dims))
 
 
-class KoszulVerdict:
+class KoszulVerdict(_Value):
     """The criterion's outcome; first_discrepancy is (k, coefficient) or None."""
 
     __slots__ = ("passed", "order", "first_discrepancy", "series", "dual_series", "product")
-
-    def __init__(self, passed: bool, order: int, first_discrepancy: tuple,
-                 series: TruncatedSeries, dual_series: TruncatedSeries, product: tuple):
-        for name, value in zip(self.__slots__, (passed, order, first_discrepancy, series,
-                                                dual_series, product)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulVerdict is immutable")
 
     @property
     def note(self) -> str:
@@ -275,13 +249,20 @@ def presentation_to_json(p: QuadraticPresentation) -> dict:
     }
 
 
-def _coefficient(value, where: str) -> Fraction:
-    """A relation coefficient: a JSON number or a numeric string such as "-3/5"."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, OverflowError):
-            pass
+def _coefficient(value, where: str):
+    """A relation coefficient: a JSON number or a numeric string such as "-3/5".
+
+    Building a string's exact value takes work that grows with its decimal
+    exponent, so the exponent must lie in a JSON number's range.
+    """
+    if type(value) is int:
+        return value
+    try:
+        exponent = value.lower().partition("e")[2] if type(value) is str else ""
+        if type(value) in (float, str) and abs(int(exponent or 0)) <= sys.float_info.max_10_exp:
+            return _fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        pass
     raise ValueError(f"{where} must be a number or a numeric string, not {value!r}")
 
 
@@ -311,12 +292,8 @@ def presentation_from_json(data) -> QuadraticPresentation:
 
 def genus_one_presentation() -> QuadraticPresentation:
     """Two odd generators with explicit squares: the regraded genus-1 ring."""
-    g = 2
-    aa = [0] * 4
-    aa[0] = 1
-    bb = [0] * 4
-    bb[3] = 1
-    return QuadraticPresentation(g, [aa, bb], "graded-commutative", regraded_from=1)
+    return QuadraticPresentation(2, [[1, 0, 0, 0], [0, 0, 0, 1]], "graded-commutative",
+                                 regraded_from=1)
 
 
 def exterior_presentation(g: int) -> QuadraticPresentation:

@@ -5,9 +5,9 @@ Everything here is sized for the small systems this package produces
 with integer arithmetic only (fraction-free elimination in the manner of
 Bareiss, Math. Comp. 22, 1968): a rational row has its denominators cleared
 once, on entry, and each elimination step scales by cofactors of a gcd, so
-ranks and pivot columns are exactly those over Q.  Fraction appears only at
-the boundaries: rational input rows, read through their numerator and
-denominator, and the nullspace output, the only code here that imports it.
+ranks and pivot columns are exactly those over Q.  Nothing here imports
+fractions: a rational input row (of ints and Fractions) is read through its
+numerators and denominators, and nullspace returns primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -124,11 +124,11 @@ def rank(rows) -> int:
 def nullspace(vectors, dim):
     """Basis of {u in Q^dim : sum_i u[i]*v[i] = 0 for every v in vectors}.
 
-    Input vectors are dense sequences; output is a list of dense Fraction
-    vectors in reduced canonical form (pivot pattern of the RREF).
+    Input vectors are dense sequences.  One output vector per non-pivot column
+    f of the reduced echelon form: the solution with u[f] = 1 and zero at the
+    other free columns, scaled to the smallest integer vector whose first
+    nonzero entry is positive.
     """
-    from fractions import Fraction
-
     ech = Echelon()
     for v in vectors:
         ech.add({i: x for i, x in enumerate(v) if x})
@@ -136,13 +136,13 @@ def nullspace(vectors, dim):
     free_cols = [c for c in range(dim) if c not in pivots]
     basis = []
     for f in free_cols:
-        u = [Fraction(0)] * dim
-        u[f] = Fraction(1)
-        for lead, row in pivots.items():
-            coef = row.get(f)
-            if coef:
-                u[lead] = Fraction(-coef, row[lead])
-        basis.append(u)
+        column = {lead: row for lead, row in pivots.items() if f in row}
+        den = lcm(*(row[lead] for lead, row in column.items()))
+        u = [0] * dim
+        u[f] = den
+        for lead, row in column.items():
+            u[lead] = -row[f] * (den // row[lead])
+        basis.append(integerize(u))
     return basis
 
 

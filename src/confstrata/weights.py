@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from . import _Value, _fill
 from .linalg import Echelon
 
 
@@ -30,38 +31,7 @@ class HypothesisRefusal(Exception):
                 "violations": [list(v) for v in self.violations]}
 
 
-class _Record:
-    """An immutable record on __slots__, built from its fields by position or keyword,
-    equal to another of its class with equal fields."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._values() == other._values()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class WeightMultiset:
+class WeightMultiset(_Value):
     """Weights with multiplicities; entries are merged and sorted."""
 
     __slots__ = ("entries",)
@@ -72,10 +42,7 @@ class WeightMultiset:
             if m <= 0:
                 raise ValueError("multiplicities must be positive")
             merged[w] = merged.get(w, 0) + m
-        object.__setattr__(self, "entries", tuple(sorted(merged.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightMultiset is immutable")
+        _fill(self, tuple(sorted(merged.items())))
 
     @classmethod
     def empty(cls):
@@ -103,17 +70,11 @@ class WeightMultiset:
     def __bool__(self):
         return bool(self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, WeightMultiset) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("WeightMultiset", self.entries))
-
     def __repr__(self):
         return f"WeightMultiset({dict(self.entries)!r})"
 
 
-class WeightedGradedSpace:
+class WeightedGradedSpace(_Value):
     """Per-degree weight multisets with finite support."""
 
     __slots__ = ("by_degree",)
@@ -127,10 +88,7 @@ class WeightedGradedSpace:
             ws = ws if isinstance(ws, WeightMultiset) else WeightMultiset(ws)
             if ws:
                 data[degree] = data.get(degree, WeightMultiset.empty()).union(ws)
-        object.__setattr__(self, "by_degree", tuple(sorted(data.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedGradedSpace is immutable")
+        _fill(self, tuple(sorted(data.items())))
 
     def at(self, degree: int) -> WeightMultiset:
         for deg, ws in self.by_degree:
@@ -144,18 +102,12 @@ class WeightedGradedSpace:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def __eq__(self, other):
-        return isinstance(other, WeightedGradedSpace) and self.by_degree == other.by_degree
-
-    def __hash__(self):
-        return hash(("WeightedGradedSpace", self.by_degree))
-
     def __repr__(self):
         data = {d: ws.as_dict() for d, ws in self.by_degree}
         return f"WeightedGradedSpace({data!r})"
 
 
-class PurityReport(_Record):
+class PurityReport(_Value):
     __slots__ = ("violations",)
 
     @property
@@ -187,7 +139,7 @@ def tensor(a: WeightedGradedSpace, b: WeightedGradedSpace) -> WeightedGradedSpac
     return WeightedGradedSpace(pieces)
 
 
-class VarietyDescriptor:
+class VarietyDescriptor(_Value):
     """Weight data of a connected smooth variety of complex dimension d."""
 
     __slots__ = ("name", "d", "cohomology", "diagonal_class_vanishes")
@@ -200,13 +152,7 @@ class VarietyDescriptor:
             raise ValueError("cohomological degrees exceed 2d")
         if cohomology.at(0) != WeightMultiset({0: 1}):
             raise ValueError("H^0 must be one-dimensional of weight 0 (connected variety)")
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "cohomology", cohomology)
-        object.__setattr__(self, "diagonal_class_vanishes", bool(diagonal_class_vanishes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VarietyDescriptor is immutable")
+        _fill(self, str(name), int(d), cohomology, bool(diagonal_class_vanishes))
 
     def __repr__(self):
         return f"VarietyDescriptor({self.name!r}, d={self.d})"
@@ -300,7 +246,7 @@ def _require_hypotheses(x: VarietyDescriptor):
             f"descriptor {x.name!r} does not assert a vanishing diagonal class")
 
 
-class Conf2Report(_Record):
+class Conf2Report(_Value):
     """The weight ledger for two points in X x R at degree 2d.
 
     relative maps a degree to the WeightMultiset of each relative group used.
@@ -349,7 +295,7 @@ def conf2_purity_report(x: VarietyDescriptor) -> Conf2Report:
 # -- presentation algebras and the normal-form oracle ---------------------------
 
 
-class Generator(_Record):
+class Generator(_Value):
     __slots__ = ("label", "degree", "weight")
 
     @property
@@ -357,13 +303,13 @@ class Generator(_Record):
         return self.degree % 2 == 1
 
 
-class Relation(_Record):
+class Relation(_Value):
     """A homogeneous relation: sum of coeff * word, words as generator-label tuples."""
 
     __slots__ = ("kind", "terms")
 
 
-class PresentationAlgebra(_Record):
+class PresentationAlgebra(_Value):
     """Generators with degrees and weights, plus a configurable relation set.
 
     The sign convention is graded commutativity with Koszul signs; odd
@@ -565,7 +511,7 @@ class _Engine:
         return "*".join(parts) or "1"
 
 
-class DegreeLine(_Record):
+class DegreeLine(_Value):
     __slots__ = ("degree", "dim", "weights")
 
     def to_json(self):
@@ -574,7 +520,7 @@ class DegreeLine(_Record):
                 "pure": all(w == self.degree for w, _ in self.weights.entries)}
 
 
-class HilbertReport(_Record):
+class HilbertReport(_Value):
     """first_violation is (degree, weight, monomial label) or None."""
 
     __slots__ = ("lines", "pure", "first_violation")
@@ -652,7 +598,7 @@ def hilbert_series(algebra: PresentationAlgebra, N: int) -> HilbertReport:
     return HilbertReport(lines, first_violation is None, first_violation)
 
 
-class PurityVerdict(_Record):
+class PurityVerdict(_Value):
     __slots__ = ("pure", "max_degree", "first_violation", "hilbert")
 
     def to_json(self):

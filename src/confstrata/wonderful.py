@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import namedtuple
 from operator import attrgetter
 
-from .finchains import FiniteSet, SetMap, _fill, _Value
+from . import _Value, _fill
+from .finchains import FiniteSet, SetMap
 from .forests import Forest, _mask_forests
 
 
@@ -179,7 +179,6 @@ class BuildingSet(_Value):
     """A validated building set inside an arrangement lattice."""
 
     __slots__ = ("lattice", "members")
-    _fields = attrgetter("lattice", "members")
 
     def __init__(self, lattice: DiagonalLattice, members):
         members = set(members)
@@ -239,7 +238,11 @@ def nest_to_forest(n: int, nest) -> Forest:
 
 # -- blow-up schedules -------------------------------------------------------------
 
-DivisorRecord = namedtuple("DivisorRecord", ["index", "center", "label"])
+
+class DivisorRecord(_Value):
+    """The exceptional divisor of a center: its place in the order, the center and its name."""
+
+    __slots__ = ("index", "center", "label")
 
 
 class BlowUpSchedule(_Value):

@@ -86,3 +86,97 @@ def test_no_module_level_import_goes_unused():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno} imports {name} unused")
     assert offenders == []
+
+
+def test_only_the_value_base_defines_equality_and_immutability():
+    """__init__.py holds the one value base: no other module defines __setattr__, __eq__
+    or __hash__, or imports namedtuple or dataclasses."""
+    offenders = []
+    for path in sorted(Path(confstrata.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "__setattr__", "__eq__", "__hash__"):
+                offenders.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module, *(alias.name for alias in node.names)]
+            else:
+                continue
+            for name in {"namedtuple", "dataclasses"} & set(names):
+                offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert offenders == []
+
+
+def _values():
+    """For each value class, a function that builds a new, equal value on every call."""
+    from confstrata import confcat, finchains, forests, koszul, weights, wonderful
+
+    ground = finchains.FiniteSet([1, 2])
+    chain = finchains.FinChain([ground, ground], [finchains.SetMap.identity(ground)])
+    forest = forests.Forest(ground, [(1,), (2,), (1, 2)])
+    morphism = forests.ForMorphism.identity(forest)
+    bset = wonderful.diagonal_building_set(3)
+    gen = weights.Generator("u", 2, 2)
+    line = weights.DegreeLine(0, 1, weights.WeightMultiset({0: 1}))
+    hilbert = weights.HilbertReport((line,), True, None)
+    return {
+        "FiniteSet": lambda: finchains.FiniteSet([2, 1]),
+        "SetMap": lambda: finchains.SetMap(ground, ground, {1: 2, 2: 2}),
+        "FinChain": lambda: finchains.FinChain([ground, ground], chain.maps),
+        "SimplexMap": lambda: finchains.SimplexMap.identity(chain),
+        "Forest": lambda: forests.Forest(ground, [(1, 2), (2,), (1,)]),
+        "ForestPoset": lambda: forests.to_poset(forest),
+        "ForMorphism": lambda: forests.ForMorphism(forest, forest, [(b, b) for b in forest.blocks]),
+        "DiagonalLattice": lambda: wonderful.DiagonalLattice(3),
+        "BuildingSet": lambda: wonderful.BuildingSet(wonderful.DiagonalLattice(3), bset.members),
+        "BlowUpSchedule": lambda: wonderful.default_order(bset),
+        "DivisorRecord": lambda: wonderful.DivisorRecord(0, (3,), "E_{1,2}"),
+        "Stratum": lambda: confcat.Stratum(forest),
+        "StratumMap": lambda: confcat.StratumMap(morphism),
+        "StrataPoset": lambda: confcat.StrataPoset(3),
+        "WeightMultiset": lambda: weights.WeightMultiset({2: 1, 0: 1}),
+        "WeightedGradedSpace": lambda: weights.WeightedGradedSpace({0: {0: 1}, 2: {2: 1}}),
+        "VarietyDescriptor": weights.elliptic_curve,
+        "PurityReport": lambda: weights.check_pure(weights.elliptic_curve().cohomology),
+        "Conf2Report": lambda: weights.conf2_purity_report(weights.elliptic_curve()),
+        "Generator": lambda: weights.Generator("u", 2, 2),
+        "Relation": lambda: weights.Relation("square", ((1, ("u", "u")),)),
+        "PresentationAlgebra": lambda: weights.PresentationAlgebra((gen,), ()),
+        "DegreeLine": lambda: weights.DegreeLine(0, 1, weights.WeightMultiset({0: 1})),
+        "HilbertReport": lambda: weights.HilbertReport((line,), True, None),
+        "PurityVerdict": lambda: weights.PurityVerdict(True, 0, None, hilbert),
+        "TruncatedSeries": lambda: koszul.TruncatedSeries((1, 2, 1)),
+        "QuadraticPresentation": koszul.genus_one_presentation,
+        "KoszulVerdict": lambda: koszul.koszul_criterion(koszul.exterior_presentation(2), 4),
+    }
+
+
+VALUES = _values()
+UNHASHABLE = {"Conf2Report"}  # its relative groups are a dict, by degree
+for _module in ("finchains", "forests", "wonderful", "confcat", "weights", "koszul", "linalg",
+                "checks"):
+    dir(getattr(confstrata, _module))  # runs the lazily loaded module
+VALUE_CLASSES = sorted(confstrata._Value.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def test_every_value_class_derives_from_the_base():
+    assert [cls.__name__ for cls in VALUE_CLASSES] == sorted(VALUES)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=[cls.__name__ for cls in VALUE_CLASSES])
+def test_values_are_immutable_and_equal_by_fields(cls):
+    name = cls.__name__
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b and a != (a,)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    field = cls.__slots__[0]
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(a, field, getattr(b, field))
