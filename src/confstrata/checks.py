@@ -155,8 +155,8 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
 
     What is memoised, and for how long:
     - for the whole process, in bounded tables (lru_cache, 65536 entries
-      each): level_functor_morphism per distinct simplex map, its image per
-      (target chain, image of delta), the level data per chain, pullback,
+      each): the morphism behind level_functor_morphism per (target chain,
+      image of delta), the level data per chain, pullback,
       ForMorphism.signature, and the shared copies of chains and morphisms;
     - for this call only, in tables that go with it: the elementary maps into
       each distinct chain with their images, forests.morphism_violations per

@@ -129,7 +129,7 @@ class FinChain(_Value):
     be inspected and diagnosed rather than being unrepresentable.
     """
 
-    __slots__ = ("sets", "maps", "_problems")
+    __slots__ = ("sets", "maps")
     _fields = attrgetter("sets", "maps")
 
     def __init__(self, sets, maps=()):
@@ -172,22 +172,21 @@ def identity_chain(s: FiniteSet) -> FinChain:
 
 
 def chain_violations(chain: FinChain) -> list[str]:
-    """Diagnostics for every violated chain invariant (empty list iff valid).
-
-    Found once per chain object and kept with it, like its hash.
-    """
-    try:
-        return list(chain._problems)
-    except AttributeError:
-        pass
+    """Diagnostics for every violated chain invariant (empty list iff valid)."""
     problems = []
     for i, f in enumerate(chain.maps):
         if f.source != chain.sets[i]:
             problems.append(f"map {i} has source != S_{i}")
         if f.target != chain.sets[i + 1]:
             problems.append(f"map {i} has target != S_{i + 1}")
-    object.__setattr__(chain, "_problems", tuple(problems))
     return problems
+
+
+def _require_valid(*chains: FinChain) -> None:
+    """Raise one ValueError naming every violated invariant of the chains."""
+    problems = [p for chain in chains for p in chain_violations(chain)]
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def validate_chain(chain: FinChain) -> bool:
@@ -252,66 +251,62 @@ def precompose(chain: FinChain, delta) -> FinChain:
 class SimplexMap(_Value):
     """A morphism of chains: monotone delta: [k] -> [l] with source = target∘delta.
 
-    Its chains are the shared copies of the chains it is given.
+    The constructor validates, and keeps the shared copies of the chains it is
+    given.  The canonical maps check only the chain they are given, and
+    composites nothing: both are simplex maps by construction.
     """
 
     __slots__ = ("delta", "source", "target")
 
     def __init__(self, delta, source: FinChain, target: FinChain):
-        _fill(self, tuple(delta), _shared_chain(source), _shared_chain(target))
-
-    def violations(self) -> list[str]:
-        problems = []
-        source, target, delta = self.source, self.target, self.delta
-        k, l = source.level_count, target.level_count
-        if len(delta) != k + 1:
-            problems.append("delta length != source level count + 1")
-            return problems
-        if any(not 0 <= j <= l for j in delta):
-            problems.append("delta image out of range")
-            return problems
+        delta = tuple(delta)
+        if len(delta) != source.level_count + 1:
+            raise ValueError("delta length != source level count + 1")
+        if any(not 0 <= j <= target.level_count for j in delta):
+            raise ValueError("delta image out of range")
         if any(a > b for a, b in zip(delta, delta[1:])):
-            problems.append("delta is not weakly monotone")
-            return problems
-        bad = chain_violations(source) + chain_violations(target)
-        if bad:
-            problems.extend(bad)
-            return problems
+            raise ValueError("delta is not weakly monotone")
+        _require_valid(source, target)
         # compare tables: the source's maps against the target's composites along delta
         if any(s != target.sets[j] for s, j in zip(source.sets, delta)) or any(
                 f.table != _table(target, a, b)
                 for f, a, b in zip(source.maps, delta, delta[1:])):
-            problems.append("source chain != target chain reindexed along delta")
-        return problems
+            raise ValueError("source chain != target chain reindexed along delta")
+        _fill(self, delta, _shared_chain(source), _shared_chain(target))
 
-    @classmethod
-    def identity(cls, chain: FinChain) -> "SimplexMap":
-        return cls(range(chain.level_count + 1), chain, chain)
+    @staticmethod
+    def identity(chain: FinChain) -> "SimplexMap":
+        _require_valid(chain)
+        chain = _shared_chain(chain)
+        return _simplex_map(tuple(range(chain.level_count + 1)), chain, chain)
 
-    @classmethod
-    def face(cls, chain: FinChain, i: int) -> "SimplexMap":
+    @staticmethod
+    def face(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism face(chain, i) -> chain."""
-        k = chain.level_count
-        delta = tuple(t for t in range(k + 1) if t != i)
-        return cls(delta, face(chain, i), chain)
+        _require_valid(chain)
+        delta = tuple(t for t in range(chain.level_count + 1) if t != i)
+        return _simplex_map(delta, _shared_chain(face(chain, i)), _shared_chain(chain))
 
-    @classmethod
-    def degeneracy(cls, chain: FinChain, i: int) -> "SimplexMap":
+    @staticmethod
+    def degeneracy(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism degeneracy(chain, i) -> chain."""
-        k = chain.level_count
-        delta = tuple(t if t <= i else t - 1 for t in range(k + 2))
-        return cls(delta, degeneracy(chain, i), chain)
+        _require_valid(chain)
+        delta = tuple(t if t <= i else t - 1 for t in range(chain.level_count + 2))
+        return _simplex_map(delta, _shared_chain(degeneracy(chain, i)), _shared_chain(chain))
 
     def then(self, other: "SimplexMap") -> "SimplexMap":
         if other.source != self.target:
             raise ValueError("simplex maps do not compose")
-        # both chains are shared already
         delta = other.delta
-        return _fill(object.__new__(SimplexMap), tuple([delta[j] for j in self.delta]),
-                     self.source, other.target)
+        return _simplex_map(tuple([delta[j] for j in self.delta]), self.source, other.target)
 
     def __repr__(self):
         return f"SimplexMap({list(self.delta)!r}: {self.source!r} -> {self.target!r})"
+
+
+def _simplex_map(delta: tuple, source: FinChain, target: FinChain) -> SimplexMap:
+    """The simplex map on these chains, which must be shared already; unchecked (as _setmap)."""
+    return _fill(object.__new__(SimplexMap), delta, source, target)
 
 
 # -- enumeration: one chain per relabelling class ----------------------------

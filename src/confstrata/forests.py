@@ -9,7 +9,9 @@ order- and independence-preserving poset maps.
 The level construction turns a chain S_0 -> ... -> S_k into a forest: elements
 of consecutive levels are glued when the connecting fiber is a singleton, the
 leftover classes are ordered by "is a forward image of", and the maximal
-classes become the ground set.
+classes become the ground set.  Equivalently, as it is computed: the ground
+set is the leaves, the points that no map hits, and a point's block is its
+leaf set, the leaves whose forward images reach it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .finchains import (
     FiniteSet,
     SetMap,
     SimplexMap,
+    _require_valid,
     _setmap,
-    chain_violations,
     label_key,
     precompose,
 )
@@ -80,11 +82,6 @@ class Forest(_Value):
 
     def non_singleton_blocks(self):
         return tuple(b for b in self.blocks if len(b) > 1)
-
-    def __le__(self, other):
-        if self.ground != other.ground:
-            raise ValueError("forests on different ground sets are incomparable")
-        return set(self.blocks) <= set(other.blocks)
 
     def __repr__(self):
         return f"Forest({list(self.ground.labels)!r}, {[list(b) for b in self.blocks]!r})"
@@ -371,81 +368,63 @@ def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
 # -- the level construction ----------------------------------------------------
 
 
-class _LevelData:
-    """Quotient classes of a chain: the scaffolding behind the level forest.
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Points are flat integers, level by level in label order.  A class is a run
-    of points glued along singleton fibers, numbered by its earliest point;
-    last[c] is its deepest point as (level, position), blocks[c] its block and
-    order lists the classes in the forest's canonical block order.
+
+class _LevelData:
+    """The leaf sets of a chain's points: the scaffolding behind the level forest.
+
+    A leaf is a point that no map hits, and a point's leaf set is the union of
+    its fiber's, or a leaf of its own when the fiber is empty.  masks[i][y] is
+    the leaf set of point y of S_i as a bitmask over the leaves in order of
+    occurrence.  The blocks are the distinct masks: gluing along a singleton
+    fiber keeps a mask, and two points of one level have disjoint masks.
+    blocks maps each mask to its block, and deepest lists each block's deepest
+    point as (level, position), both in the forest's canonical block order.
     """
 
-    __slots__ = ("offsets", "class_of", "last", "blocks", "order", "forest")
+    __slots__ = ("masks", "blocks", "deepest", "forest")
 
     def __init__(self, chain: FinChain):
-        problems = chain_violations(chain)
-        if problems:
-            raise ValueError("; ".join(problems))
-        sets = chain.sets
-        offsets = [0, *itertools.accumulate(len(s) for s in sets)]
-
-        # glue x ~ f_i(x) exactly when the fiber over f_i(x) is {x}
-        class_of, first, last = [], [], []
-        for i, s in enumerate(sets):
-            fibers = [[] for _ in range(len(s))]
+        masks, deepest, leaves = [], {}, []
+        for i, s in enumerate(chain.sets):
+            level = [0] * len(s)
             if i:
+                below = masks[-1]
                 for x, y in enumerate(chain.maps[i - 1].table):
-                    fibers[y].append(offsets[i - 1] + x)
-            for y, fiber in enumerate(fibers):
-                if len(fiber) == 1:
-                    c = class_of[fiber[0]]
-                    last[c] = (i, y)
-                else:
-                    c = len(first)
-                    first.append(offsets[i] + y)
-                    last.append((i, y))
-                class_of.append(c)
+                    level[y] |= below[x]
+            for y, mask in enumerate(level):
+                if not mask:
+                    mask = level[y] = 1 << len(leaves)
+                    leaves.append(s.labels[y])
+                deepest[mask] = (i, y)
+            masks.append(level)
 
-        # forward images sit below their sources
-        forward = [offsets[i + 1] + y for i, f in enumerate(chain.maps) for y in f.table]
-        less = set()
-        for e, c in enumerate(class_of):
-            while e < len(forward):
-                e = forward[e]
-                if class_of[e] != c:
-                    less.add((class_of[e], c))
-        if any((b, a) in less for a, b in less):
-            raise AssertionError("level order is not antisymmetric")
-        lower = {a for a, _ in less}
-        maximal = [c for c in range(len(first)) if c not in lower]
-
-        # ground labels: the earliest representative's value, disambiguated by
-        # occurrence rank so that degeneracies do not disturb the labels
-        points = [x for s in sets for x in s.labels]
+        # a leaf is named by its value, or value#rank by first occurrence when
+        # values repeat, so that degeneracies do not disturb the labels
         by_value = {}
-        for c in maximal:
-            by_value.setdefault(points[first[c]], []).append(c)
-        labels = {}
-        for value, group in by_value.items():
-            for rank, c in enumerate(group):
-                labels[c] = value if len(group) == 1 else f"{value}#{rank}"
-        ground = FiniteSet(labels.values())
+        for bit, value in enumerate(leaves):
+            by_value.setdefault(value, []).append(bit)
+        names = list(leaves)
+        for value, bits in by_value.items():
+            if len(bits) > 1:
+                for rank, bit in enumerate(bits):
+                    names[bit] = f"{value}#{rank}"
+        ground = FiniteSet(names)
 
-        # a class's block: the maximal classes at or above it, as ground positions
-        above = [[] for _ in first]
-        for a, b in less | {(c, c) for c in maximal}:
-            if b in labels:
-                above[a].append(ground.positions[labels[b]])
-        keys = [tuple(sorted(p)) for p in above]
-        if len(set(keys)) != len(keys):
-            raise AssertionError("level quotient has a repeated maximal fiber")
-        order = sorted(range(len(keys)), key=lambda c: (len(keys[c]), keys[c]))
-        names = ground.labels
-        blocks = [tuple([names[p] for p in key]) for key in keys]
-
-        self.offsets, self.class_of, self.last, self.blocks, self.order = (
-            offsets, class_of, last, blocks, order)
-        self.forest = _forest(ground, tuple([blocks[c] for c in order]))
+        # a block's key is its sorted ground positions; big masks are slow to hash
+        position = [ground.positions[name] for name in names]
+        entries = sorted([(sorted([position[b] for b in _bits(mask)]), mask, point)
+                          for mask, point in deepest.items()], key=lambda e: (len(e[0]), e[0]))
+        labels = ground.labels
+        self.masks, self.deepest = masks, [point for _, _, point in entries]
+        self.blocks = {mask: tuple([labels[p] for p in key]) for key, mask, _ in entries}
+        self.forest = _forest(ground, tuple(self.blocks.values()))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -454,34 +433,28 @@ def _level_data(chain: FinChain) -> _LevelData:
 
 
 def level_functor_object(chain: FinChain) -> Forest:
-    """The forest of a chain: glue singleton fibers, order by forward images."""
+    """The forest of a chain: its points' leaf sets, named by the leaves' values."""
+    _require_valid(chain)
     return _level_data(chain).forest
 
 
-@functools.lru_cache(maxsize=65536)
 def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     """The forest morphism of a chain morphism.
 
     Surjective reindexings induce the identity.  For an injective delta the
-    block map sends a class to the class of the image of its deepest
-    representative; general deltas compose the two.  Composition of the
-    results holds in the quotient category (compare with morphisms_equivalent
-    or signatures), not as strict block-map equality.  The morphism laws and
-    degeneracy invariance are checked by checks.check_level_functor, not here.
-    Memoised: each distinct simplex map is validated once, and an invalid one
-    raises on every call, since exceptions are not cached.  A valid map's
-    morphism depends only on its target and the image of delta, and is
-    computed once per such pair (_image_morphism).
+    block map sends a block to the target block of the image of its deepest
+    point; general deltas compose the two.  Composition holds in the quotient
+    category (morphisms_equivalent, signatures), not as strict block-map
+    equality; checks.check_level_functor checks the laws.  A SimplexMap is
+    valid by construction, and its morphism depends only on its target and the
+    image of delta: it is computed once per such pair (_image_morphism).
     """
-    problems = sm.violations()
-    if problems:
-        raise ValueError("; ".join(problems))
     return _image_morphism(sm.target, tuple(dict.fromkeys(sm.delta)))
 
 
 @functools.lru_cache(maxsize=65536)
 def _image_morphism(target: FinChain, image: tuple) -> ForMorphism:
-    """F of every valid simplex map into target whose (monotone) delta has this image."""
+    """F of every simplex map into target whose (monotone) delta has this image."""
     data = _level_data(target)
     if len(image) == target.level_count + 1:
         return ForMorphism.identity(data.forest)
@@ -489,12 +462,9 @@ def _image_morphism(target: FinChain, image: tuple) -> ForMorphism:
     # factor delta through its image; the surjective part is the identity.  A
     # point of the image chain sits at the same position of level image[level]
     mid = _level_data(precompose(target, image))
-    items = []
-    for c in mid.order:
-        level, y = mid.last[c]
-        items.append((mid.blocks[c],
-                      data.blocks[data.class_of[data.offsets[image[level]] + y]]))
-    return _morphism(mid.forest, data.forest, tuple(items))
+    return _morphism(mid.forest, data.forest, tuple([
+        (block, data.blocks[data.masks[image[level]][y]])
+        for block, (level, y) in zip(mid.forest.blocks, mid.deepest)]))
 
 
 # -- export -------------------------------------------------------------------

@@ -253,13 +253,18 @@ def _coefficient(value, where: str):
     """A relation coefficient: a JSON number or a numeric string such as "-3/5".
 
     Building a string's exact value takes work that grows with its decimal
-    exponent, so the exponent must lie in a JSON number's range.
+    exponent and with its fractional digits, so the exponent must lie in a
+    JSON number's range and the digits within what int() converts.
     """
     if type(value) is int:
         return value
     try:
-        exponent = value.lower().partition("e")[2] if type(value) is str else ""
-        if type(value) in (float, str) and abs(int(exponent or 0)) <= sys.float_info.max_10_exp:
+        mantissa, _, exponent = (value.lower() if type(value) is str else "").partition("e")
+        # a fractional part's length, less its underscores and trailing space, bounds its digits
+        fraction = mantissa.partition(".")[2]
+        digits = len(fraction.rstrip()) - fraction.count("_")
+        if (type(value) in (float, str) and abs(int(exponent or 0)) <= sys.float_info.max_10_exp
+                and digits <= (sys.get_int_max_str_digits() or digits)):
             return _fraction(value)
     except (ValueError, OverflowError, ZeroDivisionError):
         pass

@@ -278,6 +278,18 @@ def test_criterion_11_in_cap_chain_guard():
     _verdict(11, f"in-cap deltafin-check k<=3 |S|<=4 under {CHAIN_GUARD_SECONDS:.0f}s", ok, detail)
 
 
+def test_criterion_13_in_cap_functor_guard():
+    # --functor clamps the level functor to the functor_level cap, 2
+    argv = ["deltafin-check", "--max-level", "3", "--max-size", "4", "--functor"]
+    proc, elapsed = _run_cli(argv, CHAIN_GUARD_SECONDS)
+    ok = proc is not None and proc.returncode == 0 and elapsed < CHAIN_GUARD_SECONDS
+    checked = [c["checked"] for c in json.loads(proc.stdout)["result"]["checks"]] if ok else None
+    ok = ok and checked == [260511, 36891]
+    detail = "killed" if proc is None else f"{checked} checks, {elapsed:.2f}s"
+    _verdict(13, f"in-cap deltafin-check --functor k<=3 |S|<=4 under {CHAIN_GUARD_SECONDS:.0f}s",
+             ok, detail)
+
+
 # the in-cap partition commands at the n cap: 5,504 nests, 57-member building set
 PARTITION_GUARD_SECONDS = 1.5
 

@@ -511,6 +511,10 @@ BAD_SHAPES = [
     ("coefficient-tiny-exponent", KOSZUL,
      {"generators": 2, "relations": [["1e-999999999", 0, 0, 0]]},
      "relations[0][0] must be a number or a numeric string, not '1e-999999999'"),
+    # and so does its fractional part: Fraction scales by 10**digits before int() refuses them
+    ("coefficient-long-fraction", KOSZUL,
+     {"generators": 2, "relations": [["0." + "1" * 3_000_000, 0, 0, 0]]},
+     "relations[0][0] must be a number or a numeric string, not '0.111"),
     ("generators-list", KOSZUL, {"generators": [2], "relations": []},
      '"generators" must be an integer, not [2]'),
     ("generators-over-cap", KOSZUL, {"generators": 7, "relations": []},

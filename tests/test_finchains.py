@@ -26,6 +26,12 @@ def two_to_one():
     return FinChain([s, t], [SetMap(s, t, {1: 1, 2: 1})])
 
 
+def mismatched_chain():
+    """two_to_one with S_1 replaced: map 0 no longer lands in it."""
+    s, t, u = FiniteSet([1, 2]), FiniteSet([1]), FiniteSet([5])
+    return FinChain([s, u], [SetMap(s, t, {1: 1, 2: 1})])
+
+
 def test_finite_set_canonical_order():
     assert FiniteSet([3, 1, 2]) == FiniteSet([1, 2, 3])
     with pytest.raises(ValueError):
@@ -45,12 +51,11 @@ def test_validate_chain_single_map():
 
 
 def test_validate_chain_mismatched_target():
-    s, t, u = FiniteSet([1, 2]), FiniteSet([1]), FiniteSet([5])
-    bad = FinChain([s, u], [SetMap(s, t, {1: 1, 2: 1})])
+    bad = mismatched_chain()
     assert not validate_chain(bad)
     problems = chain_violations(bad)
     assert problems == ["map 0 has target != S_1"]
-    problems.clear()  # the diagnostics kept with the chain are not the caller's list
+    problems.clear()  # each call returns a list of its own
     assert chain_violations(bad) == ["map 0 has target != S_1"]
 
 
@@ -144,13 +149,19 @@ def test_face_degeneracy_preserve_validity():
                 assert validate_chain(face(chain, i))
 
 
+def revalidated(sm):
+    """A built simplex map put through the validating constructor."""
+    return SimplexMap(sm.delta, sm.source, sm.target)
+
+
 def test_simplex_map_face_and_degeneracy_are_valid():
     chain = two_to_one()
     for i in range(2):
-        assert not SimplexMap.face(chain, i).violations()
+        sm = SimplexMap.face(chain, i)
+        assert revalidated(sm) == sm
     for i in range(2):
         sm = SimplexMap.degeneracy(chain, i)
-        assert not sm.violations()
+        assert revalidated(sm) == sm
         assert set(sm.delta) == set(range(chain.level_count + 1))  # onto every level
 
 
@@ -167,10 +178,36 @@ def test_simplex_maps_share_equal_chains():
 
 def test_simplex_map_rejects_wrong_source():
     chain = two_to_one()
-    wrong = SimplexMap((0,), identity_chain(FiniteSet([7])), chain)
-    assert wrong.violations()
-    nonmono = SimplexMap((1, 0), chain, chain)
-    assert nonmono.violations()
+    with pytest.raises(ValueError):
+        SimplexMap((0,), identity_chain(FiniteSet([7])), chain)
+    with pytest.raises(ValueError):
+        SimplexMap((1, 0), chain, chain)
+
+
+@pytest.mark.parametrize("delta,source,message", [
+    ((0, 1, 1), two_to_one(), "delta length != source level count + 1"),
+    ((0, 2), two_to_one(), "delta image out of range"),
+    ((1, 0), two_to_one(), "delta is not weakly monotone"),
+    ((0, 1), mismatched_chain(), "map 0 has target != S_1"),
+    ((1,), identity_chain(FiniteSet([1, 2])),
+     "source chain != target chain reindexed along delta"),
+], ids=["wrong-length", "out-of-range", "not-monotone", "invalid-chain", "not-a-reindexing"])
+def test_simplex_map_constructor_names_the_violation(delta, source, message):
+    with pytest.raises(ValueError) as err:
+        SimplexMap(delta, source, two_to_one())
+    assert str(err.value) == message
+
+
+def test_canonical_simplex_maps_of_an_invalid_chain_are_refused():
+    bad = mismatched_chain()
+    both = "map 0 has target != S_1; map 0 has target != S_1"
+    for build in (SimplexMap.identity, lambda c: SimplexMap.face(c, 0),
+                  lambda c: SimplexMap.degeneracy(c, 1)):
+        with pytest.raises(ValueError, match="^map 0 has target != S_1$"):
+            build(bad)
+    with pytest.raises(ValueError) as err:  # every problem of both chains, in one message
+        SimplexMap((0, 1), bad, bad)
+    assert str(err.value) == both
 
 
 def test_precompose_identity():

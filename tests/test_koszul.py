@@ -262,6 +262,14 @@ def test_presentation_json_round_trip():
     assert back.convention == "free"
 
 
+def test_a_coefficient_with_4300_fractional_digits_is_read():
+    # int() converts at most 4,300 digits by default, which bounds a fractional part;
+    # the underscores Fraction accepts between digits do not count
+    for text in ("0." + "1" * 4300, "0." + "_".join("1" * 4300)):
+        p = presentation_from_json({"generators": 2, "relations": [[text, 0, 0, 0]]})
+        assert p.relations == QuadraticPresentation(2, [[Fraction(text), 0, 0, 0]]).relations
+
+
 def test_regrading_note_carried():
     p = genus_one_presentation()
     assert p.regraded_from == 1
