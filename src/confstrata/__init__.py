@@ -18,8 +18,7 @@ from operator import attrgetter
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "finchains": """FinChain FiniteSet SetMap SimplexMap degeneracy enumerate_chains face
-        validate_chain""",
+    "finchains": "FinChain FiniteSet SetMap SimplexMap degeneracy enumerate_chains face",
     "forests": """ForMorphism Forest ForestPoset enumerate_forests from_poset is_forest
         level_functor_morphism level_functor_object minimal_forest pullback to_poset
         trees_of""",

@@ -15,6 +15,8 @@ from .finchains import SetMap, SimplexMap
 from .forests import (
     ForMorphism,
     Forest,
+    _canonical_blocks,
+    _forest,
     enumerate_forests,
     is_forest,
     level_functor_morphism,
@@ -46,10 +48,8 @@ def stratum_intersect(phi: Forest, psi: Forest):
     """Stratum of the union forest, or None when the union is not a forest."""
     if phi.ground != psi.ground:
         raise ValueError("strata live over different ground sets")
-    blocks = set(phi.blocks) | set(psi.blocks)
-    if not is_forest(phi.ground, blocks):
-        return None
-    return Stratum(Forest(phi.ground, blocks))
+    blocks = _canonical_blocks(set(phi.blocks) | set(psi.blocks))
+    return Stratum(_forest(phi.ground, blocks)) if is_forest(phi.ground, blocks) else None
 
 
 class StratumMap(_Value):

@@ -11,6 +11,7 @@ construction in `forests` is functorial over.
 from __future__ import annotations
 
 import functools
+import reprlib
 from operator import attrgetter, le, sub
 
 from . import _Value, _fill
@@ -34,7 +35,7 @@ class FiniteSet(_Value):
         labels = tuple(sorted(labels, key=label_key))
         for a, b in zip(labels, labels[1:]):
             if a == b:
-                raise ValueError(f"duplicate label {a!r}")
+                raise ValueError(f"duplicate label {reprlib.repr(a)}")
         _fill(self, labels, {x: i for i, x in enumerate(labels)})
 
     def __iter__(self):
@@ -44,7 +45,10 @@ class FiniteSet(_Value):
         return len(self.labels)
 
     def __contains__(self, label):
-        return label in self.labels
+        try:
+            return label in self.positions
+        except TypeError:  # an unhashable value is in no set
+            return False
 
     def __repr__(self):
         return f"FiniteSet({list(self.labels)!r})"
@@ -67,7 +71,7 @@ class SetMap(_Value):
             raise ValueError("assignment must be defined exactly on the source labels")
         for value in assignment.values():
             if value not in target:
-                raise ValueError(f"image label {value!r} not in target")
+                raise ValueError(f"image label {reprlib.repr(value)} not in target")
         _fill(self, source, target, tuple(target.positions[assignment[x]] for x in source))
 
     @classmethod
@@ -124,9 +128,9 @@ def _setmap(source: FiniteSet, target: FiniteSet, table: tuple) -> SetMap:
 class FinChain(_Value):
     """A composable chain S_0 -> ... -> S_k of maps of finite sets.
 
-    Construction enforces shape only (len(maps) == len(sets) - 1); whether the
-    maps actually compose is the job of validate_chain, so malformed chains can
-    be inspected and diagnosed rather than being unrepresentable.
+    The constructor validates: one ValueError names each map i that does not run
+    S_i -> S_{i+1}.  The chains the package builds (faces, degeneracies,
+    reindexings, enumeration) compose by construction and are not re-checked.
     """
 
     __slots__ = ("sets", "maps")
@@ -139,6 +143,12 @@ class FinChain(_Value):
             raise ValueError("a chain needs at least one set")
         if len(maps) != len(sets) - 1:
             raise ValueError("a chain on k+1 sets needs exactly k maps")
+        problems = [f"map {i} has {end} != S_{j}"
+                    for i, f in enumerate(maps)
+                    for end, j in (("source", i), ("target", i + 1))
+                    if getattr(f, end) != sets[j]]
+        if problems:
+            raise ValueError("; ".join(problems))
         _fill(self, sets, maps)
 
     @property
@@ -171,41 +181,19 @@ def identity_chain(s: FiniteSet) -> FinChain:
     return _chain((s,), ())
 
 
-def chain_violations(chain: FinChain) -> list[str]:
-    """Diagnostics for every violated chain invariant (empty list iff valid)."""
-    problems = []
-    for i, f in enumerate(chain.maps):
-        if f.source != chain.sets[i]:
-            problems.append(f"map {i} has source != S_{i}")
-        if f.target != chain.sets[i + 1]:
-            problems.append(f"map {i} has target != S_{i + 1}")
-    return problems
-
-
-def _require_valid(*chains: FinChain) -> None:
-    """Raise one ValueError naming every violated invariant of the chains."""
-    problems = [p for chain in chains for p in chain_violations(chain)]
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
-def validate_chain(chain: FinChain) -> bool:
-    return not chain_violations(chain)
-
-
 def _table(chain: FinChain, start: int, stop: int) -> tuple:
-    """Position table of the composite S_start -> S_stop of a valid chain."""
-    if stop == start + 1:
-        return chain.maps[start].table
-    table = tuple(range(len(chain.sets[start])))
-    for f in chain.maps[start:stop]:
+    """Position table of the composite S_start -> S_stop of a chain."""
+    if stop == start:
+        return tuple(range(len(chain.sets[start])))
+    table = chain.maps[start].table
+    for f in chain.maps[start + 1:stop]:
         step = f.table
         table = tuple([step[i] for i in table])
     return table
 
 
 def _composite(chain: FinChain, start: int, stop: int) -> SetMap:
-    """The composite S_start -> S_stop along a valid chain (identity if start == stop)."""
+    """The composite S_start -> S_stop along a chain (identity if start == stop)."""
     return chain.maps[start] if stop == start + 1 else _setmap(
         chain.sets[start], chain.sets[stop], _table(chain, start, stop))
 
@@ -221,11 +209,7 @@ def face(chain: FinChain, i: int) -> FinChain:
         return _chain(chain.sets[1:], chain.maps[1:])
     if i == k:
         return _chain(chain.sets[:-1], chain.maps[:-1])
-    maps = (
-        chain.maps[: i - 1]
-        + (chain.maps[i - 1].then(chain.maps[i]),)
-        + chain.maps[i + 1 :]
-    )
+    maps = chain.maps[: i - 1] + (_composite(chain, i - 1, i + 1),) + chain.maps[i + 1 :]
     return _chain(chain.sets[:i] + chain.sets[i + 1 :], maps)
 
 
@@ -241,7 +225,7 @@ def degeneracy(chain: FinChain, i: int) -> FinChain:
 
 
 def precompose(chain: FinChain, delta) -> FinChain:
-    """The reindexed chain chain∘delta for a valid chain and a monotone delta: [k] -> [l]."""
+    """The reindexed chain chain∘delta for a monotone delta: [k] -> [l]."""
     delta = tuple(delta)
     sets = tuple([chain.sets[j] for j in delta])
     maps = tuple([_composite(chain, a, b) for a, b in zip(delta, delta[1:])])
@@ -251,9 +235,9 @@ def precompose(chain: FinChain, delta) -> FinChain:
 class SimplexMap(_Value):
     """A morphism of chains: monotone delta: [k] -> [l] with source = target∘delta.
 
-    The constructor validates, and keeps the shared copies of the chains it is
-    given.  The canonical maps check only the chain they are given, and
-    composites nothing: both are simplex maps by construction.
+    The constructor validates delta and the reindexing (every FinChain composes),
+    and keeps the shared copies of its chains.  The canonical maps and
+    composites check nothing: they are simplex maps by construction.
     """
 
     __slots__ = ("delta", "source", "target")
@@ -266,7 +250,6 @@ class SimplexMap(_Value):
             raise ValueError("delta image out of range")
         if any(a > b for a, b in zip(delta, delta[1:])):
             raise ValueError("delta is not weakly monotone")
-        _require_valid(source, target)
         # compare tables: the source's maps against the target's composites along delta
         if any(s != target.sets[j] for s, j in zip(source.sets, delta)) or any(
                 f.table != _table(target, a, b)
@@ -276,21 +259,18 @@ class SimplexMap(_Value):
 
     @staticmethod
     def identity(chain: FinChain) -> "SimplexMap":
-        _require_valid(chain)
         chain = _shared_chain(chain)
         return _simplex_map(tuple(range(chain.level_count + 1)), chain, chain)
 
     @staticmethod
     def face(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism face(chain, i) -> chain."""
-        _require_valid(chain)
         delta = tuple(t for t in range(chain.level_count + 1) if t != i)
         return _simplex_map(delta, _shared_chain(face(chain, i)), _shared_chain(chain))
 
     @staticmethod
     def degeneracy(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism degeneracy(chain, i) -> chain."""
-        _require_valid(chain)
         delta = tuple(t if t <= i else t - 1 for t in range(chain.level_count + 2))
         return _simplex_map(delta, _shared_chain(degeneracy(chain, i)), _shared_chain(chain))
 
@@ -378,16 +358,16 @@ def chain_to_json(chain: FinChain) -> dict:
     }
 
 
-def _decode_label(key: str, labels):
-    if key in labels:
+def _decode_label(key: str, positions):
+    if key in positions:
         return key
     try:
         as_int = int(key)
     except ValueError:
-        raise ValueError(f"unknown label {key!r}")
-    if as_int in labels:
+        raise ValueError(f"unknown label {reprlib.repr(key)}")
+    if as_int in positions:
         return as_int
-    raise ValueError(f"unknown label {key!r}")
+    raise ValueError(f"unknown label {reprlib.repr(key)}")
 
 
 def _check_labels(i: int, raw: list):
@@ -395,11 +375,12 @@ def _check_labels(i: int, raw: list):
     ints = {str(x) for x in raw if type(x) is int}
     for j, x in enumerate(raw):
         if type(x) not in (int, str):
-            raise ValueError(f"chain JSON sets[{i}][{j}] is {x!r}: "
+            raise ValueError(f"chain JSON sets[{i}][{j}] is {reprlib.repr(x)}: "
                              "a label must be an integer or a string")
         if type(x) is str and x in ints:
-            raise ValueError(f"chain JSON sets[{i}][{j}] is {x!r}: the set also holds the "
-                             f"integer {x}, and a map key cannot tell them apart")
+            raise ValueError(f"chain JSON sets[{i}][{j}] is {reprlib.repr(x)}: the set also "
+                             f"holds the integer {reprlib.repr(int(x))}, and a map key cannot "
+                             "tell them apart")
 
 
 def chain_from_json(data) -> FinChain:
@@ -420,16 +401,18 @@ def chain_from_json(data) -> FinChain:
     for n, entry in enumerate(entries):
         i, assignment = entry.get("from"), entry.get("assignment")
         if type(i) is not int or not 0 <= i < len(maps) or maps[i] is not None:
-            raise ValueError(f'chain JSON maps[{n}]["from"] is {i!r}: each map index '
+            raise ValueError(f'chain JSON maps[{n}]["from"] is {reprlib.repr(i)}: each map index '
                              f'0 <= from < {len(maps)} must appear once')
         if not isinstance(assignment, dict):
             raise ValueError(f'chain JSON maps[{n}]["assignment"] must be an object')
         for k, v in assignment.items():
             if type(v) not in (int, str):
-                raise ValueError(f'chain JSON maps[{n}]["assignment"]["{k}"] is {v!r}: '
+                raise ValueError(f'chain JSON maps[{n}]["assignment"]["{reprlib.repr(k)[1:-1]}"] '
+                                 f"is {reprlib.repr(v)}: "
                                  "an image label must be an integer or a string")
         src, tgt = sets[i], sets[i + 1]
-        maps[i] = SetMap(src, tgt, {_decode_label(k, src.labels): v for k, v in assignment.items()})
+        maps[i] = SetMap(src, tgt, {_decode_label(k, src.positions): v
+                                    for k, v in assignment.items()})
     if any(m is None for m in maps):
         raise ValueError("missing map in chain JSON")
     return FinChain(sets, maps)

@@ -26,7 +26,6 @@ from .finchains import (
     FiniteSet,
     SetMap,
     SimplexMap,
-    _require_valid,
     _setmap,
     label_key,
     precompose,
@@ -433,8 +432,7 @@ def _level_data(chain: FinChain) -> _LevelData:
 
 
 def level_functor_object(chain: FinChain) -> Forest:
-    """The forest of a chain: its points' leaf sets, named by the leaves' values."""
-    _require_valid(chain)
+    """The forest of a chain, not re-checked: its points' leaf sets, named by the leaves' values."""
     return _level_data(chain).forest
 
 

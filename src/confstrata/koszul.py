@@ -14,6 +14,7 @@ sufficient: a PASS only means "consistent to the checked order".
 from __future__ import annotations
 
 import itertools
+import reprlib
 import sys
 from math import lcm
 
@@ -268,7 +269,7 @@ def _coefficient(value, where: str):
             return _fraction(value)
     except (ValueError, OverflowError, ZeroDivisionError):
         pass
-    raise ValueError(f"{where} must be a number or a numeric string, not {value!r}")
+    raise ValueError(f"{where} must be a number or a numeric string, not {reprlib.repr(value)}")
 
 
 def presentation_from_json(data) -> QuadraticPresentation:
@@ -277,15 +278,18 @@ def presentation_from_json(data) -> QuadraticPresentation:
         raise ValueError("presentation JSON must be an object")
     g, raw, regraded = data["generators"], data.get("relations", []), data.get("regraded_from")
     if type(g) is not int:
-        raise ValueError(f'"generators" must be an integer, not {g!r}')
+        raise ValueError(f'"generators" must be an integer, not {reprlib.repr(g)}')
     if regraded is not None and not (type(regraded) is int and regraded > 0):
-        raise ValueError(f'"regraded_from" must be null or a positive integer, not {regraded!r}')
+        raise ValueError('"regraded_from" must be null or a positive integer, '
+                         f"not {reprlib.repr(regraded)}")
     if not isinstance(raw, list):
-        raise ValueError(f'"relations" must be a list of coefficient lists, not {raw!r}')
+        raise ValueError('"relations" must be a list of coefficient lists, '
+                         f"not {reprlib.repr(raw)}")
     relations = []
     for i, vec in enumerate(raw):
         if not isinstance(vec, list):
-            raise ValueError(f"relations[{i}] must be a list of coefficients, not {vec!r}")
+            raise ValueError(f"relations[{i}] must be a list of coefficients, "
+                             f"not {reprlib.repr(vec)}")
         relations.append([_coefficient(v, f"relations[{i}][{j}]") for j, v in enumerate(vec)])
     return QuadraticPresentation(
         g,

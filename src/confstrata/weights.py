@@ -249,7 +249,7 @@ def _require_hypotheses(x: VarietyDescriptor):
 class Conf2Report(_Value):
     """The weight ledger for two points in X x R at degree 2d.
 
-    relative maps a degree to the WeightMultiset of each relative group used.
+    relative pairs the degrees 2d and 2d + 1 with their relative groups, even empty ones.
     """
 
     __slots__ = ("d", "weight", "relative", "ker_alpha", "pure", "betti_interval")
@@ -258,7 +258,7 @@ class Conf2Report(_Value):
         return {
             "d": self.d,
             "weight": self.weight,
-            "relative": {str(k): v.as_dict() for k, v in self.relative.items()},
+            "relative": {str(k): v.as_dict() for k, v in self.relative},
             "ker_alpha": self.ker_alpha.as_dict(),
             "pure": self.pure,
             "betti_interval": list(self.betti_interval),
@@ -285,7 +285,7 @@ def conf2_purity_report(x: VarietyDescriptor) -> Conf2Report:
     return Conf2Report(
         d=x.d,
         weight=two_d,
-        relative={two_d: v_low, two_d + 1: v_high},
+        relative=((two_d, v_low), (two_d + 1, v_high)),
         ker_alpha=ker_alpha,
         pure=pure,
         betti_interval=(lo, hi),

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -166,8 +167,8 @@ def test_criterion_6_thom_purity_ledger():
         ok = ok and thom_relative(e, k) == expected
     report = conf2_purity_report(e)
     ok = ok and report.pure and report.weight == 2
-    ok = ok and report.relative[2] == WeightMultiset({2: 1})
-    ok = ok and report.relative[3] == WeightMultiset({3: 2})
+    ok = ok and dict(report.relative)[2] == WeightMultiset({2: 1})
+    ok = ok and dict(report.relative)[3] == WeightMultiset({3: 2})
     ok = ok and report.ker_alpha == WeightMultiset({2: 6})
     _verdict(6, "Thom multiplicities and two-point purity ledger (elliptic)", ok)
 
@@ -288,6 +289,31 @@ def test_criterion_13_in_cap_functor_guard():
     detail = "killed" if proc is None else f"{checked} checks, {elapsed:.2f}s"
     _verdict(13, f"in-cap deltafin-check --functor k<=3 |S|<=4 under {CHAIN_GUARD_SECONDS:.0f}s",
              ok, detail)
+
+
+# a 35,001-point chain file, 20,000 -> 10,000 -> 5,000 -> 1, each point sent to its half
+CHAIN_FILE_SIZES = (20000, 10000, 5000, 1)
+CHAIN_FILE_GUARD_SECONDS = 3.0
+
+
+def test_criterion_14_chain_file_guard():
+    sizes = CHAIN_FILE_SIZES
+    data = {"sets": [list(range(m)) for m in sizes],
+            "maps": [{"from": i, "assignment": {str(x): x * sizes[i + 1] // sizes[i]
+                                                for x in range(sizes[i])}}
+                     for i in range(len(sizes) - 1)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.json"
+        path.write_text(json.dumps(data))
+        proc, elapsed = _run_cli(["deltafin-check", "--chain", str(path)],
+                                 CHAIN_FILE_GUARD_SECONDS)
+    ok = proc is not None and proc.returncode == 0 and elapsed < CHAIN_FILE_GUARD_SECONDS
+    # the leaves are S_0; every other point's block is its leaf set
+    blocks = len(json.loads(proc.stdout)["result"]["level_forest"]["blocks"]) if ok else None
+    ok = ok and blocks == sum(sizes)
+    detail = "killed" if proc is None else f"{blocks} blocks, {elapsed:.2f}s"
+    _verdict(14, f"deltafin-check --chain on a {sum(sizes):,}-point chain under "
+             f"{CHAIN_FILE_GUARD_SECONDS:.0f}s", ok, detail)
 
 
 # the in-cap partition commands at the n cap: 5,504 nests, 57-member building set

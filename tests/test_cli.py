@@ -556,6 +556,9 @@ BAD_SHAPES = [
     ("chain-value-float", ["deltafin-check", "--chain"],
      {"sets": [[0], [1]], "maps": [{"from": 0, "assignment": {"0": 1.0}}]},
      'chain JSON maps[0]["assignment"]["0"] is 1.0'),
+    # an unhashable value is in no set
+    ("injection-image-list", ["forget-centers", "--injection"],
+     {"source": [1], "target": [1], "map": {"1": [1]}}, "error: image label [1] not in target"),
 ]
 
 
@@ -568,3 +571,5 @@ def test_bad_input_shape_is_one_error_line(tmp_path, capsys, name, argv, data, f
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert field in captured.err
+    # the line names the file and the field, and echoes no more than a short repr of the value
+    assert len(captured.err.replace(str(path), "").encode()) < 200

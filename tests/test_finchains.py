@@ -10,26 +10,19 @@ from confstrata.finchains import (
     SimplexMap,
     chain_from_json,
     chain_to_json,
-    chain_violations,
     degeneracy,
     enumerate_chains,
     face,
     identity_chain,
     precompose,
-    validate_chain,
 )
+from confstrata.forests import level_functor_object
 
 
 def two_to_one():
     s = FiniteSet([1, 2])
     t = FiniteSet([1])
     return FinChain([s, t], [SetMap(s, t, {1: 1, 2: 1})])
-
-
-def mismatched_chain():
-    """two_to_one with S_1 replaced: map 0 no longer lands in it."""
-    s, t, u = FiniteSet([1, 2]), FiniteSet([1]), FiniteSet([5])
-    return FinChain([s, u], [SetMap(s, t, {1: 1, 2: 1})])
 
 
 def test_finite_set_canonical_order():
@@ -46,21 +39,44 @@ def test_set_map_validation():
         SetMap(s, t, {1: 1, 2: 9})  # image outside target
 
 
+def revalidated_chain(chain):
+    """A built chain put through the validating constructor."""
+    return FinChain(chain.sets, chain.maps)
+
+
 def test_validate_chain_single_map():
-    assert validate_chain(two_to_one())
+    chain = two_to_one()
+    assert revalidated_chain(chain) == chain
 
 
 def test_validate_chain_mismatched_target():
-    bad = mismatched_chain()
-    assert not validate_chain(bad)
-    problems = chain_violations(bad)
-    assert problems == ["map 0 has target != S_1"]
-    problems.clear()  # each call returns a list of its own
-    assert chain_violations(bad) == ["map 0 has target != S_1"]
+    # two_to_one with S_1 replaced: map 0 no longer lands in it
+    s, t, u = FiniteSet([1, 2]), FiniteSet([1]), FiniteSet([5])
+    with pytest.raises(ValueError) as err:
+        FinChain([s, u], [SetMap(s, t, {1: 1, 2: 1})])
+    assert str(err.value) == "map 0 has target != S_1"
 
 
 def test_validate_chain_degenerate():
-    assert validate_chain(identity_chain(FiniteSet([1, 2, 3])))
+    chain = identity_chain(FiniteSet([1, 2, 3]))
+    assert revalidated_chain(chain) == chain
+
+
+A, B, C = FiniteSet([1, 2]), FiniteSet([1]), FiniteSet(["x"])
+MISMATCHES = [
+    ((A, B, B), (SetMap(B, B, {1: 1}), SetMap(B, B, {1: 1})), "map 0 has source != S_0"),
+    ((A, B, C), (SetMap(A, B, {1: 1, 2: 1}), SetMap(B, B, {1: 1})), "map 1 has target != S_2"),
+    ((B, A, C), (SetMap(A, B, {1: 1, 2: 1}), SetMap(B, C, {1: "x"})),
+     "map 0 has source != S_0; map 0 has target != S_1; map 1 has source != S_1"),
+]
+
+
+@pytest.mark.parametrize("sets,maps,message", MISMATCHES,
+                         ids=["source-only", "target-only", "both"])
+def test_chain_constructor_names_every_map_that_does_not_compose(sets, maps, message):
+    with pytest.raises(ValueError) as err:
+        FinChain(sets, maps)
+    assert str(err.value) == message
 
 
 def test_inner_face_composes():
@@ -144,9 +160,9 @@ def test_simplicial_identities_random_larger():
 def test_face_degeneracy_preserve_validity():
     for chain in enumerate_chains(2, 3):
         for i in range(chain.level_count + 1):
-            assert validate_chain(degeneracy(chain, i))
+            assert revalidated_chain(degeneracy(chain, i)) == degeneracy(chain, i)
             if chain.level_count >= 1:
-                assert validate_chain(face(chain, i))
+                assert revalidated_chain(face(chain, i)) == face(chain, i)
 
 
 def revalidated(sm):
@@ -188,26 +204,26 @@ def test_simplex_map_rejects_wrong_source():
     ((0, 1, 1), two_to_one(), "delta length != source level count + 1"),
     ((0, 2), two_to_one(), "delta image out of range"),
     ((1, 0), two_to_one(), "delta is not weakly monotone"),
-    ((0, 1), mismatched_chain(), "map 0 has target != S_1"),
     ((1,), identity_chain(FiniteSet([1, 2])),
      "source chain != target chain reindexed along delta"),
-], ids=["wrong-length", "out-of-range", "not-monotone", "invalid-chain", "not-a-reindexing"])
+], ids=["wrong-length", "out-of-range", "not-monotone", "not-a-reindexing"])
 def test_simplex_map_constructor_names_the_violation(delta, source, message):
     with pytest.raises(ValueError) as err:
         SimplexMap(delta, source, two_to_one())
     assert str(err.value) == message
 
 
-def test_canonical_simplex_maps_of_an_invalid_chain_are_refused():
-    bad = mismatched_chain()
-    both = "map 0 has target != S_1; map 0 has target != S_1"
-    for build in (SimplexMap.identity, lambda c: SimplexMap.face(c, 0),
-                  lambda c: SimplexMap.degeneracy(c, 1)):
-        with pytest.raises(ValueError, match="^map 0 has target != S_1$"):
-            build(bad)
-    with pytest.raises(ValueError) as err:  # every problem of both chains, in one message
-        SimplexMap((0, 1), bad, bad)
-    assert str(err.value) == both
+def test_canonical_maps_and_the_level_forest_accept_any_chain():
+    # a chain a caller builds composes, so what is built from it passes the validating constructor
+    s0, s1, s2 = FiniteSet(["a", "b", "c"]), FiniteSet([1, 2]), FiniteSet(["z"])
+    chain = FinChain([s0, s1, s2], [SetMap(s0, s1, {"a": 1, "b": 1, "c": 2}),
+                                    SetMap(s1, s2, {1: "z", 2: "z"})])
+    built = [SimplexMap.identity(chain)]
+    built += [SimplexMap.face(chain, i) for i in range(3)]
+    built += [SimplexMap.degeneracy(chain, i) for i in range(3)]
+    assert [revalidated(sm) for sm in built] == built
+    assert level_functor_object(chain).blocks == (
+        ("a",), ("b",), ("c",), ("a", "b"), ("a", "b", "c"))
 
 
 def test_precompose_identity():
