@@ -108,19 +108,19 @@ def _elementary_into(chain: FinChain):
 
 
 def _pair_fault(ff, fg, fc, violations):
-    """(checks made, fault) for F f, F g and F(f then g); fault is None, "F" or
-    "con" for a failed composition law, or the index and problems of the first
-    of the three that is not a morphism."""
+    """(checks made, fault) for F f, F g and F(f then g); fault is None, the
+    failed step ("F composition", or "con factorization": confcat.factors on
+    the stratum map of F(f then g)), or the index and problems of the first of
+    the three that is not a morphism."""
     for k, mor in enumerate((ff, fg, fc)):
         problems = violations(mor)
         if problems:
             return 1, (k, problems)
     left = ff.then(fg)
     if left != fc and not morphisms_equivalent(left, fc):
-        return 1, "F"
-    sf, sg = confcat.StratumMap(ff), confcat.StratumMap(fg)
-    if not confcat.stratum_maps_equivalent(sg.then(sf), confcat.StratumMap(fc)):
-        return 2, "con"
+        return 1, "F composition"
+    if not confcat.factors(confcat.StratumMap(fc)):
+        return 2, "con factorization"
     return 2, None
 
 
@@ -133,8 +133,8 @@ def _check_pair(f_sm, ff, g_sm, fg, result, faults, violations):
         outcome = faults[triple] = _pair_fault(*triple, violations)
     checked, fault = outcome
     result.checked += checked
-    if fault in ("F", "con"):
-        result.failures.append(f"{fault} composition failed: {f_sm!r} then {g_sm!r}")
+    if isinstance(fault, str):
+        result.failures.append(f"{fault} failed: {f_sm!r} then {g_sm!r}")
     elif fault is not None:
         k, problems = fault
         result.failures.append(
@@ -150,16 +150,15 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     compared in the quotient category (pullback-forest signatures), not by
     strict block-map equality.  The library trusts its own constructions, so
     this also checks that degeneracies keep the level forest and that every
-    face image and composite passes forests.morphism_violations.  That is
-    the only proof behind each confcat.StratumMap, which is its forest
-    morphism and proves nothing on construction; it also reports a
-    non-canonical block, which ForMorphism keeps as given.
+    face image and composite passes forests.morphism_violations, which also
+    reports a non-canonical block that ForMorphism keeps as given, and that
+    every lawful composite's confcat.StratumMap factors (confcat.factors).
 
     What is memoised, and for how long:
     - for the whole process, in bounded tables (lru_cache, 65536 entries
       each): the morphism behind level_functor_morphism per (target chain,
-      image of delta), the level data per chain, pullback,
-      ForMorphism.signature, and the shared copies of chains and morphisms;
+      image of delta), the level data per chain, and the shared copies of
+      chains and morphisms;
     - for this call only, in tables that go with it: the elementary maps into
       each distinct chain with their images, forests.morphism_violations per
       distinct morphism, and the outcome of each distinct (F f, F g,

@@ -61,6 +61,8 @@ class StratumMap(_Value):
     includes into its stratum.  For a lawful g (forests.morphism_violations)
     any lift j dominates phi: for s in A, j(s) lies in g({s}), inside g(A);
     for s not in A, {s} and A are independent, so their images are disjoint.
+    Nothing is proved on construction; factors states the domination, and
+    checks.check_level_functor tests it on every composite it checks.
     """
 
     __slots__ = ("morphism",)
@@ -96,15 +98,6 @@ class StratumMap(_Value):
     def is_identity(self) -> bool:
         return self.morphism.is_identity()
 
-    def then(self, other: "StratumMap") -> "StratumMap":
-        """Composite stratum map; other is applied after self."""
-        if other.source != self.target:
-            raise ValueError("stratum maps do not compose")
-        return StratumMap(other.morphism.then(self.morphism))
-
-    def signature(self):
-        return (self.source, self.target, self.morphism.signature())
-
     def __repr__(self):
         return f"StratumMap({self.kind}: {self.source!r} -> {self.target!r})"
 
@@ -114,8 +107,9 @@ def con_morphism(sm: SimplexMap) -> StratumMap:
     return StratumMap(level_functor_morphism(sm))
 
 
-def stratum_maps_equivalent(a: StratumMap, b: StratumMap) -> bool:
-    return a.signature() == b.signature()
+def factors(sm: StratumMap) -> bool:
+    """Whether sm factors as forget then include: phi's blocks are all blocks of mid."""
+    return set(sm.morphism.source.blocks) <= set(sm.mid.blocks)
 
 
 class StrataPoset(_Value):

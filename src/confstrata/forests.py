@@ -95,12 +95,8 @@ def minimal_forest(ground: FiniteSet) -> Forest:
     return _forest(ground, tuple((x,) for x in ground.labels))
 
 
-@functools.lru_cache(maxsize=65536)
 def pullback(j: SetMap, psi: Forest) -> Forest:
-    """Intersect a forest on T with the image of an injection j: S -> T.
-
-    Memoised: equal arguments share one immutable result.
-    """
+    """Intersect a forest on T with the image of an injection j: S -> T."""
     if not j.is_injective():
         raise ValueError("pullback requires an injective map")
     if psi.ground != j.target:
@@ -304,13 +300,12 @@ class ForMorphism(_Value):
         for combo in itertools.product(*choices):
             yield _setmap(source, target, combo)
 
-    @functools.lru_cache(maxsize=65536)
     def signature(self) -> frozenset:
         """The pullback forests of all ground lifts: the quotient-category identity card.
 
         Two morphisms with equal signatures are identified in the forest
         category, whose hom-sets remember only the pullback of the target
-        forest along the underlying injection.  Memoised per equal morphism.
+        forest along the underlying injection.
         """
         return frozenset(pullback(j, self.target) for j in self.max_lifts())
 
@@ -323,7 +318,7 @@ class ForMorphism(_Value):
 
 
 # Morphisms built here are shared, one object per equal value, so that
-# comparisons and signature() find them by identity (bounded like pullback).
+# comparisons find them by identity (bounded like _level_data).
 _shared_morphism = functools.lru_cache(maxsize=65536)(lambda f: f)
 
 

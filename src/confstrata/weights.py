@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 
 from . import _Value, _fill
 from .linalg import Echelon
@@ -188,14 +189,15 @@ def descriptor_from_json(data) -> VarietyDescriptor:
     name, raw, d, q = data["name"], data["cohomology"], data["d"], data.get("q", 2)
     vanishes = data.get("diagonal_class_vanishes", False)
     if not isinstance(name, str):
-        raise ValueError(f'"name" must be a string, not {name!r}')
+        raise ValueError(f'"name" must be a string, not {reprlib.repr(name)}')
     if not isinstance(raw, dict):
         raise ValueError('"cohomology" must be an object mapping degrees to lists')
     for field, value in (("d", d), ("q", q)):
         if not _is_int(value):
-            raise ValueError(f'"{field}" must be an integer, not {value!r}')
+            raise ValueError(f'"{field}" must be an integer, not {reprlib.repr(value)}')
     if not isinstance(vanishes, bool):
-        raise ValueError(f'"diagonal_class_vanishes" must be true or false, not {vanishes!r}')
+        raise ValueError('"diagonal_class_vanishes" must be true or false, '
+                         f"not {reprlib.repr(vanishes)}")
     cohomology = {}
     for deg, entries in raw.items():
         where = f'cohomology["{deg}"]'
@@ -208,7 +210,8 @@ def descriptor_from_json(data) -> VarietyDescriptor:
         for i, e in enumerate(entries):
             for key in ("weight", "mult"):
                 if not _is_int(e.get(key)):
-                    raise ValueError(f'{where}[{i}]["{key}"] must be an integer, not {e.get(key)!r}')
+                    raise ValueError(f'{where}[{i}]["{key}"] must be an integer, '
+                                     f"not {reprlib.repr(e.get(key))}")
         cohomology[degree] = WeightMultiset([(e["weight"], e["mult"]) for e in entries])
     return VarietyDescriptor(name, d, cohomology, vanishes)
 

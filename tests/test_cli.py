@@ -527,6 +527,16 @@ BAD_SHAPES = [
      '"regraded_from" must be null or a positive integer'),
     ("name-list", [*HILBERT, "--variety"], {"name": ["x"], "d": 1, "cohomology": H0},
      'bad variety descriptor: "name" must be a string'),
+    # a long value is echoed as a short repr
+    ("name-huge", [*HILBERT, "--variety"],
+     {"name": list(range(100_000)), "d": 1, "cohomology": H0},
+     'bad variety descriptor: "name" must be a string, not [0, 1, 2, 3, 4, 5, ...]'),
+    ("d-huge", [*HILBERT, "--variety"],
+     {"name": "x", "d": list(range(50_000)), "cohomology": H0},
+     'bad variety descriptor: "d" must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),
+    ("weight-huge", [*HILBERT, "--variety"],
+     {"name": "x", "d": 1, "cohomology": {"0": [{"weight": list(range(50_000)), "mult": 1}]}},
+     'cohomology["0"][0]["weight"] must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),
     ("label-list", ["forget-centers", "--injection"], {"source": [[1]], "target": [1]},
      '"source"[0] must be an integer or a string label'),
     ("label-bool", ["forget-centers", "--injection"], {"source": [1], "target": [1, True]},

@@ -1,12 +1,16 @@
+import json
+
 import pytest
 
 from confstrata import checks, confcat
 from confstrata.checks import check_level_functor
+from confstrata.cli import main
 from confstrata.finchains import (
     FinChain,
     FiniteSet,
     SetMap,
     SimplexMap,
+    _setmap,
     enumerate_chains,
     identity_chain,
 )
@@ -146,9 +150,6 @@ def test_memoised_results_equal_the_uncached_originals():
         mor = level_functor_morphism(sm)
         assert mor == _image_morphism.__wrapped__(sm.target, tuple(dict.fromkeys(sm.delta)))
         assert level_functor_morphism(sm) is mor
-        assert mor.signature() == ForMorphism.signature.__wrapped__(mor)
-        for j in mor.max_lifts():
-            assert pullback(j, mor.target) == pullback.__wrapped__(j, mor.target)
 
 
 def test_morphisms_of_one_target_and_image_are_one_object():
@@ -163,11 +164,25 @@ def test_morphisms_of_one_target_and_image_are_one_object():
 def test_functor_check_reports_every_failing_pair(monkeypatch):
     # each distinct (F f, F g, F(f then g)) triple is decided once, but every
     # pair still counts its two checks and reports its own failure
-    monkeypatch.setattr(confcat, "stratum_maps_equivalent", lambda a, b: False)
+    monkeypatch.setattr(confcat, "factors", lambda sm: False)
     result = check_level_functor(3, 2, pair_samples=300, seed=1)
     assert result.checked == 6655
     assert len(result.failures) == 3022
-    assert all(f.startswith("con composition failed: ") for f in result.failures)
+    assert all(f.startswith("con factorization failed: ") for f in result.failures)
+
+
+def test_functor_check_catches_a_lift_that_does_not_factor(monkeypatch, capsys):
+    # mutant: the witness sends the i-th source point to the i-th target point.
+    # Every block map and signature stays lawful, so only the factorization
+    # through the pullback forest can see it; on sets of at most 2 it changes
+    # nothing, so the check needs size 3
+    monkeypatch.setattr(ForMorphism, "canonical_lift", lambda self: _setmap(
+        self.source.ground, self.target.ground, tuple(range(len(self.source.ground)))))
+    assert main(["deltafin-check", "--max-level", "2", "--max-size", "3", "--functor"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    functor = report["result"]["checks"][-1]
+    assert functor["failures"]
+    assert all(f.startswith("con factorization failed: ") for f in functor["failures"])
 
 
 def test_functor_laws_small_range():

@@ -89,6 +89,25 @@ def test_no_module_level_import_goes_unused():
     assert offenders == []
 
 
+def test_no_method_is_cached():
+    """No lru_cache or cache decorates a method: its table would keep every instance alive."""
+    offenders = []
+    for path in sorted(Path(confstrata.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else \
+                        getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        offenders.append(f"{path.name}:{node.lineno} caches {cls.name}.{node.name}")
+    assert offenders == []
+
+
 def test_only_the_value_base_defines_equality_and_immutability():
     """__init__.py holds the one value base: no other module defines __setattr__, __eq__
     or __hash__, or imports namedtuple or dataclasses."""
