@@ -15,7 +15,7 @@ import random
 
 from . import confcat, finchains, forests, koszul, weights, wonderful
 from .finchains import FinChain, SimplexMap, enumerate_chains, face, degeneracy, precompose
-from .forests import level_functor_morphism, level_functor_object, morphisms_equivalent
+from .forests import ForMorphism, morphisms_equivalent
 
 
 class CheckResult:
@@ -29,6 +29,11 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def expect(self, condition, message: str):
+        self.checked += 1
+        if not condition:
+            self.failures.append(message)
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.failures)} failures"
@@ -100,126 +105,164 @@ def _identities_on(chain: FinChain, result: CheckResult):
 # -- the level functor and the configuration functor ------------------------------
 
 
-def _elementary_into(chain: FinChain):
-    """The faces (none at k = 0), then the k + 1 degeneracies, into chain."""
-    k = chain.level_count
-    faces = [SimplexMap.face(chain, i) for i in range(k + 1)] if k >= 1 else []
-    return faces + [SimplexMap.degeneracy(chain, i) for i in range(k + 1)]
+def _deltas(k: int):
+    """The deltas of the elementary maps into a level-k chain: faces (none at k = 0) first."""
+    faces = [tuple(t for t in range(k + 1) if t != i) for i in range(k + 1)] if k else []
+    return faces + [tuple(t if t <= i else t - 1 for t in range(k + 2)) for i in range(k + 1)]
 
 
-def _pair_fault(ff, fg, fc, violations):
-    """(checks made, fault) for F f, F g and F(f then g); fault is None, the
-    failed step ("F composition", or "con factorization": confcat.factors on
-    the stratum map of F(f then g)), or the index and problems of the first of
-    the three that is not a morphism."""
+def _mask(delta) -> int:
+    """The image of delta as a bitmask over the levels of its target."""
+    return sum(1 << t for t in set(delta))
+
+
+def _reindexing(delta: tuple, target: FinChain) -> SimplexMap:
+    return SimplexMap(delta, precompose(target, delta), target)
+
+
+def _pair_fault(violations, factors, ff, fg, fc):
+    """(checks made, fault) for F f, F g and F(f then g): the fault is None, the failed step
+    ("F composition", or "con factorization": factors on the stratum map of F(f then g)),
+    or the index and problems of the first of the three that is not a morphism."""
     for k, mor in enumerate((ff, fg, fc)):
-        problems = violations(mor)
-        if problems:
-            return 1, (k, problems)
-    left = ff.then(fg)
-    if left != fc and not morphisms_equivalent(left, fc):
+        if violations(mor):
+            return 1, (k, violations(mor))
+    # a level forest moved under a degeneracy leaves F f and F g without a composite
+    left = ff.then(fg) if ff.target == fg.source else None
+    if left is None or left != fc and not morphisms_equivalent(left, fc):
         return 1, "F composition"
-    if not confcat.factors(confcat.StratumMap(fc)):
-        return 2, "con factorization"
-    return 2, None
+    return 2, None if factors(fc) else "con factorization"
 
 
-def _check_pair(f_sm, ff, g_sm, fg, result, faults, violations):
-    """Check F(f then g) against F f then F g; faults memoises _pair_fault per triple."""
-    composite = f_sm.then(g_sm)
-    triple = (ff, fg, level_functor_morphism(composite))
-    outcome = faults.get(triple)
-    if outcome is None:
-        outcome = faults[triple] = _pair_fault(*triple, violations)
-    checked, fault = outcome
-    result.checked += checked
+def _failure(fault, f_sm: SimplexMap, g_sm: SimplexMap) -> str:
+    """The failure line of a pair whose fault (see _pair_fault) is not None."""
     if isinstance(fault, str):
-        result.failures.append(f"{fault} failed: {f_sm!r} then {g_sm!r}")
-    elif fault is not None:
-        k, problems = fault
-        result.failures.append(
-            f"F of {(f_sm, g_sm, composite)[k]!r} is not a morphism: {problems}")
+        return f"{fault} failed: {f_sm!r} then {g_sm!r}"
+    k, problems = fault
+    return f"F of {(f_sm, g_sm, f_sm.then(g_sm))[k]!r} is not a morphism: {problems}"
+
+
+class _Chains:
+    """The memo of one check_level_functor call.
+
+    Each distinct chain read is numbered once; its level data is built on first
+    read.  F is kept per (chain number, image mask), one object per equal
+    morphism, which the caches of morphism_violations, confcat.factors and
+    _pair_fault then find by identity.  elementary[k] lists each elementary map
+    g into a level-k chain (_deltas) as (delta, image mask, the image mask of f
+    then g per elementary map f into its source).
+    """
+
+    def __init__(self, max_level: int):
+        self.elementary = [[(g, _mask(g), [_mask([g[t] for t in f]) for f in _deltas(len(g) - 1)])
+                            for g in _deltas(k)] for k in range(max_level + 2)]
+        self.number, self.chains, self.data = {}, [], {}
+        self.source_lists, self.images, self.shared = {}, {}, {}
+        self.violations = functools.cache(forests.morphism_violations)
+        factors = functools.cache(lambda fc: confcat.factors(confcat.StratumMap(fc)))
+        self.fault = functools.cache(functools.partial(_pair_fault, self.violations, factors))
+
+    def index(self, chain: FinChain) -> int:
+        c = self.number.setdefault(chain, len(self.chains))
+        if c == len(self.chains):
+            self.chains.append(chain)
+        return c
+
+    def level(self, c: int):
+        if c not in self.data:
+            self.data[c] = forests._LevelData(self.chains[c])
+        return self.data[c]
+
+    def sources(self, c: int) -> list:
+        """The numbers of the sources of the elementary maps into chain c."""
+        if c not in self.source_lists:
+            chain = self.chains[c]
+            self.source_lists[c] = [self.index(precompose(chain, delta))
+                             for delta, _, _ in self.elementary[chain.level_count]]
+        return self.source_lists[c]
+
+    def image(self, c: int, mask: int) -> ForMorphism:
+        """F of every simplex map into chain c whose delta has this image mask."""
+        mor = self.images.get((c, mask))
+        if mor is None:
+            data = self.level(c)
+            image = tuple([t for t in range(len(data.masks)) if mask >> t & 1])
+            if len(image) == len(data.masks):
+                mor = ForMorphism.identity(data.forest)
+            else:
+                mid = self.level(self.index(precompose(self.chains[c], image)))
+                mor = forests._image_morphism(data, mid, image)
+            mor = self.images[c, mask] = self.shared.setdefault(mor, mor)
+        return mor
 
 
 def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> CheckResult:
     """Identity, endpoint, degeneracy, and composition laws of the level functor.
 
-    Composition is exhaustive over pairs of elementary morphisms (faces and
-    degeneracies within the size range) and additionally verified on a seeded
-    random sample of pairs of arbitrary monotone reindexings.  Composites are
-    compared in the quotient category (pullback-forest signatures), not by
-    strict block-map equality.  The library trusts its own constructions, so
-    this also checks that degeneracies keep the level forest and that every
-    face image and composite passes forests.morphism_violations, which also
-    reports a non-canonical block that ForMorphism keeps as given, and that
-    every lawful composite's confcat.StratumMap factors (confcat.factors).
-
-    What is memoised, and for how long:
-    - for the whole process, in bounded tables (lru_cache, 65536 entries
-      each): the morphism behind level_functor_morphism per (target chain,
-      image of delta), the level data per chain, and the shared copies of
-      chains and morphisms;
-    - for this call only, in tables that go with it: the elementary maps into
-      each distinct chain with their images, forests.morphism_violations per
-      distinct morphism, and the outcome of each distinct (F f, F g,
-      F(f then g)) triple.  Every pair still counts its checks and reports
-      its own failure.
+    Composition is checked on every pair of elementary maps (faces and
+    degeneracies) in range and on a seeded sample of pairs of monotone
+    reindexings, in the quotient category (signatures).  Every face image and
+    composite must pass forests.morphism_violations, and every lawful
+    composite's confcat.StratumMap must factor (confcat.factors).  The memo
+    (_Chains) lives for this call only; every pair counts its own checks.
     """
     result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
-    violations = functools.lru_cache(maxsize=None)(forests.morphism_violations)
-    into, faults = {}, {}
-
-    def elementary(chain):
-        """The elementary maps into chain with their images, faces first."""
-        maps = into.get(chain)
-        if maps is None:
-            maps = into[chain] = [(sm, level_functor_morphism(sm))
-                                  for sm in _elementary_into(chain)]
-        return maps
-
+    table = _Chains(max_level)
     chains = list(enumerate_chains(max_level, max_size))
     for chain in chains:
-        phi = level_functor_object(chain)
-        ident = level_functor_morphism(SimplexMap.identity(chain))
-        result.checked += 1
-        if not (ident.is_identity() and ident.source == phi):
-            result.failures.append(f"identity law failed on {chain!r}")
-        maps = elementary(chain)
-        faces = len(maps) - chain.level_count - 1  # the degeneracies come last
-        for i, (sm, mor) in enumerate(maps[faces:]):
+        c, k = table.index(chain), chain.level_count
+        phi = table.level(c).forest
+        ident = table.image(c, (1 << k + 1) - 1)
+        result.expect(ident.is_identity() and ident.source == phi,
+                      f"identity law failed on {chain!r}")
+        maps = list(zip(table.elementary[k], table.sources(c)))
+        faces = k + 1 if k else 0  # the degeneracies come last
+        for i, ((_, mask, _), b) in enumerate(maps[faces:]):
             result.checked += 1
-            if not mor.is_identity():
+            if not table.image(c, mask).is_identity():
                 result.failures.append(f"degeneracy {i} not sent to identity on {chain!r}")
-            elif level_functor_object(sm.source) != phi:
+            elif table.level(b).forest != phi:
                 result.failures.append(f"degeneracy {i} changed the level forest of {chain!r}")
-        for sm, mor in maps[:faces]:
+        for (_, mask, _), b in maps[:faces]:
+            mor = table.image(c, mask)
             result.checked += 1
-            problems = violations(mor)
+            problems = table.violations(mor)
             if problems:
                 result.failures.append(f"face into {chain!r} is not a morphism: {problems}")
                 continue
-            if mor.source != level_functor_object(sm.source) or mor.target != phi:
+            if mor.source != table.level(b).forest or mor.target != phi:
                 result.failures.append(f"endpoint mismatch for face into {chain!r}")
             result.checked += 1
             if len(mor.signature()) != 1:
                 result.failures.append(f"ambiguous signature for face into {chain!r}")
     for chain in chains:
-        for g_sm, fg in elementary(chain):
-            for f_sm, ff in elementary(g_sm.source):
-                _check_pair(f_sm, ff, g_sm, fg, result, faults, violations)
+        c = table.index(chain)
+        for (g_delta, g_mask, composites), b in zip(table.elementary[chain.level_count],
+                                                    table.sources(c)):
+            fg, source = table.image(c, g_mask), table.chains[b]
+            for (f_delta, f_mask, _), mask in zip(table.elementary[source.level_count], composites):
+                checked, fault = table.fault(table.image(b, f_mask), fg, table.image(c, mask))
+                result.checked += checked
+                if fault is not None:
+                    result.failures.append(_failure(fault, _reindexing(f_delta, source),
+                                                    _reindexing(g_delta, chain)))
     if pair_samples:
         rng = random.Random(seed)
         for _ in range(pair_samples):
             chain = rng.choice(chains)
             l = chain.level_count
             kb = rng.randint(0, max_level)
-            delta_g = tuple(sorted(rng.randint(0, l) for _ in range(kb + 1)))
-            g_sm = SimplexMap(delta_g, precompose(chain, delta_g), chain)
+            g_sm = _reindexing(tuple(sorted(rng.randint(0, l) for _ in range(kb + 1))), chain)
             ka = rng.randint(0, kb)
-            delta_f = tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1)))
-            f_sm = SimplexMap(delta_f, precompose(g_sm.source, delta_f), g_sm.source)
-            _check_pair(f_sm, level_functor_morphism(f_sm), g_sm, level_functor_morphism(g_sm),
-                        result, faults, violations)
+            f_sm = _reindexing(tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1))),
+                                g_sm.source)
+            c, b = table.index(chain), table.index(g_sm.source)
+            checked, fault = table.fault(table.image(b, _mask(f_sm.delta)),
+                                         table.image(c, _mask(g_sm.delta)),
+                                         table.image(c, _mask(f_sm.then(g_sm).delta)))
+            result.checked += checked
+            if fault is not None:
+                result.failures.append(_failure(fault, f_sm, g_sm))
     return result
 
 
@@ -315,33 +358,27 @@ def check_li_orders(max_n=4, d=1) -> CheckResult:
 
 def check_weight_pipeline() -> CheckResult:
     result = CheckResult("weight pipeline")
-
-    def expect(condition, message):
-        result.checked += 1
-        if not condition:
-            result.failures.append(message)
-
     elliptic = weights.elliptic_curve()
-    expect(weights.check_pure(elliptic.cohomology).pure, "elliptic not pure")
+    result.expect(weights.check_pure(elliptic.cohomology).pure, "elliptic not pure")
     twisted = weights.tate_twist(elliptic.cohomology, 3)
     twice = weights.tate_twist(weights.tate_twist(elliptic.cohomology, 1), 2)
-    expect(twisted == twice, "twist additivity failed")
+    result.expect(twisted == twice, "twist additivity failed")
     square = weights.kunneth_power(elliptic, 2)
-    expect(square.at(2) == weights.WeightMultiset({2: 6}), "Künneth count failed")
-    expect(weights.thom_relative(elliptic, 3) == weights.WeightMultiset({3: 2}),
-           "Thom value failed at k=3")
+    result.expect(square.at(2) == weights.WeightMultiset({2: 6}), "Künneth count failed")
+    result.expect(weights.thom_relative(elliptic, 3) == weights.WeightMultiset({3: 2}),
+                  "Thom value failed at k=3")
     report = weights.conf2_purity_report(elliptic)
-    expect(report.pure and report.weight == 2, "conf2 ledger impure")
-    expect(report.ker_alpha == weights.WeightMultiset({2: 6}), "conf2 kernel wrong")
+    result.expect(report.pure and report.weight == 2, "conf2 ledger impure")
+    result.expect(report.ker_alpha == weights.WeightMultiset({2: 6}), "conf2 kernel wrong")
     line = weights.affine_line()
     hs = weights.hilbert_series(weights.presentation(line, 2), 4)
-    expect(hs.dims() == [1, 0, 1, 0, 0], "affine line n=2 series wrong")
+    result.expect(hs.dims() == [1, 0, 1, 0, 0], "affine line n=2 series wrong")
     try:
         bad = weights.VarietyDescriptor("bad", 1, {0: {0: 1}, 1: {0: 2}}, True)
         weights.purity_theorem_check(bad, 2, 4)
-        expect(False, "corrupted descriptor was not refused")
+        result.expect(False, "corrupted descriptor was not refused")
     except weights.HypothesisRefusal:
-        expect(True, "")
+        result.expect(True, "")
     return result
 
 
@@ -350,23 +387,17 @@ def check_weight_pipeline() -> CheckResult:
 
 def check_koszul_fixtures(max_g=3, order=8) -> CheckResult:
     result = CheckResult("koszul criterion fixtures")
-
-    def expect(condition, message):
-        result.checked += 1
-        if not condition:
-            result.failures.append(message)
-
     verdict = koszul.koszul_criterion(koszul.genus_one_presentation(), order)
-    expect(verdict.passed, "genus-1 fixture failed the criterion")
+    result.expect(verdict.passed, "genus-1 fixture failed the criterion")
     for g in range(1, max_g + 1):
-        expect(koszul.koszul_criterion(koszul.exterior_presentation(g), order).passed,
-               f"exterior g={g} failed")
-        expect(koszul.koszul_criterion(koszul.symmetric_presentation(g), order).passed,
-               f"symmetric g={g} failed")
+        result.expect(koszul.koszul_criterion(koszul.exterior_presentation(g), order).passed,
+                      f"exterior g={g} failed")
+        result.expect(koszul.koszul_criterion(koszul.symmetric_presentation(g), order).passed,
+                      f"symmetric g={g} failed")
         p = koszul.exterior_presentation(g)
         dual = koszul.quadratic_dual(p)
-        expect(len(p.effective_relations()) + len(dual.relations) == g * g,
-               f"dual dimension count failed at g={g}")
+        result.expect(len(p.effective_relations()) + len(dual.relations) == g * g,
+                      f"dual dimension count failed at g={g}")
     return result
 
 

@@ -10,7 +10,6 @@ construction in `forests` is functorial over.
 
 from __future__ import annotations
 
-import functools
 import reprlib
 from operator import attrgetter, le, sub
 
@@ -171,12 +170,6 @@ def _chain(sets: tuple, maps: tuple) -> FinChain:
     return chain
 
 
-# The chains a SimplexMap holds are shared, one object per equal value, so the
-# level construction's caches and comparisons find them by identity.  Bounded
-# like those caches; an evicted chain stays valid, it is only no longer shared.
-_shared_chain = functools.lru_cache(maxsize=65536)(lambda chain: chain)
-
-
 def identity_chain(s: FiniteSet) -> FinChain:
     return _chain((s,), ())
 
@@ -235,9 +228,9 @@ def precompose(chain: FinChain, delta) -> FinChain:
 class SimplexMap(_Value):
     """A morphism of chains: monotone delta: [k] -> [l] with source = target∘delta.
 
-    The constructor validates delta and the reindexing (every FinChain composes),
-    and keeps the shared copies of its chains.  The canonical maps and
-    composites check nothing: they are simplex maps by construction.
+    The constructor validates delta and the reindexing (every FinChain composes).
+    The canonical maps and composites check nothing: they are simplex maps by
+    construction.
     """
 
     __slots__ = ("delta", "source", "target")
@@ -255,24 +248,23 @@ class SimplexMap(_Value):
                 f.table != _table(target, a, b)
                 for f, a, b in zip(source.maps, delta, delta[1:])):
             raise ValueError("source chain != target chain reindexed along delta")
-        _fill(self, delta, _shared_chain(source), _shared_chain(target))
+        _fill(self, delta, source, target)
 
     @staticmethod
     def identity(chain: FinChain) -> "SimplexMap":
-        chain = _shared_chain(chain)
         return _simplex_map(tuple(range(chain.level_count + 1)), chain, chain)
 
     @staticmethod
     def face(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism face(chain, i) -> chain."""
         delta = tuple(t for t in range(chain.level_count + 1) if t != i)
-        return _simplex_map(delta, _shared_chain(face(chain, i)), _shared_chain(chain))
+        return _simplex_map(delta, face(chain, i), chain)
 
     @staticmethod
     def degeneracy(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism degeneracy(chain, i) -> chain."""
         delta = tuple(t if t <= i else t - 1 for t in range(chain.level_count + 2))
-        return _simplex_map(delta, _shared_chain(degeneracy(chain, i)), _shared_chain(chain))
+        return _simplex_map(delta, degeneracy(chain, i), chain)
 
     def then(self, other: "SimplexMap") -> "SimplexMap":
         if other.source != self.target:
@@ -285,7 +277,7 @@ class SimplexMap(_Value):
 
 
 def _simplex_map(delta: tuple, source: FinChain, target: FinChain) -> SimplexMap:
-    """The simplex map on these chains, which must be shared already; unchecked (as _setmap)."""
+    """The simplex map on these chains, unchecked (as _setmap)."""
     return _fill(object.__new__(SimplexMap), delta, source, target)
 
 

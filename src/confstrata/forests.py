@@ -16,7 +16,6 @@ leaf set, the leaves whose forward images reach it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from operator import attrgetter
 
@@ -317,14 +316,9 @@ class ForMorphism(_Value):
         return f"ForMorphism({self.source!r} -> {self.target!r})"
 
 
-# Morphisms built here are shared, one object per equal value, so that
-# comparisons find them by identity (bounded like _level_data).
-_shared_morphism = functools.lru_cache(maxsize=65536)(lambda f: f)
-
-
 def _morphism(source: Forest, target: Forest, block_map: tuple) -> ForMorphism:
-    """The shared morphism with these pairs, already in canonical source order."""
-    return _shared_morphism(_fill(object.__new__(ForMorphism), source, target, block_map))
+    """The morphism with these pairs, already in canonical source order, unchecked."""
+    return _fill(object.__new__(ForMorphism), source, target, block_map)
 
 
 def morphism_violations(f: ForMorphism) -> list[str]:
@@ -421,40 +415,33 @@ class _LevelData:
         self.forest = _forest(ground, tuple(self.blocks.values()))
 
 
-@functools.lru_cache(maxsize=65536)
-def _level_data(chain: FinChain) -> _LevelData:
-    return _LevelData(chain)
-
-
 def level_functor_object(chain: FinChain) -> Forest:
     """The forest of a chain, not re-checked: its points' leaf sets, named by the leaves' values."""
-    return _level_data(chain).forest
+    return _LevelData(chain).forest
 
 
 def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
-    """The forest morphism of a chain morphism.
+    """The forest morphism of a chain morphism, which depends only on its target and
+    the image of delta, computed afresh on each call.
 
     Surjective reindexings induce the identity.  For an injective delta the
     block map sends a block to the target block of the image of its deepest
     point; general deltas compose the two.  Composition holds in the quotient
-    category (morphisms_equivalent, signatures), not as strict block-map
-    equality; checks.check_level_functor checks the laws.  A SimplexMap is
-    valid by construction, and its morphism depends only on its target and the
-    image of delta: it is computed once per such pair (_image_morphism).
+    category (morphisms_equivalent, signatures); checks.check_level_functor
+    checks the laws.
     """
-    return _image_morphism(sm.target, tuple(dict.fromkeys(sm.delta)))
-
-
-@functools.lru_cache(maxsize=65536)
-def _image_morphism(target: FinChain, image: tuple) -> ForMorphism:
-    """F of every simplex map into target whose (monotone) delta has this image."""
-    data = _level_data(target)
-    if len(image) == target.level_count + 1:
+    image = tuple(dict.fromkeys(sm.delta))
+    data = _LevelData(sm.target)
+    if len(image) == len(data.masks):
         return ForMorphism.identity(data.forest)
+    return _image_morphism(data, _LevelData(precompose(sm.target, image)), image)
 
-    # factor delta through its image; the surjective part is the identity.  A
-    # point of the image chain sits at the same position of level image[level]
-    mid = _level_data(precompose(target, image))
+
+def _image_morphism(data: _LevelData, mid: _LevelData, image: tuple) -> ForMorphism:
+    """F of every simplex map into the chain of data whose delta has this image, a
+    proper subset of its levels, with mid the level data of the chain reindexed
+    along image.  Delta factors through its image, and the surjective part is the
+    identity; a point of mid sits at the same position of level image[level]."""
     return _morphism(mid.forest, data.forest, tuple([
         (block, data.blocks[data.masks[image[level]][y]])
         for block, (level, y) in zip(mid.forest.blocks, mid.deepest)]))

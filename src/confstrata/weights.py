@@ -200,7 +200,7 @@ def descriptor_from_json(data) -> VarietyDescriptor:
                          f"not {reprlib.repr(vanishes)}")
     cohomology = {}
     for deg, entries in raw.items():
-        where = f'cohomology["{deg}"]'
+        where = f'cohomology["{reprlib.repr(deg)[1:-1]}"]'
         try:
             degree = int(deg)
         except ValueError:

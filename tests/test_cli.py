@@ -534,6 +534,9 @@ BAD_SHAPES = [
     ("d-huge", [*HILBERT, "--variety"],
      {"name": "x", "d": list(range(50_000)), "cohomology": H0},
      'bad variety descriptor: "d" must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),
+    ("degree-key-huge", [*HILBERT, "--variety"],
+     {"name": "x", "d": 1, "cohomology": {"x" * 100_000: [{"weight": 0, "mult": 1}]}},
+     'cohomology["xxxxxxxxxxxx...xxxxxxxxxxxxx"]: the degree must be an integer'),
     ("weight-huge", [*HILBERT, "--variety"],
      {"name": "x", "d": 1, "cohomology": {"0": [{"weight": list(range(50_000)), "mult": 1}]}},
      'cohomology["0"][0]["weight"] must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),

@@ -3,7 +3,6 @@ import itertools
 
 import pytest
 
-from confstrata import checks
 from confstrata.confcat import (
     Stratum,
     StratumMap,
@@ -30,6 +29,7 @@ from confstrata.forests import (
     morphisms_equivalent,
 )
 from confstrata.wonderful import diagonal_building_set, enumerate_nests, nest_to_forest
+from test_level_functor import elementary_into
 
 
 def F(ground, blocks):
@@ -168,9 +168,9 @@ def test_stratum_map_is_its_morphism():
 def test_stratum_map_kinds_on_elementary_maps_and_composites():
     kinds = collections.Counter()
     for chain in enumerate_chains(2, 2):
-        for g_sm in checks._elementary_into(chain):
+        for g_sm in elementary_into(chain):
             kinds[con_morphism(g_sm).kind] += 1
-            for f_sm in checks._elementary_into(g_sm.source):
+            for f_sm in elementary_into(g_sm.source):
                 kinds["composite of two: " + con_morphism(f_sm.then(g_sm)).kind] += 1
     assert kinds == {
         "inclusion": 78, "forgetful": 18, "composite": 4,

@@ -181,15 +181,16 @@ def test_simplex_map_face_and_degeneracy_are_valid():
         assert set(sm.delta) == set(range(chain.level_count + 1))  # onto every level
 
 
-def test_simplex_maps_share_equal_chains():
+def test_simplex_maps_on_equal_chains_are_equal():
     chain = two_to_one()
     rebuilt = FinChain(list(chain.sets), list(chain.maps))
     assert rebuilt == chain and rebuilt is not chain
     first, second = SimplexMap.face(chain, 0), SimplexMap.face(rebuilt, 0)
-    assert first.target is second.target and first.source is second.source
+    assert first == second and hash(first) == hash(second)
+    assert first.target == second.target and first.source == second.source
     composite = SimplexMap.degeneracy(first.source, 0).then(first)
-    assert composite.source is SimplexMap.degeneracy(second.source, 0).source
-    assert composite.target is first.target
+    assert composite.source == SimplexMap.degeneracy(second.source, 0).source
+    assert composite.target == first.target
 
 
 def test_simplex_map_rejects_wrong_source():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from confstrata import checks, confcat
+from confstrata import checks, confcat, forests
 from confstrata.checks import check_level_functor
 from confstrata.cli import main
 from confstrata.finchains import (
@@ -13,11 +13,11 @@ from confstrata.finchains import (
     _setmap,
     enumerate_chains,
     identity_chain,
+    precompose,
 )
 from confstrata.forests import (
     Forest,
     ForMorphism,
-    _image_morphism,
     level_functor_morphism,
     level_functor_object,
     minimal_forest,
@@ -101,12 +101,19 @@ def test_morphism_endpoints_match_objects():
             assert mor.target == level_functor_object(chain)
 
 
+def elementary_into(chain):
+    """The faces (none at k = 0), then the k + 1 degeneracies, into chain."""
+    k = chain.level_count
+    faces = [SimplexMap.face(chain, i) for i in range(k + 1)] if k >= 1 else []
+    return faces + [SimplexMap.degeneracy(chain, i) for i in range(k + 1)]
+
+
 def elementary_maps_and_composites(max_level, max_size):
     """Every face and degeneracy into the enumerated chains, and every composite of two."""
     for chain in enumerate_chains(max_level, max_size):
-        for g_sm in checks._elementary_into(chain):
+        for g_sm in elementary_into(chain):
             yield g_sm
-            for f_sm in checks._elementary_into(g_sm.source):
+            for f_sm in elementary_into(g_sm.source):
                 yield f_sm.then(g_sm)
 
 
@@ -144,21 +151,50 @@ def test_invalid_simplex_map_rejected():
 
 
 def test_memoised_results_equal_the_uncached_originals():
+    # the check's per-call table finds F by (target chain, image mask); the public
+    # function computes it afresh, and only the image of delta matters
+    table = checks._Chains(3)
     maps = list(elementary_maps_and_composites(2, 2))
     assert len(maps) > 300
     for sm in maps:
         mor = level_functor_morphism(sm)
-        assert mor == _image_morphism.__wrapped__(sm.target, tuple(dict.fromkeys(sm.delta)))
-        assert level_functor_morphism(sm) is mor
+        assert table.image(table.index(sm.target), checks._mask(sm.delta)) == mor
+        image = tuple(dict.fromkeys(sm.delta))
+        assert level_functor_morphism(SimplexMap(image, precompose(sm.target, image),
+                                                 sm.target)) == mor
+        assert level_functor_morphism(sm) == mor
 
 
-def test_morphisms_of_one_target_and_image_are_one_object():
+def test_morphisms_of_one_target_and_image_are_equal():
     chain = collapse_pair()
     identity = level_functor_morphism(SimplexMap.identity(chain))
     for i in range(2):
-        assert level_functor_morphism(SimplexMap.degeneracy(chain, i)) is identity
-    assert identity.then(identity) is identity
-    assert ForMorphism.identity(level_functor_object(chain)) is identity
+        assert level_functor_morphism(SimplexMap.degeneracy(chain, i)) == identity
+    assert identity.then(identity) == identity
+    assert ForMorphism.identity(level_functor_object(chain)) == identity
+    # within one check, equal morphisms are one object: a degeneracy keeps the forest
+    table = checks._Chains(1)
+    c = table.index(chain)
+    b = table.sources(c)[-1]
+    assert b != c and table.image(b, 0b111) is table.image(c, 0b11) == identity
+
+
+def test_functor_check_builds_each_level_data_once_per_call(monkeypatch):
+    built = []
+
+    class Counted(forests._LevelData):
+        def __init__(self, chain):
+            built.append(chain)
+            super().__init__(chain)
+
+    monkeypatch.setattr(forests, "_LevelData", Counted)
+    first = check_level_functor(3, 2, pair_samples=300, seed=1)
+    count = len(built)
+    assert len(set(built)) == count > 0
+    # nothing is kept between calls: the second call builds them all again
+    second = check_level_functor(3, 2, pair_samples=300, seed=1)
+    assert len(built) == 2 * count and set(built[count:]) == set(built[:count])
+    assert (first.checked, first.failures) == (second.checked, second.failures) == (6655, [])
 
 
 def test_functor_check_reports_every_failing_pair(monkeypatch):
@@ -192,31 +228,30 @@ def test_functor_laws_small_range():
 
 def test_functor_check_reports_a_level_forest_moved_by_a_degeneracy(monkeypatch):
     # mutant: chains with an identity map (all degeneracies) get another forest
-    real = level_functor_object
+    class Moved(forests._LevelData):
+        def __init__(self, chain):
+            super().__init__(chain)
+            if any(f.is_identity() for f in chain.maps):
+                self.forest = minimal_forest(FiniteSet(["moved"]))
 
-    def moved(chain):
-        if any(f.is_identity() for f in chain.maps):
-            return minimal_forest(FiniteSet(["moved"]))
-        return real(chain)
-
-    monkeypatch.setattr(checks, "level_functor_object", moved)
+    monkeypatch.setattr(forests, "_LevelData", Moved)
     result = check_level_functor(2, 2, pair_samples=20, seed=3)
     assert any("changed the level forest" in f for f in result.failures)
 
 
 def test_functor_check_reports_a_morphism_that_merges_blocks(monkeypatch):
     # mutant: the first two source blocks share one image block
-    real = level_functor_morphism
+    real = forests._image_morphism
 
-    def merging(sm):
-        mor = real(sm)
+    def merging(data, mid, image):
+        mor = real(data, mid, image)
         mapping = mor.mapping()
         if len(mapping) >= 2:
             first, second = list(mapping)[:2]
             mapping[second] = mapping[first]
         return ForMorphism(mor.source, mor.target, mapping)
 
-    monkeypatch.setattr(checks, "level_functor_morphism", merging)
+    monkeypatch.setattr(forests, "_image_morphism", merging)
     result = check_level_functor(2, 2, pair_samples=20, seed=3)
     faces = [f for f in result.failures if f.startswith("face into")]
     composites = [f for f in result.failures if f.startswith("F of")]

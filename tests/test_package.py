@@ -108,6 +108,20 @@ def test_no_method_is_cached():
     assert offenders == []
 
 
+def test_finchains_and_forests_keep_no_cache():
+    """No lru_cache or cache appears in finchains or forests, at module level or on a
+    method: their results are computed per call, and a memo lives with its caller."""
+    offenders = []
+    for name in ("finchains.py", "forests.py"):
+        tree = ast.parse((Path(confstrata.__file__).parent / name).read_text())
+        for node in ast.walk(tree):
+            used = getattr(node, "id", None) or getattr(node, "attr", None) or \
+                (node.name if isinstance(node, ast.alias) else None)
+            if used in ("lru_cache", "cache"):
+                offenders.append(f"{name}:{node.lineno} uses {used}")
+    assert offenders == []
+
+
 def test_only_the_value_base_defines_equality_and_immutability():
     """__init__.py holds the one value base: no other module defines __setattr__, __eq__
     or __hash__, or imports namedtuple or dataclasses."""

@@ -35,6 +35,7 @@ from confstrata.forests import (
     minimal_forest,
     pullback,
 )
+from test_level_functor import elementary_into
 
 
 def assert_same(built, expected):
@@ -109,8 +110,8 @@ def test_chain_operations_match_the_label_level_constructions():
 
 def test_elementary_composites_match_the_label_level_constructions():
     for chain in CHAINS:
-        for g in checks._elementary_into(chain):
-            for f in checks._elementary_into(g.source):
+        for g in elementary_into(chain):
+            for f in elementary_into(g.source):
                 composite_map = f.then(g)
                 assert_same(composite_map, SimplexMap(composite_map.delta, composite_map.source,
                                                       composite_map.target))
@@ -121,7 +122,7 @@ def test_level_forests_and_morphisms_are_sound():
     for chain in CHAINS:
         phi = level_functor_object(chain)
         assert_same(phi, Forest(phi.ground, phi.blocks))
-        for g in checks._elementary_into(chain):
+        for g in elementary_into(chain):
             mor = level_functor_morphism(g)
             assert_same(mor.source, level_functor_object(g.source))
             assert_same(mor, ForMorphism(mor.source, mor.target, mor.mapping()))
