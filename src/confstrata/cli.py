@@ -381,8 +381,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functor", action="store_true",
                    help="also check the level/configuration functor composition laws; "
                         "at k <= min(max-level, functor_level) unless --unsafe-no-cap")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=0,
+                   help="random chains added to the simplicial identities, and random pairs "
+                        "for --functor (0 draws no chains and 300 pairs)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random chains and pairs")
     p.add_argument("--chain", help="validate a single chain JSON file instead")
     common(p)
 

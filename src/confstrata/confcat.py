@@ -20,7 +20,6 @@ from .forests import (
     enumerate_forests,
     is_forest,
     level_functor_morphism,
-    pullback,
 )
 
 class Stratum(_Value):
@@ -56,13 +55,14 @@ class StratumMap(_Value):
     """A map of strata: a point-forgetting step followed by a stratum inclusion.
 
     Fixed by a forest morphism g: (S, phi) -> (T, psi); the stratum of psi
-    maps to the stratum of phi by forgetting points along a ground injection j
-    (witness), landing in the pullback forest (mid), which contains phi and so
-    includes into its stratum.  For a lawful g (forests.morphism_violations)
-    any lift j dominates phi: for s in A, j(s) lies in g({s}), inside g(A);
-    for s not in A, {s} and A are independent, so their images are disjoint.
-    Nothing is proved on construction; factors states the domination, and
-    checks.check_level_functor tests it on every composite it checks.
+    maps to the stratum of phi by forgetting points along g's canonical lift
+    (witness), landing in g's one pullback forest (mid, g.signature()), which
+    contains phi and so includes into its stratum.  For a lawful g
+    (forests.morphism_violations) mid dominates phi: for s in A, a lift sends s
+    into g({s}), inside g(A); for s not in A, {s} and A are independent, so
+    their images are disjoint.  Nothing is proved on construction; factors states
+    the domination, and checks.check_level_functor tests it on every face
+    image and composite it checks.
     """
 
     __slots__ = ("morphism",)
@@ -76,7 +76,7 @@ class StratumMap(_Value):
 
     @property
     def mid(self) -> Forest:
-        return pullback(self.witness, self.morphism.target)
+        return self.morphism.signature()
 
     @property
     def source(self) -> Stratum:

@@ -291,26 +291,22 @@ class ForMorphism(_Value):
     def is_identity(self) -> bool:
         return self.source == self.target and all(k == v for k, v in self.block_map)
 
-    def max_lifts(self):
-        """All ground injections j with j(s) in the image block of {s}, least labels first."""
-        mapping = self.mapping()
-        source, target = self.source.ground, self.target.ground
-        choices = [[target.positions[x] for x in mapping[(s,)]] for s in source]
-        for combo in itertools.product(*choices):
-            yield _setmap(source, target, combo)
-
-    def signature(self) -> frozenset:
-        """The pullback forests of all ground lifts: the quotient-category identity card.
-
-        Two morphisms with equal signatures are identified in the forest
-        category, whose hom-sets remember only the pullback of the target
-        forest along the underlying injection.
-        """
-        return frozenset(pullback(j, self.target) for j in self.max_lifts())
-
     def canonical_lift(self) -> SetMap:
-        """Deterministic ground injection: least available label in each image block."""
-        return next(self.max_lifts())
+        """The least ground lift: each point to the first label of its image block."""
+        mapping, positions = self.mapping(), self.target.ground.positions
+        return _setmap(self.source.ground, self.target.ground,
+                       tuple([positions[mapping[(s,)][0]] for s in self.source.ground]))
+
+    def signature(self) -> Forest:
+        """The pullback of the target forest along a ground lift: the quotient-category card.
+
+        A lawful morphism has one pullback forest, whatever the lift.  It sends
+        the points s to pairwise disjoint blocks B_s of a laminar family, so a
+        target block C pulls back to {s : B_s <= C}, or to at most one point
+        when C lies inside some B_s.  Morphisms with equal endpoints and
+        signatures are identified in the forest category.
+        """
+        return pullback(self.canonical_lift(), self.target)
 
     def __repr__(self):
         return f"ForMorphism({self.source!r} -> {self.target!r})"
@@ -345,7 +341,7 @@ def morphism_violations(f: ForMorphism) -> list[str]:
 
 
 def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
-    """Equality in the quotient forest category (shared endpoints + signatures)."""
+    """Equality in the quotient forest category (shared endpoints and pullback forests)."""
     return (
         f.source == g.source
         and f.target == g.target
@@ -427,8 +423,8 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     Surjective reindexings induce the identity.  For an injective delta the
     block map sends a block to the target block of the image of its deepest
     point; general deltas compose the two.  Composition holds in the quotient
-    category (morphisms_equivalent, signatures); checks.check_level_functor
-    checks the laws.
+    category (morphisms_equivalent: equal pullback forests);
+    checks.check_level_functor checks the laws.
     """
     image = tuple(dict.fromkeys(sm.delta))
     data = _LevelData(sm.target)

@@ -14,6 +14,7 @@ from confstrata.forests import (
     is_forest,
     minimal_forest,
     morphism_violations,
+    morphisms_equivalent,
     pullback,
     to_poset,
     trees_of,
@@ -192,3 +193,19 @@ def test_morphism_violations_reports_a_non_canonical_block():
     unsorted_value = ForMorphism(pair, pair, {**singletons, (1, 2): (2, 1)})
     assert morphism_violations(unsorted_value) == ["block map hits a non-block"]
     assert unsorted_value != ForMorphism.identity(pair)
+
+
+def test_morphisms_equivalent_compares_pullback_forests():
+    phi = F([1, 2], [(1,), (2,)])
+    psi = F(["a", "b", "c"], [("a",), ("b",), ("c",), ("a", "b")])
+
+    def sending(x, y):
+        return ForMorphism(phi, psi, {(1,): (x,), (2,): (y,)})
+
+    ab, ac, bc = sending("a", "b"), sending("a", "c"), sending("b", "c")
+    assert [morphism_violations(m) for m in (ab, ac, bc)] == [[], [], []]
+    assert ab.signature() == F([1, 2], [(1,), (2,), (1, 2)])
+    assert ac.signature() == bc.signature() == phi
+    assert not morphisms_equivalent(ab, ac)
+    # different block maps, one pullback forest
+    assert ac.mapping() != bc.mapping() and morphisms_equivalent(ac, bc)

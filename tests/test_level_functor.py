@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from confstrata.finchains import (
 from confstrata.forests import (
     Forest,
     ForMorphism,
+    enumerate_forests,
     level_functor_morphism,
     level_functor_object,
     minimal_forest,
@@ -117,19 +119,54 @@ def elementary_maps_and_composites(max_level, max_size):
                 yield f_sm.then(g_sm)
 
 
+def ground_lifts(mor):
+    """Every ground injection j with j(s) in the image block of {s}, least labels first."""
+    mapping, source = mor.mapping(), mor.source.ground
+    for images in itertools.product(*[mapping[(s,)] for s in source]):
+        yield SetMap(source, mor.target.ground, dict(zip(source, images)))
+
+
+def assert_one_pullback_forest(mor):
+    """Every lift pulls the target back to signature(), which dominates the source,
+    and canonical_lift() is the least lift; returns the number of lifts."""
+    lifts = list(ground_lifts(mor))
+    assert mor.canonical_lift() == min(lifts, key=lambda j: j.table)
+    signature = mor.signature()
+    for j in lifts:
+        pulled = pullback(j, mor.target)
+        assert pulled == signature
+        assert set(mor.source.blocks) <= set(pulled.blocks)
+    return len(lifts)
+
+
 def test_morphism_respects_pullback_law():
-    # every ground lift of a lawful image dominates the source forest; StratumMap
-    # relies on this without re-proving it
+    # a lawful image has one pullback forest, and it dominates the source
+    # forest; StratumMap relies on this without re-proving it
     maps = list(elementary_maps_and_composites(2, 2))
     maps += [SimplexMap.face(chain, i) for chain in enumerate_chains(2, 3)
              for i in range(chain.level_count + 1) if chain.level_count >= 1]
     for sm in maps:
         mor = level_functor_morphism(sm)
         assert morphism_violations(mor) == []
-        lifts = list(mor.max_lifts())
-        assert mor.canonical_lift() in lifts
-        for j in lifts:
-            assert set(mor.source.blocks) <= set(pullback(j, mor.target).blocks)
+        assert_one_pullback_forest(mor)
+
+
+def lawful_morphisms(n, m):
+    """Every lawful morphism from a forest on n points to a forest on m points."""
+    for phi, psi in itertools.product(enumerate_forests(n), enumerate_forests(m)):
+        for image in itertools.permutations(psi.blocks, len(phi.blocks)):
+            mor = ForMorphism(phi, psi, dict(zip(phi.blocks, image)))
+            if not morphism_violations(mor):
+                yield mor
+
+
+def test_every_lawful_morphism_has_one_pullback_forest():
+    # exhaustive for n <= 2 points into m <= 4, and for n = m = 3; n = 3 into
+    # m = 4 is left out, as it alone costs about twenty times all of these
+    ranges = [(n, m) for n in (1, 2) for m in range(1, 5)] + [(3, 3)]
+    morphisms = [mor for n, m in ranges for mor in lawful_morphisms(n, m)]
+    lifts = sum(assert_one_pullback_forest(mor) for mor in morphisms)
+    assert (len(morphisms), lifts) == (2262, 3067)
 
 
 def test_inner_face_can_target_a_root():
@@ -199,19 +236,34 @@ def test_functor_check_builds_each_level_data_once_per_call(monkeypatch):
 
 def test_functor_check_reports_every_failing_pair(monkeypatch):
     # each distinct (F f, F g, F(f then g)) triple is decided once, but every
-    # pair still counts its two checks and reports its own failure
+    # pair still counts its two checks and reports its own failure; every face
+    # image is asked too
     monkeypatch.setattr(confcat, "factors", lambda sm: False)
     result = check_level_functor(3, 2, pair_samples=300, seed=1)
     assert result.checked == 6655
-    assert len(result.failures) == 3022
+    assert len([f for f in result.failures if " then " in f]) == 3022
+    assert len([f for f in result.failures if ": face into " in f]) == 185
     assert all(f.startswith("con factorization failed: ") for f in result.failures)
+
+
+def test_sampled_pairs_build_no_simplex_map_unless_they_fail(monkeypatch):
+    built = []
+    real = SimplexMap.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(SimplexMap, "__init__", counted)
+    result = check_level_functor(3, 2, pair_samples=300, seed=1)
+    assert result.ok and built == []
 
 
 def test_functor_check_catches_a_lift_that_does_not_factor(monkeypatch, capsys):
     # mutant: the witness sends the i-th source point to the i-th target point.
-    # Every block map and signature stays lawful, so only the factorization
-    # through the pullback forest can see it; on sets of at most 2 it changes
-    # nothing, so the check needs size 3
+    # Every block map stays lawful, so only the factorization through the
+    # pullback forest can see it, on the face images and on the composites; on
+    # sets of at most 2 it changes nothing, so the check needs size 3
     monkeypatch.setattr(ForMorphism, "canonical_lift", lambda self: _setmap(
         self.source.ground, self.target.ground, tuple(range(len(self.source.ground)))))
     assert main(["deltafin-check", "--max-level", "2", "--max-size", "3", "--functor"]) == 1
@@ -219,6 +271,7 @@ def test_functor_check_catches_a_lift_that_does_not_factor(monkeypatch, capsys):
     functor = report["result"]["checks"][-1]
     assert functor["failures"]
     assert all(f.startswith("con factorization failed: ") for f in functor["failures"])
+    assert any(f.startswith("con factorization failed: face into ") for f in functor["failures"])
 
 
 def test_functor_laws_small_range():

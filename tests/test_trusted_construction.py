@@ -35,7 +35,7 @@ from confstrata.forests import (
     minimal_forest,
     pullback,
 )
-from test_level_functor import elementary_into
+from test_level_functor import assert_one_pullback_forest, elementary_into
 
 
 def assert_same(built, expected):
@@ -126,9 +126,11 @@ def test_level_forests_and_morphisms_are_sound():
             mor = level_functor_morphism(g)
             assert_same(mor.source, level_functor_object(g.source))
             assert_same(mor, ForMorphism(mor.source, mor.target, mor.mapping()))
-            for j in [mor.canonical_lift(), *mor.max_lifts()]:
-                assert_same(j, SetMap(j.source, j.target, j.as_dict()))
-                assert all(j(x) in mor.mapping()[(x,)] for x in j.source)
+            j, signature = mor.canonical_lift(), mor.signature()
+            assert_same(j, SetMap(j.source, j.target, j.as_dict()))
+            assert all(j(x) in mor.mapping()[(x,)] for x in j.source)
+            assert_same(signature, Forest(signature.ground, signature.blocks))
+            assert_one_pullback_forest(mor)
 
 
 def pullback_by_labels(j, psi):
