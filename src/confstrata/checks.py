@@ -47,12 +47,11 @@ def _random_chain(rng: random.Random, max_level: int, max_size: int) -> FinChain
     k = rng.randint(0, max_level)
     sizes = [rng.randint(1, max_size) for _ in range(k + 1)]
     sets = [finchains.FiniteSet(range(m)) for m in sizes]
-    maps = [
-        finchains.SetMap(sets[i], sets[i + 1],
-                         {x: rng.randrange(sizes[i + 1]) for x in range(sizes[i])})
-        for i in range(k)
-    ]
-    return FinChain(sets, maps)
+    # labels 0..m-1 are their own positions, and _identities_on validates the chain
+    maps = [finchains._setmap(sets[i], sets[i + 1],
+                              tuple([rng.randrange(sizes[i + 1]) for _ in range(sizes[i])]))
+            for i in range(k)]
+    return finchains._chain(tuple(sets), tuple(maps))
 
 
 def check_simplicial_identities(max_level=3, max_size=3, samples=0, seed=0) -> CheckResult:
@@ -414,6 +413,3 @@ ALL_CHECKS = {
     "koszul": lambda: [check_koszul_fixtures()],
 }
 
-
-def run_selftest(command: str) -> list[CheckResult]:
-    return ALL_CHECKS[command]()

@@ -20,7 +20,7 @@ SCHEMA = "confstrata/1"
 
 # Every size limit: the library checks only its domains, --unsafe-no-cap lifts
 # every entry, and an over-cap request is refused (functor_level clamps).
-CAPS = {"n": 6, "strata_n": 5, "max_deg": 40, "max_level": 3, "max_size": 4,
+CAPS = {"n": 6, "max_deg": 40, "max_level": 3, "max_size": 4,
         "koszul_deg": 12, "functor_level": 2, "generators": 6}
 
 
@@ -91,7 +91,7 @@ def _write_artifact(path: str, body: str, mode: str = "w") -> None:
 
 
 def _selftest(command: str) -> int:
-    results = checks.run_selftest(command)
+    results = checks.ALL_CHECKS[command]()
     ok = True
     for res in results:
         print(res.summary())
@@ -137,7 +137,7 @@ def _cmd_nests(args, config: RunConfig) -> int:
 
 
 def _cmd_strata(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "strata_n", least=1)
+    n = _cap(config, "n", args.n, "n", least=1)
     poset = confcat.strata_poset(n)
     result = {
         "n": n,
@@ -231,6 +231,8 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
                 if type(label) not in (int, str):
                     raise InputError(f'{args.injection}: "{key}"[{i}] must be an integer '
                                      f'or a string label, not {reprlib.repr(label)}')
+        # map keys are strings, so the source must not hold both 1 and "1"; map values are typed
+        finchains._check_labels(f'{args.injection}: "source"', data["source"])
         source = finchains.FiniteSet(data["source"])
         target = finchains.FiniteSet(data["target"])
         raw = data.get("map")
@@ -239,7 +241,13 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
         elif not isinstance(raw, dict):
             raise InputError(f'{args.injection}: "map" must be an object')
         else:
-            table = {k: raw.get(str(k), raw.get(k)) for k in source.labels}
+            try:  # keys decode as in chain files
+                table = {finchains._decode_label(k, source.positions): v for k, v in raw.items()}
+            except ValueError as exc:
+                raise InputError(f'{args.injection}: "map" has an {exc}')
+            for x in source.labels:
+                if x not in table:
+                    raise InputError(f'{args.injection}: "map" has no key for {reprlib.repr(x)}')
         inj = finchains.SetMap(source, target, table)
     elif args.source and args.target:
         source = _int_labels("source", args.source)

@@ -18,6 +18,7 @@ from .forests import (
     _canonical_blocks,
     _forest,
     enumerate_forests,
+    inclusion_covers,
     is_forest,
     level_functor_morphism,
 )
@@ -120,14 +121,8 @@ class StrataPoset(_Value):
     def __init__(self, n: int):
         forests = enumerate_forests(n)
         strata = [Stratum(f) for f in forests]
-        # g covers exactly the forests g minus one non-singleton block; deleting
-        # from the canonically sorted blocks leaves them canonically sorted
-        index = {f.blocks: i for i, f in enumerate(forests)}
-        covers = [
-            (index[tuple(c for c in g.blocks if c != b)], index[g.blocks])
-            for g in forests for b in g.non_singleton_blocks()
-        ]
-        _fill(self, n, tuple(strata), tuple(sorted(covers)))
+        covers = inclusion_covers([f.non_singleton_blocks() for f in forests])
+        _fill(self, n, tuple(strata), tuple(covers))
 
     def to_dot(self) -> str:
         lines = ["digraph strata {", "  rankdir=BT;", "  node [shape=box];"]

@@ -362,15 +362,15 @@ def _decode_label(key: str, positions):
     raise ValueError(f"unknown label {reprlib.repr(key)}")
 
 
-def _check_labels(i: int, raw: list):
-    """A label is an int or a str, and a map key must name one label of the set."""
+def _check_labels(field: str, raw: list):
+    """Each label of the list field is an int or a str, and a map key names one of them."""
     ints = {str(x) for x in raw if type(x) is int}
     for j, x in enumerate(raw):
         if type(x) not in (int, str):
-            raise ValueError(f"chain JSON sets[{i}][{j}] is {reprlib.repr(x)}: "
+            raise ValueError(f"{field}[{j}] is {reprlib.repr(x)}: "
                              "a label must be an integer or a string")
         if type(x) is str and x in ints:
-            raise ValueError(f"chain JSON sets[{i}][{j}] is {reprlib.repr(x)}: the set also "
+            raise ValueError(f"{field}[{j}] is {reprlib.repr(x)}: the set also "
                              f"holds the integer {reprlib.repr(int(x))}, and a map key cannot "
                              "tell them apart")
 
@@ -387,7 +387,7 @@ def chain_from_json(data) -> FinChain:
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ValueError('chain JSON "maps" must be a list of objects')
     for i, raw in enumerate(raw_sets):
-        _check_labels(i, raw)
+        _check_labels(f"chain JSON sets[{i}]", raw)
     sets = [FiniteSet(s) for s in raw_sets]
     maps = [None] * (len(sets) - 1)
     for n, entry in enumerate(entries):

@@ -251,6 +251,13 @@ def enumerate_forests(n: int):
     return sorted(forests, key=lambda f: (len(f.blocks), f.blocks))
 
 
+def inclusion_covers(families) -> list:
+    """The covers (i, j) under inclusion, sorted, of families closed under removing a member
+    (forests' non-singleton blocks, nests): family i is family j minus one member."""
+    index = {frozenset(f): i for i, f in enumerate(families)}
+    return sorted((index[family - {m}], j) for family, j in index.items() for m in family)
+
+
 # -- morphisms (poset maps) ----------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from . import _Value, _fill
 from .finchains import FiniteSet, SetMap
-from .forests import Forest, _mask_forests
+from .forests import Forest, _mask_forests, inclusion_covers
 
 
 # -- partitions of {1..n}: the polydiagonal bookkeeping ------------------------
@@ -80,12 +80,6 @@ def partition_join(p, q):
     return tuple(sorted(merged))
 
 
-def partition_codim(key, n: int, d: int) -> int:
-    merged = sum(b.bit_count() - 1 for b in key)
-    assert merged <= n - 1
-    return d * merged
-
-
 # -- the diagonal lattice ---------------------------------------------------------
 
 
@@ -123,7 +117,7 @@ class DiagonalLattice(_Value):
                 p[:j] + (p[j] | bit,) + p[j + 1:] for p in parts for j in range(len(p))]
         elements = sorted(tuple(sorted(b for b in p if b & (b - 1))) for p in parts)
         elements = tuple(elements[1:])  # all but the finest partition, ()
-        _fill(self, n, d, elements, {e: partition_codim(e, n, d) for e in elements})
+        _fill(self, n, d, elements, {e: d * sum(b.bit_count() - 1 for b in e) for e in elements})
 
     def join_all(self, items):
         items = list(items)
@@ -132,9 +126,8 @@ class DiagonalLattice(_Value):
         return functools.reduce(self.join, items)
 
 
-@functools.lru_cache(maxsize=None)
 def diagonal_lattice(n: int, d: int = 1) -> DiagonalLattice:
-    """The polydiagonal lattice of X^n, built once per (n, d)."""
+    """The polydiagonal lattice of X^n, built afresh on each call."""
     return DiagonalLattice(n, d)
 
 
@@ -176,7 +169,7 @@ def is_building_set(lattice: DiagonalLattice, members) -> bool:
 
 
 class BuildingSet(_Value):
-    """A validated building set inside an arrangement lattice."""
+    """A building set inside an arrangement lattice, validated by the constructor."""
 
     __slots__ = ("lattice", "members")
 
@@ -191,9 +184,11 @@ class BuildingSet(_Value):
 
 
 def diagonal_building_set(n: int, d: int = 1) -> BuildingSet:
+    """The diagonals, a building set by theorem (Fulton-MacPherson), not re-proved here:
+    first_invalid_prefix proves it for any order, as its last prefix is the whole set."""
     lattice = diagonal_lattice(n, d)
-    members = [e for e in lattice.elements if len(e) == 1]
-    return BuildingSet(lattice, members)
+    return _fill(object.__new__(BuildingSet), lattice,
+                 tuple([e for e in lattice.elements if len(e) == 1]))
 
 
 # -- nests -----------------------------------------------------------------------
@@ -321,14 +316,10 @@ def nest_poset_dot(n: int, d: int = 1) -> str:
     """The poset of nests under inclusion, as a DOT digraph (covers only)."""
     nests = sorted(enumerate_nests(n, d),
                    key=lambda s: (len(s), sorted(map(partition_blocks, s))))
-    names = {}
     lines = ["digraph nests {", "  rankdir=BT;", "  node [shape=box];"]
     for i, nest in enumerate(nests):
-        names[nest] = f"n{i}"
         text = ", ".join(partition_label(m) for m in sorted(nest, key=partition_blocks)) or "(empty)"
         lines.append(f'  n{i} [label="{text}"];')
-    for a, b in itertools.permutations(nests, 2):
-        if a < b and len(b) == len(a) + 1:
-            lines.append(f"  {names[a]} -> {names[b]};")
+    lines += [f"  n{i} -> n{j};" for i, j in inclusion_covers(nests)]
     lines.append("}")
     return "\n".join(lines) + "\n"

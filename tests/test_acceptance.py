@@ -316,22 +316,29 @@ def test_criterion_14_chain_file_guard():
              f"{CHAIN_FILE_GUARD_SECONDS:.0f}s", ok, detail)
 
 
-# the in-cap partition commands at the n cap: 5,504 nests, 57-member building set
+# the in-cap partition commands at the n cap: 5,504 nests with their 19,944 covers,
+# 57-member building set
 PARTITION_GUARD_SECONDS = 1.5
 
 
 def test_criterion_12_in_cap_partition_guards():
-    # --count prints the count alone
-    guards = [(["nests", "--n", "6", "--count"], lambda out: out == "5504\n"),
-              (["blowup-validate", "--n", "6"], lambda out: json.loads(out)["result"]["valid"])]
-    ok, times = True, []
-    for argv, answered in guards:
-        proc, elapsed = _run_cli(argv, PARTITION_GUARD_SECONDS)
-        times.append(f"{argv[0]} killed" if proc is None else f"{argv[0]} {elapsed:.2f}s")
-        ok = (ok and proc is not None and proc.returncode == 0
-              and elapsed < PARTITION_GUARD_SECONDS and answered(proc.stdout) is True)
-    _verdict(12, f"in-cap nests n=6 and blowup-validate n=6 under {PARTITION_GUARD_SECONDS}s",
-             ok, ", ".join(times))
+    with tempfile.TemporaryDirectory() as tmp:
+        dot = Path(tmp) / "nests.dot"
+        # --count prints the count alone
+        guards = [(["nests", "--n", "6", "--count"], lambda out: out == "5504\n"),
+                  (["nests", "--n", "6", "--count", "--dot", str(dot)],
+                   lambda out: out == "5504\n" and dot.read_text().count(" -> ") == 19944),
+                  (["blowup-validate", "--n", "6"],
+                   lambda out: json.loads(out)["result"]["valid"])]
+        ok, times = True, []
+        for argv, answered in guards:
+            proc, elapsed = _run_cli(argv, PARTITION_GUARD_SECONDS)
+            name = argv[0] + (" --dot" if "--dot" in argv else "")
+            times.append(f"{name} killed" if proc is None else f"{name} {elapsed:.2f}s")
+            ok = (ok and proc is not None and proc.returncode == 0
+                  and elapsed < PARTITION_GUARD_SECONDS and answered(proc.stdout) is True)
+    _verdict(12, f"in-cap nests n=6 (also with --dot) and blowup-validate n=6 under "
+             f"{PARTITION_GUARD_SECONDS}s", ok, ", ".join(times))
 
 
 if __name__ == "__main__":

@@ -82,7 +82,7 @@ CAPPED = [
     ("n", 2, ["hilbert", "--n", "3", "--max-deg", "2"], "n"),
     ("n", 2, ["purity", "--n", "3", "--max-deg", "2"], "n"),
     ("n", 2, ["forget-centers", "--source", "1,2", "--target", "1,2,3"], "target size"),
-    ("strata_n", 2, ["strata", "--n", "3"], "n"),
+    ("n", 2, ["strata", "--n", "3"], "n"),
     ("max_deg", 2, ["hilbert", "--n", "2", "--max-deg", "3"], "max-deg"),
     ("max_deg", 2, ["purity", "--n", "2", "--max-deg", "3"], "max-deg"),
     ("max_level", 1, ["deltafin-check", "--max-level", "2", "--max-size", "1"], "max-level"),
@@ -94,7 +94,7 @@ CAPPED = [
 
 
 def test_every_cap_is_in_the_table():
-    assert len(cli.CAPS) == 8
+    assert len(cli.CAPS) == 7
     assert {row[0] for row in CAPPED} | {"functor_level"} == set(cli.CAPS)
 
 
@@ -118,6 +118,20 @@ def test_functor_level_cap_clamps_and_the_flag_lifts_it(monkeypatch, capsys):
     assert "level functor (k<=1, |S|<=1)" in capsys.readouterr().out
     assert main(argv + ["--unsafe-no-cap"]) == 0
     assert "level functor (k<=2, |S|<=1)" in capsys.readouterr().out
+
+
+def test_strata_at_the_n_cap_matches_closed_forms(capsys):
+    code, out = run_cli(capsys, "strata", "--n", "6")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["count"] == 2 * 2752  # one stratum per forest: twice OEIS A000311(6)
+    by_codim = result["by_codim"]
+    assert by_codim["1"] == 2 ** 6 - 7  # one diagonal per subset of two or more points
+    assert by_codim["5"] == 9 * 7 * 5 * 3  # the points: (2n - 3)!! binary trees on 6 leaves
+    assert by_codim == {"0": 1, "1": 57, "2": 546, "3": 1750, "4": 2205, "5": 945}
+    assert main(["strata", "--n", "7"]) == 1
+    assert capsys.readouterr().err == (
+        "error: n=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n")
 
 
 def test_strata_dot_artifact(tmp_path, capsys):
@@ -572,6 +586,16 @@ BAD_SHAPES = [
     # an unhashable value is in no set
     ("injection-image-list", ["forget-centers", "--injection"],
      {"source": [1], "target": [1], "map": {"1": [1]}}, "error: image label [1] not in target"),
+    # map keys decode as chain-file keys do: each names one source label, and every label has one
+    ("injection-key-unknown", ["forget-centers", "--injection"],
+     {"source": [1, 2], "target": [1, 2, 3], "map": {"1": 1, "2": 2, "7": 3}},
+     '.json: "map" has an unknown label \'7\''),
+    ("injection-key-missing", ["forget-centers", "--injection"],
+     {"source": [1, 2], "target": [1, 2, 3], "map": {"1": 1}},
+     '.json: "map" has no key for 2'),
+    ("injection-label-int-and-str", ["forget-centers", "--injection"],
+     {"source": [1, "1"], "target": [1, 2, 3], "map": {"1": 1}},
+     '.json: "source"[1] is \'1\': the set also holds the integer 1'),
 ]
 
 

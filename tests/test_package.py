@@ -109,10 +109,10 @@ def test_no_method_is_cached():
 
 
 def test_finchains_and_forests_keep_no_cache():
-    """No lru_cache or cache appears in finchains or forests, at module level or on a
-    method: their results are computed per call, and a memo lives with its caller."""
+    """No lru_cache or cache appears in finchains, forests or wonderful, at module level or
+    on a method: their results are computed per call, and a memo lives with its caller."""
     offenders = []
-    for name in ("finchains.py", "forests.py"):
+    for name in ("finchains.py", "forests.py", "wonderful.py"):
         tree = ast.parse((Path(confstrata.__file__).parent / name).read_text())
         for node in ast.walk(tree):
             used = getattr(node, "id", None) or getattr(node, "attr", None) or \

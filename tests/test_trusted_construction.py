@@ -6,9 +6,9 @@ them is re-validated.  Each one is compared here with the same object built
 from labels through the public constructors (SetMap(source, target,
 assignment), FinChain(sets, maps), SimplexMap(delta, source, target),
 Forest(ground, blocks), ForMorphism(source, target, block_map)): they must be
-equal, with equal hashes.  The chains include seeded random ones, whose maps
-are not monotone in the label order as the enumerated representatives' maps
-are.
+equal, with equal hashes.  The chains include seeded random ones, built
+unchecked by checks._random_chain, whose maps are not monotone in the label
+order as the enumerated representatives' maps are.
 """
 
 import itertools

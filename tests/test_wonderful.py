@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from shared_oracles import oracles
 
 from confstrata import wonderful
 from confstrata.checks import check_forest_nest_bijection
+from confstrata.confcat import strata_poset
 from confstrata.finchains import FiniteSet, SetMap
 from confstrata.forests import enumerate_forests, is_forest
 from confstrata.wonderful import (
@@ -145,14 +147,51 @@ def test_nest_bijection_with_forests():
         assert {nest_to_forest(n, nest) for nest in nests} == set(forests)
 
 
-def test_enumerate_nests_validates_and_builds_no_lattice():
+def test_enumerate_nests_validates_and_builds_no_lattice(monkeypatch):
     with pytest.raises(ValueError, match=r"^n must be at least 1$"):
         enumerate_nests(0, 0)
     with pytest.raises(ValueError, match=r"^complex dimension must be positive$"):
         enumerate_nests(3, 0)
-    diagonal_lattice.cache_clear()
+
+    def refuse(self, n, d=1):
+        raise AssertionError("enumerate_nests built a lattice")
+
+    monkeypatch.setattr(wonderful.DiagonalLattice, "__init__", refuse)
     assert set(enumerate_nests(4, 2)) == set(enumerate_nests(4, 1))
-    assert diagonal_lattice.cache_info().currsize == 0
+
+
+def test_diagonal_building_set_is_a_building_set():
+    # a theorem (Fulton-MacPherson) that diagonal_building_set does not re-prove
+    for n, d in itertools.product(range(1, 7), (1, 2)):
+        bset = diagonal_building_set(n, d)
+        assert len(bset.members) == 2 ** n - n - 1
+        assert bset == BuildingSet(bset.lattice, bset.members)
+        assert is_building_set(bset.lattice, bset.members)
+
+
+def dot_poset(dot):
+    """The nodes of a nest-poset DOT file as nests of label frozensets, and its edges as
+    pairs of them; no node or edge is listed twice."""
+    names = re.findall(r'^  (n\d+) \[label="(.*)"\];$', dot, re.M)
+    nests = {name: frozenset(frozenset(map(int, block.split(",")))
+                             for block in re.findall(r"\{([^}]*)\}", label))
+             for name, label in names}
+    edges = re.findall(r"^  (n\d+) -> (n\d+);$", dot, re.M)
+    assert len(set(nests.values())) == len(names) and len(set(edges)) == len(edges)
+    return set(nests.values()), {(nests[a], nests[b]) for a, b in edges}
+
+
+def test_nest_and_strata_covers_are_the_inclusion_hasse_diagram():
+    for n in range(1, 6):
+        # from the definition: a below b, one member apart, over the oracle's laminar families
+        families = oracles.laminar_families(n)
+        hasse = {(a, b) for a in families for b in families if a < b and len(b) == len(a) + 1}
+        assert dot_poset(nest_poset_dot(n)) == (set(families), hasse)
+        assert nest_poset_dot(n, 2) == nest_poset_dot(n)
+        poset = strata_poset(n)
+        nests = [frozenset(map(frozenset, s.forest.non_singleton_blocks())) for s in poset.strata]
+        assert len(poset.covers) == len(hasse)
+        assert {(nests[i], nests[j]) for i, j in poset.covers} == hasse
 
 
 @pytest.mark.parametrize("keep_count", [False, True])
