@@ -144,12 +144,13 @@ def _failure(fault, f_sm: SimplexMap, g_sm: SimplexMap) -> str:
 class _Chains:
     """The memo of one check_level_functor call.
 
-    Each distinct chain read is numbered once; its level data is built on first
-    read.  F is kept per (chain number, image mask), one object per equal
-    morphism, which the caches of morphism_violations, confcat.factors and
-    _pair_fault then find by identity.  elementary[k] lists each elementary map
-    g into a level-k chain (_deltas) as (delta, image mask, the image mask of f
-    then g per elementary map f into its source).
+    Each distinct chain read is numbered once, by its sets and map tables; its
+    level data is built on first read.  F is kept per (chain number, image
+    mask), one object per equal morphism, which the caches of
+    morphism_violations, confcat.factors and _pair_fault then find by
+    identity.  elementary[k] lists each elementary map g into a level-k chain
+    (_deltas) as (delta, image mask, the image mask of f then g per
+    elementary map f into its source).
     """
 
     def __init__(self, max_level: int):
@@ -162,7 +163,8 @@ class _Chains:
         self.fault = functools.cache(functools.partial(_pair_fault, self.violations, self.factors))
 
     def index(self, chain: FinChain) -> int:
-        c = self.number.setdefault(chain, len(self.chains))
+        key = (chain.sets, tuple([f.table for f in chain.maps]))
+        c = self.number.setdefault(key, len(self.chains))
         if c == len(self.chains):
             self.chains.append(chain)
         return c

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import reprlib
 import sys
 
 from . import checks, confcat, finchains, forests, koszul, weights, wonderful
@@ -49,7 +48,8 @@ def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int | No
     return value
 
 
-def _read_json(path: str, config: RunConfig):
+def _load(path: str, decode, config: RunConfig):
+    """Read, hash and decode one input file: every fault is one line naming the file."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -59,9 +59,15 @@ def _read_json(path: str, config: RunConfig):
 
     config.input_digest = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw)
+        return decode(json.loads(raw))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise InputError(f"malformed JSON in {path}: nested too deeply")
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}")
+    except (InputError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _emit(config: RunConfig, result: dict, text: str | None = None) -> None:
@@ -156,7 +162,7 @@ def _cmd_strata(args, config: RunConfig) -> int:
 
 def _cmd_deltafin_check(args, config: RunConfig) -> int:
     if args.chain:
-        chain = finchains.chain_from_json(_read_json(args.chain, config))
+        chain = _load(args.chain, finchains.chain_from_json, config)
         level_forest = forests.forest_to_json(forests.level_functor_object(chain))
         _emit(config, {"valid": True, "violations": [], "level_forest": level_forest},
               text="valid\n")
@@ -187,15 +193,7 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
     n = _cap(config, "n", args.n, "n", least=1)
     bset = wonderful.diagonal_building_set(n, args.d)
     if args.order:
-        data = _read_json(args.order, config)
-        if not isinstance(data, list):
-            raise InputError(f"{args.order}: the order must be a list of members")
-        for i, member in enumerate(data):
-            if not (isinstance(member, list) and all(
-                    isinstance(b, list) and all(type(x) is int for x in b) for b in member)):
-                raise InputError(
-                    f"{args.order}: order[{i}] must be a list of blocks of integer labels")
-        schedule = wonderful.BlowUpSchedule(bset, [wonderful.partition_key(m, n) for m in data])
+        schedule = _load(args.order, lambda data: wonderful.schedule_from_json(bset, data), config)
     else:
         schedule = wonderful.default_order(bset)
     bad_prefix = wonderful.first_invalid_prefix(schedule)
@@ -223,32 +221,7 @@ def _int_labels(flag: str, text: str):
 
 def _cmd_forget_centers(args, config: RunConfig) -> int:
     if args.injection:
-        data = _read_json(args.injection, config)
-        for key in ("source", "target"):
-            if not isinstance(data, dict) or not isinstance(data.get(key), list):
-                raise InputError(f'{args.injection}: "{key}" must be a list of labels')
-            for i, label in enumerate(data[key]):
-                if type(label) not in (int, str):
-                    raise InputError(f'{args.injection}: "{key}"[{i}] must be an integer '
-                                     f'or a string label, not {reprlib.repr(label)}')
-        # map keys are strings, so the source must not hold both 1 and "1"; map values are typed
-        finchains._check_labels(f'{args.injection}: "source"', data["source"])
-        source = finchains.FiniteSet(data["source"])
-        target = finchains.FiniteSet(data["target"])
-        raw = data.get("map")
-        if raw is None:
-            table = {k: k for k in source.labels}
-        elif not isinstance(raw, dict):
-            raise InputError(f'{args.injection}: "map" must be an object')
-        else:
-            try:  # keys decode as in chain files
-                table = {finchains._decode_label(k, source.positions): v for k, v in raw.items()}
-            except ValueError as exc:
-                raise InputError(f'{args.injection}: "map" has an {exc}')
-            for x in source.labels:
-                if x not in table:
-                    raise InputError(f'{args.injection}: "map" has no key for {reprlib.repr(x)}')
-        inj = finchains.SetMap(source, target, table)
+        inj = _load(args.injection, finchains.injection_from_json, config)
     elif args.source and args.target:
         source = _int_labels("source", args.source)
         target = _int_labels("target", args.target)
@@ -278,11 +251,7 @@ def _load_descriptor(args, config: RunConfig):
     }
     if args.variety in builtin:
         return builtin[args.variety]()
-    data = _read_json(args.variety, config)
-    try:
-        return weights.descriptor_from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad variety descriptor: {exc}")
+    return _load(args.variety, weights.descriptor_from_json, config)
 
 
 def _cmd_purity(args, config: RunConfig) -> int:
@@ -331,12 +300,12 @@ def _cmd_koszul(args, config: RunConfig) -> int:
         # symmetric-N builds N(N-1)/2 vectors of N^2 entries: cap N first
         p = builtin[kind](_cap(config, "generators", int(size), "generators"))
     else:
-        data = _read_json(args.presentation, config)
-        try:
+        def decode(data):  # inside _load, so a count over the cap names the file
             p = koszul.presentation_from_json(data)
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"bad presentation: {exc}")
-        _cap(config, "generators", p.generator_count, "generators")
+            _cap(config, "generators", p.generator_count, "generators")
+            return p
+
+        p = _load(args.presentation, decode, config)
     # the criterion keeps its own lower bound, N >= 2
     order = _cap(config, "max-deg", args.max_deg, "koszul_deg", least=None)
     verdict = koszul.koszul_criterion(p, order)

@@ -350,29 +350,43 @@ def chain_to_json(chain: FinChain) -> dict:
     }
 
 
-def _decode_label(key: str, positions):
-    if key in positions:
-        return key
-    try:
-        as_int = int(key)
-    except ValueError:
-        raise ValueError(f"unknown label {reprlib.repr(key)}")
-    if as_int in positions:
-        return as_int
-    raise ValueError(f"unknown label {reprlib.repr(key)}")
-
-
-def _check_labels(field: str, raw: list):
-    """Each label of the list field is an int or a str, and a map key names one of them."""
-    ints = {str(x) for x in raw if type(x) is int}
+def _check_labels(field: str, raw) -> FiniteSet:
+    """The set of a list field's labels, ints or strs: a map key names a label by its
+    JSON text, str(label), so neither a repeated label nor an int beside its string."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{field} must be a list of labels")
+    named = {}
     for j, x in enumerate(raw):
         if type(x) not in (int, str):
             raise ValueError(f"{field}[{j}] is {reprlib.repr(x)}: "
                              "a label must be an integer or a string")
-        if type(x) is str and x in ints:
-            raise ValueError(f"{field}[{j}] is {reprlib.repr(x)}: the set also "
-                             f"holds the integer {reprlib.repr(int(x))}, and a map key cannot "
-                             "tell them apart")
+        i = named.setdefault(str(x), j)
+        if i != j:  # a repeated label, or an int and its string: the line names the string
+            at = i if type(raw[i]) is str and raw[i] != x else j
+            raise ValueError(f"{field}[{at}] is {reprlib.repr(raw[at])}: " + (
+                f"{field}[{i}] holds it too" if raw[i] == x else f"the set also holds the integer "
+                f"{reprlib.repr(int(raw[at]))}, and a map key cannot tell them apart"))
+    return FiniteSet(raw)
+
+
+def _map_from_json(field: str, raw, source: FiniteSet, target: FiniteSet) -> SetMap:
+    """The map of the JSON object raw.  A key names the source label whose JSON text it
+    is, so "01", " 1" or "+1" name nothing; each label needs a key, each value is a label."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{field} must be an object")
+    positions = {str(x): i for i, x in enumerate(source.labels)}
+    table = [None] * len(source)
+    for key, value in raw.items():
+        if key not in positions:
+            raise ValueError(f"{field} has an unknown label {reprlib.repr(key)}")
+        if type(value) not in (int, str) or value not in target.positions:
+            raise ValueError(f'{field}["{reprlib.repr(key)[1:-1]}"] is {reprlib.repr(value)}: ' + (
+                "no label of the target" if type(value) in (int, str)
+                else "an image label must be an integer or a string"))
+        table[positions[key]] = target.positions[value]
+    if None in table:
+        raise ValueError(f"{field} has no key for {reprlib.repr(source.labels[table.index(None)])}")
+    return _setmap(source, target, tuple(table))
 
 
 def chain_from_json(data) -> FinChain:
@@ -380,31 +394,33 @@ def chain_from_json(data) -> FinChain:
     if not isinstance(data, dict):
         raise ValueError("chain JSON must be an object")
     raw_sets, entries = data["sets"], data.get("maps", [])
-    if not (isinstance(raw_sets, list) and all(
-            isinstance(s, list) and not any(isinstance(x, (list, dict)) for x in s)
-            for s in raw_sets)):
+    if not isinstance(raw_sets, list):
         raise ValueError('chain JSON "sets" must be a list of lists of labels')
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ValueError('chain JSON "maps" must be a list of objects')
-    for i, raw in enumerate(raw_sets):
-        _check_labels(f"chain JSON sets[{i}]", raw)
-    sets = [FiniteSet(s) for s in raw_sets]
+    sets = [_check_labels(f"chain JSON sets[{i}]", raw) for i, raw in enumerate(raw_sets)]
     maps = [None] * (len(sets) - 1)
     for n, entry in enumerate(entries):
-        i, assignment = entry.get("from"), entry.get("assignment")
+        i = entry.get("from")
         if type(i) is not int or not 0 <= i < len(maps) or maps[i] is not None:
             raise ValueError(f'chain JSON maps[{n}]["from"] is {reprlib.repr(i)}: each map index '
                              f'0 <= from < {len(maps)} must appear once')
-        if not isinstance(assignment, dict):
-            raise ValueError(f'chain JSON maps[{n}]["assignment"] must be an object')
-        for k, v in assignment.items():
-            if type(v) not in (int, str):
-                raise ValueError(f'chain JSON maps[{n}]["assignment"]["{reprlib.repr(k)[1:-1]}"] '
-                                 f"is {reprlib.repr(v)}: "
-                                 "an image label must be an integer or a string")
-        src, tgt = sets[i], sets[i + 1]
-        maps[i] = SetMap(src, tgt, {_decode_label(k, src.positions): v
-                                    for k, v in assignment.items()})
+        maps[i] = _map_from_json(f'chain JSON maps[{n}]["assignment"]', entry.get("assignment"),
+                                 sets[i], sets[i + 1])
     if any(m is None for m in maps):
         raise ValueError("missing map in chain JSON")
     return FinChain(sets, maps)
+
+
+def injection_from_json(data) -> SetMap:
+    """Decode {"source", "target", "map"}, "map" as a chain map (the identity if absent)."""
+    if not isinstance(data, dict):
+        raise ValueError("injection JSON must be an object")
+    source = _check_labels('"source"', data["source"])
+    target = _check_labels('"target"', data["target"])
+    raw = data.get("map")
+    inj = _map_from_json('"map"', {str(x): x for x in source} if raw is None else raw,
+                         source, target)
+    if not inj.is_injective():
+        raise ValueError('"map" sends two source labels to one target label')
+    return inj

@@ -459,11 +459,10 @@ class _Engine:
         """
         g = len(self.gens)
         pairs_with = [frozenset(j for j in range(i, g) if (i, j) not in avoid) for i in range(g)]
-        out = []
         stack = [((), 0, 0, tuple(range(g)))]
         while stack:
             mono, deg, wt, candidates = stack.pop()
-            out.append((mono, deg, wt))
+            yield mono, deg, wt
             if len(mono) == max_len:
                 continue
             for pos in range(len(candidates) - 1, -1, -1):
@@ -471,7 +470,6 @@ class _Engine:
                 if deg + self.degree[j] <= max_deg:
                     stack.append((mono + (j,), deg + self.degree[j], wt + self.weight[j],
                                   tuple(c for c in candidates[pos:] if c in pairs_with[j])))
-        return out
 
     def multiply(self, mono, word):
         """Merge a monomial with a relation word: (sign, allowed monomial) or None.
@@ -540,7 +538,7 @@ class HilbertReport(_Value):
 
 
 def _standard_basis(engine: _Engine, N: int):
-    """The standard monomials through degree N, or None when the certificate fails.
+    """A walk of the standard monomials through degree N, or None if the certificate fails.
 
     The standard monomials of a (degree, weight) block span it, so they are
     never fewer than its dimension: equal totals in word length 3 mean
@@ -559,7 +557,7 @@ def _standard_basis(engine: _Engine, N: int):
 
 def _rank_basis(engine: _Engine, N: int):
     """The rank loop: the allowed monomials through degree N that lead no relation product."""
-    allowed = engine.monomials(engine.forbidden, N)
+    allowed = list(engine.monomials(engine.forbidden, N))  # read twice: products, then basis
     pivots = engine.leading(allowed, N)
     return [entry for entry in allowed if entry[0] not in pivots]
 
@@ -588,15 +586,16 @@ def hilbert_series(algebra: PresentationAlgebra, N: int) -> HilbertReport:
     basis = _standard_basis(engine, N)
     if basis is None:
         basis = _rank_basis(engine, N)
-    blocks = {}
+    blocks = {}  # (degree, weight) -> [count, first monomial]
     for mono, degree, weight in basis:
-        blocks.setdefault((degree, weight), []).append(mono)
+        block = blocks.setdefault((degree, weight), [0, mono])
+        block[0] += 1
     entries = [[] for _ in range(N + 1)]
     first_violation = None
-    for (k, w), members in sorted(blocks.items()):
-        entries[k].append((w, len(members)))
+    for (k, w), (count, first) in sorted(blocks.items()):
+        entries[k].append((w, count))
         if w != k and first_violation is None:
-            first_violation = (k, w, engine.mono_label(members[0]))
+            first_violation = (k, w, engine.mono_label(first))
     lines = tuple(DegreeLine(k, sum(m for _, m in e), WeightMultiset(e)) for k, e in enumerate(entries))
     return HilbertReport(lines, first_violation is None, first_violation)
 

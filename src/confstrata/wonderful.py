@@ -312,6 +312,17 @@ def schedule_to_json(schedule: BlowUpSchedule) -> list:
     return [[list(b) for b in partition_blocks(m)] for m in schedule.order]
 
 
+def schedule_from_json(building_set: BuildingSet, data) -> BlowUpSchedule:
+    """Decode an order: a list of members, each a list of blocks of integer labels."""
+    if not isinstance(data, list):
+        raise ValueError("the order must be a list of members")
+    for i, member in enumerate(data):
+        if not (isinstance(member, list) and all(
+                isinstance(b, list) and all(type(x) is int for x in b) for b in member)):
+            raise ValueError(f"order[{i}] must be a list of blocks of integer labels")
+    return BlowUpSchedule(building_set, [partition_key(m, building_set.lattice.n) for m in data])
+
+
 def nest_poset_dot(n: int, d: int = 1) -> str:
     """The poset of nests under inclusion, as a DOT digraph (covers only)."""
     nests = sorted(enumerate_nests(n, d),

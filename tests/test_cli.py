@@ -183,6 +183,10 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     bad.write_text("{not json")
     code, _ = run_cli(capsys, "purity", "--variety", str(bad), "--n", "2", "--max-deg", "4")
     assert code == 1
+    # the decoder's own recursion limit, not a traceback
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["deltafin-check", "--chain", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: malformed JSON in {bad}: nested too deeply\n"
 
 
 def test_hilbert_text(capsys):
@@ -266,7 +270,7 @@ def test_blowup_validate_refuses_an_order_that_is_no_permutation(tmp_path, capsy
     assert main(["blowup-validate", "--n", "3", "--order", str(path)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", "error: order must be a permutation of the building-set members\n")
+        "", f"error: {path}: order must be a permutation of the building-set members\n")
 
 
 def test_forget_centers_inline(capsys):
@@ -331,6 +335,30 @@ def run_child(*args):
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+# A child's ru_maxrss starts at its forking parent's RSS, so a small launcher runs the
+# request and reads the peak of that one child (kilobytes on Linux).
+LAUNCHER = """
+import resource, subprocess, sys
+proc = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+print(proc.returncode, sum(map(int, proc.stdout.split())),
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+# elliptic with eight classes of degree 1: 240,240 standard monomials at n = 5
+WIDE = {"name": "wide", "d": 1, "diagonal_class_vanishes": True,
+        "cohomology": {"0": [{"weight": 0, "mult": 1}], "1": [{"weight": 1, "mult": 8}],
+                       "2": [{"weight": 2, "mult": 1}]}}
+
+
+def test_hilbert_counts_standard_monomials_without_keeping_them(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE))
+    proc = run_child("-c", LAUNCHER, sys.executable, "-m", "confstrata.cli", "hilbert",
+                     "--variety", str(path), "--n", "5", "--max-deg", "40", "--format", "text")
+    code, total, peak_kb = map(int, proc.stdout.split())
+    assert (code, total) == (0, 10 * 11 * 12 * 13 * 14)  # prod_{j<5} (P_X(1) + j), X of total 10
+    assert peak_kb < 40 * 1024  # 56 MB when every monomial was kept, about 22 MB streamed
 
 
 def test_console_module_runs():
@@ -503,15 +531,17 @@ BAD_SHAPES = [
      [[[1, 2]], [3], [[1, 2, 3]]], "order[1] must be a list of blocks"),
     ("cohomology-list", [*HILBERT, "--variety"],
      {"name": "x", "d": 1, "cohomology": [[0, 1]], "diagonal_class_vanishes": True},
-     'bad variety descriptor: "cohomology"'),
+     '"cohomology" must be an object'),
     ("d-string", [*HILBERT, "--variety"],
      {"name": "x", "d": "1", "cohomology": H0, "diagonal_class_vanishes": True},
-     'bad variety descriptor: "d" must be an integer'),
+     '"d" must be an integer'),
     ("entries-object", [*HILBERT, "--variety"],
      {"name": "x", "d": 1, "cohomology": {"0": {"weight": 0, "mult": 1}}},
-     'bad variety descriptor: cohomology["0"] must be a list'),
-    ("descriptor-list", [*HILBERT, "--variety"], [1, 2], "bad variety descriptor: "),
-    ("presentation-list", KOSZUL, [1, 2], "bad presentation: presentation JSON must be an object"),
+     'cohomology["0"] must be a list'),
+    ("descriptor-list", [*HILBERT, "--variety"], [1, 2], "descriptor JSON must be an object"),
+    ("descriptor-no-name", [*HILBERT, "--variety"], {"d": 1, "cohomology": H0},
+     "missing field 'name'"),
+    ("presentation-list", KOSZUL, [1, 2], "presentation JSON must be an object"),
     ("relations-int", KOSZUL, {"generators": 2, "relations": 5}, '"relations" must be a list'),
     ("relation-int", KOSZUL, {"generators": 2, "relations": [5]}, "relations[0] must be a list"),
     ("coefficient-null", KOSZUL, {"generators": 2, "relations": [["1", None, "0", "0"]]},
@@ -540,14 +570,14 @@ BAD_SHAPES = [
     ("regraded-from-zero", KOSZUL, {"generators": 2, "regraded_from": 0},
      '"regraded_from" must be null or a positive integer'),
     ("name-list", [*HILBERT, "--variety"], {"name": ["x"], "d": 1, "cohomology": H0},
-     'bad variety descriptor: "name" must be a string'),
+     '"name" must be a string'),
     # a long value is echoed as a short repr
     ("name-huge", [*HILBERT, "--variety"],
      {"name": list(range(100_000)), "d": 1, "cohomology": H0},
-     'bad variety descriptor: "name" must be a string, not [0, 1, 2, 3, 4, 5, ...]'),
+     '"name" must be a string, not [0, 1, 2, 3, 4, 5, ...]'),
     ("d-huge", [*HILBERT, "--variety"],
      {"name": "x", "d": list(range(50_000)), "cohomology": H0},
-     'bad variety descriptor: "d" must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),
+     '"d" must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),
     ("degree-key-huge", [*HILBERT, "--variety"],
      {"name": "x", "d": 1, "cohomology": {"x" * 100_000: [{"weight": 0, "mult": 1}]}},
      'cohomology["xxxxxxxxxxxx...xxxxxxxxxxxxx"]: the degree must be an integer'),
@@ -555,9 +585,9 @@ BAD_SHAPES = [
      {"name": "x", "d": 1, "cohomology": {"0": [{"weight": list(range(50_000)), "mult": 1}]}},
      'cohomology["0"][0]["weight"] must be an integer, not [0, 1, 2, 3, 4, 5, ...]'),
     ("label-list", ["forget-centers", "--injection"], {"source": [[1]], "target": [1]},
-     '"source"[0] must be an integer or a string label'),
+     '"source"[0] is [1]: a label must be an integer or a string'),
     ("label-bool", ["forget-centers", "--injection"], {"source": [1], "target": [1, True]},
-     '"target"[1] must be an integer or a string label'),
+     '"target"[1] is True: a label must be an integer or a string'),
     # chain labels are ints or strings, and a map key must name exactly one of them
     ("chain-label-nan-twice", ["deltafin-check", "--chain"], {"sets": [[NAN, NAN]]},
      "chain JSON sets[0][0] is nan: a label must be an integer or a string"),
@@ -583,9 +613,10 @@ BAD_SHAPES = [
     ("chain-value-float", ["deltafin-check", "--chain"],
      {"sets": [[0], [1]], "maps": [{"from": 0, "assignment": {"0": 1.0}}]},
      'chain JSON maps[0]["assignment"]["0"] is 1.0'),
-    # an unhashable value is in no set
+    # an image is a label, not a list
     ("injection-image-list", ["forget-centers", "--injection"],
-     {"source": [1], "target": [1], "map": {"1": [1]}}, "error: image label [1] not in target"),
+     {"source": [1], "target": [1], "map": {"1": [1]}},
+     '"map"["1"] is [1]: an image label must be an integer or a string'),
     # map keys decode as chain-file keys do: each names one source label, and every label has one
     ("injection-key-unknown", ["forget-centers", "--injection"],
      {"source": [1, 2], "target": [1, 2, 3], "map": {"1": 1, "2": 2, "7": 3}},
@@ -596,6 +627,29 @@ BAD_SHAPES = [
     ("injection-label-int-and-str", ["forget-centers", "--injection"],
      {"source": [1, "1"], "target": [1, 2, 3], "map": {"1": 1}},
      '.json: "source"[1] is \'1\': the set also holds the integer 1'),
+    # a key is the JSON text of its label: a key that int() reads as 1 but is not "1" names nothing
+    *[(f"{kind}-key-{name}", argv, data(key), f"{field} has an unknown label {key!r}")
+      for name, key in [("zero-padded", "01"), ("space", " 1"), ("plus", "+1"), ("arabic", "١")]
+      for kind, argv, data, field in [
+          ("chain", ["deltafin-check", "--chain"],
+           lambda key: {"sets": [[1, 2], [0]], "maps": [{"from": 0, "assignment": {
+               "1": 0, key: 0, "2": 0}}]}, 'chain JSON maps[0]["assignment"]'),
+          ("injection", ["forget-centers", "--injection"],
+           lambda key: {"source": [1, 2], "target": [1, 2, 3], "map": {"1": 1, key: 3, "2": 2}},
+           '"map"')]],
+    ("chain-key-unknown", ["deltafin-check", "--chain"],
+     {"sets": [[1, 2], [0]], "maps": [{"from": 0, "assignment": {"1": 0, "2": 0, "7": 0}}]},
+     'chain JSON maps[0]["assignment"] has an unknown label \'7\''),
+    ("chain-label-twice", ["deltafin-check", "--chain"],
+     {"sets": [[1, 2, 1], [0]], "maps": [{"from": 0, "assignment": {"1": 0, "2": 0}}]},
+     "chain JSON sets[0][2] is 1: chain JSON sets[0][0] holds it too"),
+    ("injection-label-twice", ["forget-centers", "--injection"],
+     {"source": ["a", "a"], "target": ["a", "b"]}, '"source"[1] is \'a\': "source"[0] holds it too'),
+    ("injection-image-unknown", ["forget-centers", "--injection"],
+     {"source": [1], "target": [1, 2], "map": {"1": 3}}, '"map"["1"] is 3: no label of the target'),
+    ("injection-not-injective", ["forget-centers", "--injection"],
+     {"source": [1, 2], "target": [1, 2], "map": {"1": 1, "2": 1}},
+     '"map" sends two source labels to one target label'),
 ]
 
 
@@ -607,6 +661,6 @@ def test_bad_input_shape_is_one_error_line(tmp_path, capsys, name, argv, data, f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert field in captured.err
+    assert field in captured.err and str(path) in captured.err
     # the line names the file and the field, and echoes no more than a short repr of the value
     assert len(captured.err.replace(str(path), "").encode()) < 200

@@ -14,6 +14,7 @@ from confstrata.finchains import (
     enumerate_chains,
     face,
     identity_chain,
+    injection_from_json,
     precompose,
 )
 from confstrata.forests import level_functor_object
@@ -323,8 +324,8 @@ def test_json_round_trip():
 GOOD_MAP = {"from": 0, "assignment": {"0": 0, "1": 0}}
 BAD_CHAIN_JSON = [
     ({"sets": 5}, 'chain JSON "sets" must be a list of lists of labels'),
-    ({"sets": [5, [0]]}, 'chain JSON "sets" must be a list of lists of labels'),
-    ({"sets": [[[0]], [0]]}, 'chain JSON "sets" must be a list of lists of labels'),
+    ({"sets": [5, [0]]}, r"chain JSON sets\[0\] must be a list of labels"),
+    ({"sets": [[[0]], [0]]}, r"chain JSON sets\[0\]\[0\] is \[0\]: a label must be"),
     ([[0, 1], [0]], "chain JSON must be an object"),
     ({"sets": [[0, 1], [0]], "maps": GOOD_MAP}, 'chain JSON "maps" must be a list of objects'),
     ({"sets": [[0, 1], [0]], "maps": [3]}, 'chain JSON "maps" must be a list of objects'),
@@ -346,6 +347,14 @@ BAD_CHAIN_JSON = [
     ({"sets": [[0, 2.0]]}, r"sets\[0\]\[1\] is 2.0: a label must be"),
     ({"sets": [["a", None]]}, r"sets\[0\]\[1\] is None: a label must be"),
     ({"sets": [["7", 3, 7]]}, r"sets\[0\]\[0\] is '7': the set also holds the integer 7"),
+    ({"sets": [[7, 3, "7"]]}, r"sets\[0\]\[2\] is '7': the set also holds the integer 7"),
+    ({"sets": [[0], [1, 1]]}, r"sets\[1\]\[1\] is 1: chain JSON sets\[1\]\[0\] holds it too"),
+    ({"sets": [[1, 2], [0]], "maps": [{"from": 0, "assignment": {"1": 0, "01": 0, "2": 0}}]},
+     r"maps\[0\]\[\"assignment\"\] has an unknown label '01'"),
+    ({"sets": [[1, 2], [0]], "maps": [{"from": 0, "assignment": {"1": 0}}]},
+     r"maps\[0\]\[\"assignment\"\] has no key for 2"),
+    ({"sets": [[1], [0]], "maps": [{"from": 0, "assignment": {"1": 5}}]},
+     r"maps\[0\]\[\"assignment\"\]\[\"1\"\] is 5: no label of the target"),
 ]
 
 
@@ -362,3 +371,14 @@ def test_chain_from_json_keeps_int_and_str_labels_apart_across_sets():
     chain = chain_from_json(data)
     assert chain.sets[0].labels == ("1", "x") and chain.sets[1].labels == (1,)
     assert chain_from_json(chain_to_json(chain)) == chain
+
+
+def test_an_injection_map_decodes_as_a_chain_map():
+    inj = injection_from_json({"source": [1, "a"], "target": [1, 2, "a"], "map": {"1": 2, "a": "a"}})
+    assert inj.as_dict() == {1: 2, "a": "a"}
+    chain = chain_from_json({"sets": [[1, "a"], [1, 2, "a"]],
+                             "maps": [{"from": 0, "assignment": {"1": 2, "a": "a"}}]})
+    assert chain.maps[0] == inj
+    assert injection_from_json({"source": [2], "target": [1, 2]}).as_dict() == {2: 2}
+    with pytest.raises(ValueError, match=r'^"map" has an unknown label \'01\'$'):
+        injection_from_json({"source": [1], "target": [1], "map": {"01": 1}})
