@@ -10,12 +10,11 @@ exhaustive for their size range and no class is checked twice.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 
 from . import confcat, finchains, forests, koszul, weights, wonderful
-from .finchains import FinChain, SimplexMap, enumerate_chains, face, degeneracy, precompose
-from .forests import ForMorphism, morphisms_equivalent
 
 
 class CheckResult:
@@ -43,7 +42,7 @@ class CheckResult:
 # -- simplicial identities -------------------------------------------------------
 
 
-def _random_chain(rng: random.Random, max_level: int, max_size: int) -> FinChain:
+def _random_chain(rng: random.Random, max_level: int, max_size: int) -> finchains.FinChain:
     k = rng.randint(0, max_level)
     sizes = [rng.randint(1, max_size) for _ in range(k + 1)]
     sets = [finchains.FiniteSet(range(m)) for m in sizes]
@@ -57,7 +56,7 @@ def _random_chain(rng: random.Random, max_level: int, max_size: int) -> FinChain
 def check_simplicial_identities(max_level=3, max_size=3, samples=0, seed=0) -> CheckResult:
     """Exhaustive over one representative per class in range, plus random chains on sets of <= 4."""
     result = CheckResult(f"simplicial identities (k<={max_level}, |S|<={max_size})")
-    chains = list(enumerate_chains(max_level, max_size))
+    chains = list(finchains.enumerate_chains(max_level, max_size))
     if samples:
         rng = random.Random(seed)
         chains.extend(_random_chain(rng, max_level, 4) for _ in range(samples))
@@ -66,10 +65,10 @@ def check_simplicial_identities(max_level=3, max_size=3, samples=0, seed=0) -> C
     return result
 
 
-def _identities_on(chain: FinChain, result: CheckResult):
+def _identities_on(chain: finchains.FinChain, result: CheckResult):
     k = chain.level_count
-    faces = [face(chain, i) for i in range(k + 1)] if k >= 1 else []
-    degens = [degeneracy(chain, j) for j in range(k + 1)]
+    faces = [finchains.face(chain, i) for i in range(k + 1)] if k >= 1 else []
+    degens = [finchains.degeneracy(chain, j) for j in range(k + 1)]
 
     def record(condition, message):
         result.checked += 1
@@ -78,25 +77,25 @@ def _identities_on(chain: FinChain, result: CheckResult):
 
     if k >= 2:
         for i, j in itertools.combinations(range(k + 1), 2):
-            record(face(faces[j], i) == face(faces[i], j - 1),
+            record(finchains.face(faces[j], i) == finchains.face(faces[i], j - 1),
                    f"d_{i} d_{j} != d_{j - 1} d_{i}")
     for i, j in itertools.product(range(k + 1), repeat=2):
         if i <= j:
-            record(degeneracy(degens[j], i) == degeneracy(degens[i], j + 1),
+            record(finchains.degeneracy(degens[j], i) == finchains.degeneracy(degens[i], j + 1),
                    f"s_{i} s_{j} != s_{j + 1} s_{i}")
     for j in range(k + 1):
-        record(face(degens[j], j) == chain, f"d_{j} s_{j} != id")
-        record(face(degens[j], j + 1) == chain, f"d_{j + 1} s_{j} != id")
+        record(finchains.face(degens[j], j) == chain, f"d_{j} s_{j} != id")
+        record(finchains.face(degens[j], j + 1) == chain, f"d_{j + 1} s_{j} != id")
     for i, j in itertools.product(range(k + 2), range(k + 1)):
         if i < j:
-            record(face(degens[j], i) == degeneracy(faces[i], j - 1),
+            record(finchains.face(degens[j], i) == finchains.degeneracy(faces[i], j - 1),
                    f"d_{i} s_{j} != s_{j - 1} d_{i}")
         elif i > j + 1 and k >= 1:
-            record(face(degens[j], i) == degeneracy(faces[i - 1], j),
+            record(finchains.face(degens[j], i) == finchains.degeneracy(faces[i - 1], j),
                    f"d_{i} s_{j} != s_{j} d_{i - 1}")
     result.checked += 1
     try:
-        FinChain(chain.sets, chain.maps)
+        finchains.FinChain(chain.sets, chain.maps)
     except ValueError:
         result.failures.append(f"enumerated chain invalid: {chain!r}")
 
@@ -115,8 +114,8 @@ def _mask(delta) -> int:
     return sum(1 << t for t in set(delta))
 
 
-def _reindexing(delta: tuple, target: FinChain) -> SimplexMap:
-    return SimplexMap(delta, precompose(target, delta), target)
+def _reindexing(delta: tuple, target: finchains.FinChain) -> finchains.SimplexMap:
+    return finchains.SimplexMap(delta, finchains.precompose(target, delta), target)
 
 
 def _pair_fault(violations, factors, ff, fg, fc):
@@ -128,12 +127,12 @@ def _pair_fault(violations, factors, ff, fg, fc):
             return 1, (k, violations(mor))
     # a level forest moved under a degeneracy leaves F f and F g without a composite
     left = ff.then(fg) if ff.target == fg.source else None
-    if left is None or left != fc and not morphisms_equivalent(left, fc):
+    if left is None or left != fc and not forests.morphisms_equivalent(left, fc):
         return 1, "F composition"
     return 2, None if factors(fc) else "con factorization"
 
 
-def _failure(fault, f_sm: SimplexMap, g_sm: SimplexMap) -> str:
+def _failure(fault, f_sm: finchains.SimplexMap, g_sm: finchains.SimplexMap) -> str:
     """The failure line of a pair whose fault (see _pair_fault) is not None."""
     if isinstance(fault, str):
         return f"{fault} failed: {f_sm!r} then {g_sm!r}"
@@ -162,7 +161,7 @@ class _Chains:
         self.factors = functools.cache(lambda mor: confcat.factors(confcat.StratumMap(mor)))
         self.fault = functools.cache(functools.partial(_pair_fault, self.violations, self.factors))
 
-    def index(self, chain: FinChain) -> int:
+    def index(self, chain: finchains.FinChain) -> int:
         key = (chain.sets, tuple([f.table for f in chain.maps]))
         c = self.number.setdefault(key, len(self.chains))
         if c == len(self.chains):
@@ -178,20 +177,20 @@ class _Chains:
         """The numbers of the sources of the elementary maps into chain c."""
         if c not in self.source_lists:
             chain = self.chains[c]
-            self.source_lists[c] = [self.index(precompose(chain, delta))
+            self.source_lists[c] = [self.index(finchains.precompose(chain, delta))
                              for delta, _, _ in self.elementary[chain.level_count]]
         return self.source_lists[c]
 
-    def image(self, c: int, mask: int) -> ForMorphism:
+    def image(self, c: int, mask: int) -> forests.ForMorphism:
         """F of every simplex map into chain c whose delta has this image mask."""
         mor = self.images.get((c, mask))
         if mor is None:
             data = self.level(c)
             image = tuple([t for t in range(len(data.masks)) if mask >> t & 1])
             if len(image) == len(data.masks):
-                mor = ForMorphism.identity(data.forest)
+                mor = forests.ForMorphism.identity(data.forest)
             else:
-                mid = self.level(self.index(precompose(self.chains[c], image)))
+                mid = self.level(self.index(finchains.precompose(self.chains[c], image)))
                 mor = forests._image_morphism(data, mid, image)
             mor = self.images[c, mask] = self.shared.setdefault(mor, mor)
         return mor
@@ -207,64 +206,73 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     forests.morphism_violations, and the confcat.StratumMap of every lawful
     face image and composite must factor (confcat.factors).  The memo
     (_Chains) lives for this call only; every pair counts its own checks.
+    It holds millions of containers, so the cyclic garbage collector, which
+    would walk them again and again, is off for the call.
     """
-    result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
-    table = _Chains(max_level)
-    chains = list(enumerate_chains(max_level, max_size))
-    for chain in chains:
-        c, k = table.index(chain), chain.level_count
-        phi = table.level(c).forest
-        ident = table.image(c, (1 << k + 1) - 1)
-        result.expect(ident.is_identity() and ident.source == phi,
-                      f"identity law failed on {chain!r}")
-        maps = list(zip(table.elementary[k], table.sources(c)))
-        faces = k + 1 if k else 0  # the degeneracies come last
-        for i, ((_, mask, _), b) in enumerate(maps[faces:]):
-            result.checked += 1
-            if not table.image(c, mask).is_identity():
-                result.failures.append(f"degeneracy {i} not sent to identity on {chain!r}")
-            elif table.level(b).forest != phi:
-                result.failures.append(f"degeneracy {i} changed the level forest of {chain!r}")
-        for (_, mask, _), b in maps[:faces]:
-            mor = table.image(c, mask)
-            result.checked += 1
-            problems = table.violations(mor)
-            if problems:
-                result.failures.append(f"face into {chain!r} is not a morphism: {problems}")
-                continue
-            if mor.source != table.level(b).forest or mor.target != phi:
-                result.failures.append(f"endpoint mismatch for face into {chain!r}")
-            result.checked += 1
-            if not table.factors(mor):
-                result.failures.append(f"con factorization failed: face into {chain!r}")
-    for chain in chains:
-        c = table.index(chain)
-        for (g_delta, g_mask, composites), b in zip(table.elementary[chain.level_count],
-                                                    table.sources(c)):
-            fg, source = table.image(c, g_mask), table.chains[b]
-            for (f_delta, f_mask, _), mask in zip(table.elementary[source.level_count], composites):
-                checked, fault = table.fault(table.image(b, f_mask), fg, table.image(c, mask))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = CheckResult(f"level functor (k<={max_level}, |S|<={max_size})")
+        table = _Chains(max_level)
+        chains = list(finchains.enumerate_chains(max_level, max_size))
+        for chain in chains:
+            c, k = table.index(chain), chain.level_count
+            phi = table.level(c).forest
+            ident = table.image(c, (1 << k + 1) - 1)
+            result.expect(ident.is_identity() and ident.source == phi,
+                          f"identity law failed on {chain!r}")
+            maps = list(zip(table.elementary[k], table.sources(c)))
+            faces = k + 1 if k else 0  # the degeneracies come last
+            for i, ((_, mask, _), b) in enumerate(maps[faces:]):
+                result.checked += 1
+                if not table.image(c, mask).is_identity():
+                    result.failures.append(f"degeneracy {i} not sent to identity on {chain!r}")
+                elif table.level(b).forest != phi:
+                    result.failures.append(f"degeneracy {i} changed the level forest of {chain!r}")
+            for (_, mask, _), b in maps[:faces]:
+                mor = table.image(c, mask)
+                result.checked += 1
+                problems = table.violations(mor)
+                if problems:
+                    result.failures.append(f"face into {chain!r} is not a morphism: {problems}")
+                    continue
+                if mor.source != table.level(b).forest or mor.target != phi:
+                    result.failures.append(f"endpoint mismatch for face into {chain!r}")
+                result.checked += 1
+                if not table.factors(mor):
+                    result.failures.append(f"con factorization failed: face into {chain!r}")
+        for chain in chains:
+            c = table.index(chain)
+            for (g_delta, g_mask, composites), b in zip(table.elementary[chain.level_count],
+                                                        table.sources(c)):
+                fg, source = table.image(c, g_mask), table.chains[b]
+                for (f_delta, f_mask, _), mask in zip(table.elementary[source.level_count],
+                                                      composites):
+                    checked, fault = table.fault(table.image(b, f_mask), fg, table.image(c, mask))
+                    result.checked += checked
+                    if fault is not None:
+                        result.failures.append(_failure(fault, _reindexing(f_delta, source),
+                                                        _reindexing(g_delta, chain)))
+        if pair_samples:
+            rng = random.Random(seed)
+            for _ in range(pair_samples):
+                chain = rng.choice(chains)
+                l = chain.level_count
+                kb = rng.randint(0, max_level)
+                g = tuple(sorted(rng.randint(0, l) for _ in range(kb + 1)))
+                ka = rng.randint(0, kb)
+                f = tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1)))
+                c, b = table.index(chain), table.index(finchains.precompose(chain, g))
+                checked, fault = table.fault(table.image(b, _mask(f)), table.image(c, _mask(g)),
+                                             table.image(c, _mask([g[j] for j in f])))
                 result.checked += checked
                 if fault is not None:
-                    result.failures.append(_failure(fault, _reindexing(f_delta, source),
-                                                    _reindexing(g_delta, chain)))
-    if pair_samples:
-        rng = random.Random(seed)
-        for _ in range(pair_samples):
-            chain = rng.choice(chains)
-            l = chain.level_count
-            kb = rng.randint(0, max_level)
-            g = tuple(sorted(rng.randint(0, l) for _ in range(kb + 1)))
-            ka = rng.randint(0, kb)
-            f = tuple(sorted(rng.randint(0, kb) for _ in range(ka + 1)))
-            c, b = table.index(chain), table.index(precompose(chain, g))
-            checked, fault = table.fault(table.image(b, _mask(f)), table.image(c, _mask(g)),
-                                         table.image(c, _mask([g[j] for j in f])))
-            result.checked += checked
-            if fault is not None:
-                result.failures.append(_failure(fault, _reindexing(f, table.chains[b]),
-                                                _reindexing(g, chain)))
-    return result
+                    result.failures.append(_failure(fault, _reindexing(f, table.chains[b]),
+                                                    _reindexing(g, chain)))
+        return result
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- forests ----------------------------------------------------------------------

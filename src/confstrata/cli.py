@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 
 from . import checks, confcat, finchains, forests, koszul, weights, wonderful
@@ -48,6 +49,16 @@ def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int | No
     return value
 
 
+def _unique_keys(pairs):
+    """The JSON object of these pairs, refusing a key given twice rather than keeping the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"the key {reprlib.repr(key)} appears twice in one object")
+    return obj
+
+
 def _load(path: str, decode, config: RunConfig):
     """Read, hash and decode one input file: every fault is one line naming the file."""
     try:
@@ -59,7 +70,7 @@ def _load(path: str, decode, config: RunConfig):
 
     config.input_digest = hashlib.sha256(raw).hexdigest()
     try:
-        return decode(json.loads(raw))
+        return decode(json.loads(raw, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}")
     except RecursionError:

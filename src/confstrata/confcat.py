@@ -10,25 +10,15 @@ followed by a stratum inclusion.
 
 from __future__ import annotations
 
-from . import _Value, _fill
-from .finchains import SetMap, SimplexMap
-from .forests import (
-    ForMorphism,
-    Forest,
-    _canonical_blocks,
-    _forest,
-    enumerate_forests,
-    inclusion_covers,
-    is_forest,
-    level_functor_morphism,
-)
+from . import _Value, _fill, finchains, forests
+
 
 class Stratum(_Value):
     """A closed stratum, carried entirely by its indexing forest."""
 
     __slots__ = ("forest",)
 
-    def __init__(self, forest: Forest):
+    def __init__(self, forest: forests.Forest):
         _fill(self, forest)
 
     @property
@@ -39,17 +29,17 @@ class Stratum(_Value):
         return f"Stratum(codim={self.codim}, {self.forest!r})"
 
 
-def stratum_codim(phi: Forest) -> int:
+def stratum_codim(phi: forests.Forest) -> int:
     """Codimension: the number of non-singleton blocks."""
     return len(phi.non_singleton_blocks())
 
 
-def stratum_intersect(phi: Forest, psi: Forest):
+def stratum_intersect(phi: forests.Forest, psi: forests.Forest):
     """Stratum of the union forest, or None when the union is not a forest."""
     if phi.ground != psi.ground:
         raise ValueError("strata live over different ground sets")
-    blocks = _canonical_blocks(set(phi.blocks) | set(psi.blocks))
-    return Stratum(_forest(phi.ground, blocks)) if is_forest(phi.ground, blocks) else None
+    blocks = forests._canonical_blocks(set(phi.blocks) | set(psi.blocks))
+    return Stratum(forests._forest(phi.ground, blocks)) if forests.is_forest(phi.ground, blocks) else None
 
 
 class StratumMap(_Value):
@@ -68,15 +58,15 @@ class StratumMap(_Value):
 
     __slots__ = ("morphism",)
 
-    def __init__(self, morphism: ForMorphism):
+    def __init__(self, morphism: forests.ForMorphism):
         _fill(self, morphism)
 
     @property
-    def witness(self) -> SetMap:
+    def witness(self) -> finchains.SetMap:
         return self.morphism.canonical_lift()
 
     @property
-    def mid(self) -> Forest:
+    def mid(self) -> forests.Forest:
         return self.morphism.signature()
 
     @property
@@ -103,9 +93,9 @@ class StratumMap(_Value):
         return f"StratumMap({self.kind}: {self.source!r} -> {self.target!r})"
 
 
-def con_morphism(sm: SimplexMap) -> StratumMap:
+def con_morphism(sm: finchains.SimplexMap) -> StratumMap:
     """Contravariant image of a chain morphism: forgetful then inclusion."""
-    return StratumMap(level_functor_morphism(sm))
+    return StratumMap(forests.level_functor_morphism(sm))
 
 
 def factors(sm: StratumMap) -> bool:
@@ -119,10 +109,9 @@ class StrataPoset(_Value):
     __slots__ = ("n", "strata", "covers")
 
     def __init__(self, n: int):
-        forests = enumerate_forests(n)
-        strata = [Stratum(f) for f in forests]
-        covers = inclusion_covers([f.non_singleton_blocks() for f in forests])
-        _fill(self, n, tuple(strata), tuple(covers))
+        every = forests.enumerate_forests(n)
+        covers = forests.inclusion_covers([f.non_singleton_blocks() for f in every])
+        _fill(self, n, tuple([Stratum(f) for f in every]), tuple(covers))
 
     def to_dot(self) -> str:
         lines = ["digraph strata {", "  rankdir=BT;", "  node [shape=box];"]

@@ -19,35 +19,27 @@ from __future__ import annotations
 import itertools
 from operator import attrgetter
 
-from . import _Value, _fill
-from .finchains import (
-    FinChain,
-    FiniteSet,
-    SetMap,
-    SimplexMap,
-    _setmap,
-    label_key,
-    precompose,
-)
+from . import _Value, _fill, finchains
 
 
 def _block_key(block):
-    return (len(block), tuple(label_key(x) for x in block))
+    return (len(block), tuple(finchains.label_key(x) for x in block))
 
 
 def _canonical_blocks(blocks):
-    uniq = {tuple(sorted(b, key=label_key)) for b in blocks}
+    uniq = {tuple(sorted(b, key=finchains.label_key)) for b in blocks}
     return tuple(sorted(uniq, key=_block_key))
 
 
-def is_forest(ground: FiniteSet, blocks) -> bool:
+def is_forest(ground: finchains.FiniteSet, blocks) -> bool:
     """Both forest conditions: all singletons present, blocks disjoint or nested."""
     blocks = [frozenset(b) for b in blocks]
     for b in blocks:
         if not b:
             return False
         if not b <= set(ground.labels):
-            raise ValueError(f"block {sorted(b, key=label_key)} is not a subset of the ground set")
+            raise ValueError(f"block {sorted(b, key=finchains.label_key)} "
+                             "is not a subset of the ground set")
     block_set = set(blocks)
     for x in ground:
         if frozenset((x,)) not in block_set:
@@ -69,7 +61,7 @@ class Forest(_Value):
     __slots__ = ("ground", "blocks")
     _fields = attrgetter("blocks", "ground")
 
-    def __init__(self, ground: FiniteSet, blocks):
+    def __init__(self, ground: finchains.FiniteSet, blocks):
         blocks = _canonical_blocks(blocks)
         if not is_forest(ground, blocks):
             raise ValueError("not a forest: missing singleton or overlapping blocks")
@@ -85,16 +77,16 @@ class Forest(_Value):
         return f"Forest({list(self.ground.labels)!r}, {[list(b) for b in self.blocks]!r})"
 
 
-def _forest(ground: FiniteSet, blocks: tuple) -> Forest:
+def _forest(ground: finchains.FiniteSet, blocks: tuple) -> Forest:
     """The forest with these canonical blocks, unchecked."""
     return _fill(object.__new__(Forest), ground, blocks)
 
 
-def minimal_forest(ground: FiniteSet) -> Forest:
+def minimal_forest(ground: finchains.FiniteSet) -> Forest:
     return _forest(ground, tuple((x,) for x in ground.labels))
 
 
-def pullback(j: SetMap, psi: Forest) -> Forest:
+def pullback(j: finchains.SetMap, psi: Forest) -> Forest:
     """Intersect a forest on T with the image of an injection j: S -> T."""
     if not j.is_injective():
         raise ValueError("pullback requires an injective map")
@@ -113,7 +105,7 @@ def trees_of(phi: Forest):
     """Split a forest into its trees: (root block, tree as a forest on the root)."""
     blocks = phi.block_sets()
     roots = [b for b in phi.blocks if not any(frozenset(b) < c for c in blocks)]
-    return [(root, Forest(FiniteSet(root), [b for b in blocks if b <= frozenset(root)]))
+    return [(root, Forest(finchains.FiniteSet(root), [b for b in blocks if b <= frozenset(root)]))
             for root in roots]
 
 
@@ -165,7 +157,7 @@ class ForestPoset(_Value):
     __slots__ = ("elements", "less")
 
     def __init__(self, elements, less):
-        elements = tuple(sorted(set(elements), key=label_key))
+        elements = tuple(sorted(set(elements), key=finchains.label_key))
         less = frozenset(_transitive_closure({(a, b) for a, b in less if a != b}))
         for a, b in less:
             if a not in elements or b not in elements:
@@ -205,10 +197,11 @@ def from_poset(p: ForestPoset) -> Forest:
     maximal = p.maximal()
     unwrap = all(isinstance(m, tuple) and len(m) == 1 for m in maximal)
     name = (lambda m: m[0]) if unwrap else (lambda m: m)
-    ground = FiniteSet(name(m) for m in maximal)
+    ground = finchains.FiniteSet(name(m) for m in maximal)
     blocks = set()
     for v in p.elements:
-        blocks.add(tuple(sorted((name(m) for m in maximal if p.leq(v, m)), key=label_key)))
+        blocks.add(tuple(sorted((name(m) for m in maximal if p.leq(v, m)),
+                                key=finchains.label_key)))
     return Forest(ground, blocks)
 
 
@@ -241,7 +234,7 @@ def enumerate_forests(n: int):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    ground = FiniteSet(range(1, n + 1))
+    ground = finchains.FiniteSet(range(1, n + 1))
     points = [tuple(b for b in range(n) if mask >> b & 1) for mask in range(1 << n)]
     block = [tuple(ground.labels[b] for b in p) for p in points]
     order = sorted(range(1 << n), key=lambda m: (len(points[m]), points[m]))
@@ -298,11 +291,11 @@ class ForMorphism(_Value):
     def is_identity(self) -> bool:
         return self.source == self.target and all(k == v for k, v in self.block_map)
 
-    def canonical_lift(self) -> SetMap:
+    def canonical_lift(self) -> finchains.SetMap:
         """The least ground lift: each point to the first label of its image block."""
         mapping, positions = self.mapping(), self.target.ground.positions
-        return _setmap(self.source.ground, self.target.ground,
-                       tuple([positions[mapping[(s,)][0]] for s in self.source.ground]))
+        return finchains._setmap(self.source.ground, self.target.ground,
+                                 tuple([positions[mapping[(s,)][0]] for s in self.source.ground]))
 
     def signature(self) -> Forest:
         """The pullback of the target forest along a ground lift: the quotient-category card.
@@ -381,7 +374,7 @@ class _LevelData:
 
     __slots__ = ("masks", "blocks", "deepest", "forest")
 
-    def __init__(self, chain: FinChain):
+    def __init__(self, chain: finchains.FinChain):
         masks, deepest, leaves = [], {}, []
         for i, s in enumerate(chain.sets):
             level = [0] * len(s)
@@ -406,7 +399,7 @@ class _LevelData:
             if len(bits) > 1:
                 for rank, bit in enumerate(bits):
                     names[bit] = f"{value}#{rank}"
-        ground = FiniteSet(names)
+        ground = finchains.FiniteSet(names)
 
         # a block's key is its sorted ground positions; big masks are slow to hash
         position = [ground.positions[name] for name in names]
@@ -418,12 +411,12 @@ class _LevelData:
         self.forest = _forest(ground, tuple(self.blocks.values()))
 
 
-def level_functor_object(chain: FinChain) -> Forest:
+def level_functor_object(chain: finchains.FinChain) -> Forest:
     """The forest of a chain, not re-checked: its points' leaf sets, named by the leaves' values."""
     return _LevelData(chain).forest
 
 
-def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
+def level_functor_morphism(sm: finchains.SimplexMap) -> ForMorphism:
     """The forest morphism of a chain morphism, which depends only on its target and
     the image of delta, computed afresh on each call.
 
@@ -437,7 +430,7 @@ def level_functor_morphism(sm: SimplexMap) -> ForMorphism:
     data = _LevelData(sm.target)
     if len(image) == len(data.masks):
         return ForMorphism.identity(data.forest)
-    return _image_morphism(data, _LevelData(precompose(sm.target, image)), image)
+    return _image_morphism(data, _LevelData(finchains.precompose(sm.target, image)), image)
 
 
 def _image_morphism(data: _LevelData, mid: _LevelData, image: tuple) -> ForMorphism:

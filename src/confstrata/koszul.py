@@ -18,8 +18,7 @@ import reprlib
 import sys
 from math import lcm
 
-from . import _Value, _fill
-from .linalg import Echelon, integerize, nullspace
+from . import _Value, _fill, linalg
 
 CONVENTIONS = ("graded-commutative", "free")
 
@@ -78,7 +77,7 @@ class QuadraticPresentation(_Value):
         if convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
         vectors = []
-        ech = Echelon()
+        ech = linalg.Echelon()
         for rel in relations:
             vec = tuple(v if type(v) is int else _fraction(v) for v in rel)
             if len(vec) != g * g:
@@ -101,7 +100,7 @@ class QuadraticPresentation(_Value):
                 vec = [0] * (g * g)
                 vec[i * g + j] = vec[j * g + i] = 1
                 vectors.append(vec)
-        ech = Echelon()
+        ech = linalg.Echelon()
         independent = []
         for vec in vectors:
             if ech.add({i: v for i, v in enumerate(vec) if v}):
@@ -120,7 +119,7 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     """
     g = p.generator_count
     effective = p.effective_relations()
-    return QuadraticPresentation(g, nullspace(effective, g * g), convention="free",
+    return QuadraticPresentation(g, linalg.nullspace(effective, g * g), convention="free",
                                  regraded_from=p.regraded_from)
 
 
@@ -150,7 +149,7 @@ def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
     if N < 0:
         raise ValueError("truncation order must be non-negative")
     g = p.generator_count
-    relations = [[(i // g, i % g, v) for i, v in enumerate(integerize(vec)) if v]
+    relations = [[(i // g, i % g, v) for i, v in enumerate(linalg.integerize(vec)) if v]
                  for vec in p.effective_relations()]
     dims = [1]
     if N == 0:
@@ -163,7 +162,7 @@ def hilbert_of_quadratic(p: QuadraticPresentation, N: int) -> TruncatedSeries:
     nf_prev = [({v: 1}, 1) for v in range(g)]
     dim_prev, dim_prev2 = g, 1
     for n in range(2, N + 1):
-        ech = Echelon()
+        ech = linalg.Echelon()
         for u in range(dim_prev2):
             for rel in relations:
                 forms = [(coeff, j, nf_prev[u * g + i]) for i, j, coeff in rel]

@@ -15,8 +15,7 @@ import itertools
 import math
 import reprlib
 
-from . import _Value, _fill
-from .linalg import Echelon
+from . import _Value, _fill, linalg
 
 
 class HypothesisRefusal(Exception):
@@ -204,7 +203,9 @@ def descriptor_from_json(data) -> VarietyDescriptor:
         try:
             degree = int(deg)
         except ValueError:
-            raise ValueError(f"{where}: the degree must be an integer")
+            degree = None
+        if degree is None or str(degree) != deg:  # so "01", "+1" or "1_0" name no degree
+            raise ValueError(f'{where}: the degree must be an integer in plain digits, as in "1"')
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise ValueError(f'{where} must be a list of {{"weight", "mult"}} objects')
         for i, e in enumerate(entries):
@@ -501,7 +502,7 @@ class _Engine:
                     if product is not None:
                         sign, merged = product
                         row[merged] = row.get(merged, 0) + coeff * sign
-                echelons.setdefault((deg + rel_deg, wt + rel_wt), Echelon()).add(row)
+                echelons.setdefault((deg + rel_deg, wt + rel_wt), linalg.Echelon()).add(row)
         return {lead for ech in echelons.values() for lead in ech.pivots}
 
     def mono_label(self, mono):

@@ -17,9 +17,7 @@ import functools
 import itertools
 from operator import attrgetter
 
-from . import _Value, _fill
-from .finchains import FiniteSet, SetMap
-from .forests import Forest, _mask_forests, inclusion_covers
+from . import _Value, _fill, finchains, forests
 
 
 # -- partitions of {1..n}: the polydiagonal bookkeeping ------------------------
@@ -217,18 +215,18 @@ def enumerate_nests(n: int, d: int = 1):
     (De Concini-Procesi); checks.check_forest_nest_bijection compares them with is_nest.
     """
     _check_points(n, d)
-    return [frozenset([(b,) for b in blocks if b & (b - 1)]) for blocks in _mask_forests(n)]
+    return [frozenset([(b,) for b in blocks if b & (b - 1)]) for blocks in forests._mask_forests(n)]
 
 
-def nest_to_forest(n: int, nest) -> Forest:
+def nest_to_forest(n: int, nest) -> forests.Forest:
     """Adjoin the singletons: the forest a nest corresponds to."""
-    ground = FiniteSet(range(1, n + 1))
+    ground = finchains.FiniteSet(range(1, n + 1))
     blocks = [(x,) for x in ground]
     for member in nest:
         if len(member) != 1:
             raise ValueError("only diagonal members correspond to forest blocks")
         blocks.append(partition_blocks(member)[0])
-    return Forest(ground, blocks)
+    return forests.Forest(ground, blocks)
 
 
 # -- blow-up schedules -------------------------------------------------------------
@@ -289,7 +287,7 @@ def default_order(building_set: BuildingSet) -> BlowUpSchedule:
     return BlowUpSchedule(building_set, ordered)
 
 
-def forgetful_centers(inj: SetMap, d: int = 1):
+def forgetful_centers(inj: finchains.SetMap, d: int = 1):
     """Diagonal centers {Delta_i(U)} for U a subset of the source with |U| >= 2.
 
     These are the blow-up centers of the intermediate space through which the
@@ -331,6 +329,6 @@ def nest_poset_dot(n: int, d: int = 1) -> str:
     for i, nest in enumerate(nests):
         text = ", ".join(partition_label(m) for m in sorted(nest, key=partition_blocks)) or "(empty)"
         lines.append(f'  n{i} [label="{text}"];')
-    lines += [f"  n{i} -> n{j};" for i, j in inclusion_covers(nests)]
+    lines += [f"  n{i} -> n{j};" for i, j in forests.inclusion_covers(nests)]
     lines.append("}")
     return "\n".join(lines) + "\n"

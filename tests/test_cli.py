@@ -405,23 +405,43 @@ print(json.dumps([sorted(registered), sorted(ran), stdlib]))
 LAZY = ["checks", "confcat", "finchains", "forests", "koszul", "linalg", "weights", "wonderful"]
 
 
-@pytest.mark.parametrize("call,ran,stdlib", [
-    ("", ["cli"], []),
-    ('main(["forests", "--n", "2", "--count"])', ["cli", "finchains", "forests"], []),
-    ('main(["hilbert", "--n", "2", "--max-deg", "4"])', ["cli", "linalg", "weights"], []),
-    ('main(["koszul", "--presentation", "exterior-2", "--max-deg", "4"])',
-     ["cli", "koszul", "linalg"], []),
-    ('main(["koszul", "--presentation", "genus-1", "--max-deg", "4"])',
-     ["cli", "koszul", "linalg"], []),
-    ('main(["deltafin-check", "--max-level", "1", "--max-size", "2", "--functor"])',
-     ["checks", "cli", "confcat", "finchains", "forests"], []),
-], ids=["import", "forests", "hilbert", "koszul", "genus-1", "deltafin-check"])
-def test_a_request_runs_only_the_modules_it_uses(call, ran, stdlib):
+LOADS = [
+    ("import", [], []),
+    ("forests", ["forests", "--n", "2", "--count"], ["forests"]),
+    ("forests-list", ["forests", "--n", "2"], ["finchains", "forests"]),
+    ("nests", ["nests", "--n", "3", "--count"], ["forests", "wonderful"]),
+    ("strata", ["strata", "--n", "3"], ["confcat", "finchains", "forests"]),
+    ("blowup-validate", ["blowup-validate", "--n", "3"], ["wonderful"]),
+    ("forget-centers", ["forget-centers", "--source", "1,2", "--target", "1,2,3"],
+     ["finchains", "wonderful"]),
+    ("forget-centers-injection", ["forget-centers", "--injection", "{tmp}/injection.json"],
+     ["finchains", "wonderful"]),
+    ("deltafin-check-chain", ["deltafin-check", "--chain", "{tmp}/chain.json"],
+     ["finchains", "forests"]),
+    ("deltafin-check-identities", ["deltafin-check", "--max-level", "1", "--max-size", "2"],
+     ["checks", "finchains"]),
+    ("deltafin-check", ["deltafin-check", "--max-level", "1", "--max-size", "2", "--functor"],
+     ["checks", "confcat", "finchains", "forests"]),
+    ("hilbert", ["hilbert", "--n", "2", "--max-deg", "4"], ["weights"]),
+    ("hilbert-elliptic", ["hilbert", "--variety", "elliptic", "--n", "3", "--max-deg", "4"],
+     ["linalg", "weights"]),
+    ("purity", ["purity", "--variety", "elliptic", "--n", "2"], ["linalg", "weights"]),
+    ("koszul", ["koszul", "--presentation", "exterior-2", "--max-deg", "4"], ["koszul", "linalg"]),
+    ("genus-1", ["koszul", "--presentation", "genus-1", "--max-deg", "4"], ["koszul", "linalg"]),
+]
+
+
+@pytest.mark.parametrize("argv,ran", [row[1:] for row in LOADS], ids=[row[0] for row in LOADS])
+def test_a_request_runs_only_the_modules_it_uses(tmp_path, argv, ran):
+    (tmp_path / "injection.json").write_text('{"source": [1, 2], "target": [1, 2, 3]}')
+    (tmp_path / "chain.json").write_text(json.dumps({"sets": [[0], [0]], "maps": [ONE_MAP]}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    call = f"assert main({argv!r}) == 0" if argv else ""
     proc = run_child("-c", LOAD_CONTRACT.format(call=call))
     assert proc.returncode == 0, proc.stderr
     registered = sorted(f"confstrata.{m}" for m in ["cli", *LAZY])
     assert json.loads(proc.stdout.splitlines()[-1]) == [
-        registered, [f"confstrata.{m}" for m in ran], stdlib]
+        registered, [f"confstrata.{m}" for m in sorted(["cli", *ran])], []]
 
 
 def test_nests_dot(tmp_path, capsys):
@@ -637,6 +657,13 @@ BAD_SHAPES = [
           ("injection", ["forget-centers", "--injection"],
            lambda key: {"source": [1, 2], "target": [1, 2, 3], "map": {"1": 1, key: 3, "2": 2}},
            '"map"')]],
+    # so is a degree key: "01" beside "1" would name degree 1 twice
+    *[(f"degree-key-{name}", [*HILBERT, "--variety"],
+       {"name": "x", "d": 1, "cohomology": {**H0, "1": [{"weight": 1, "mult": 2}],
+                                            key: [{"weight": 1, "mult": 5}]}},
+       f'cohomology["{key}"]: the degree must be an integer')
+      for name, key in [("zero-padded", "01"), ("space", " 1"), ("plus", "+1"),
+                        ("underscore", "1_0"), ("arabic", "١"), ("empty", "")]],
     ("chain-key-unknown", ["deltafin-check", "--chain"],
      {"sets": [[1, 2], [0]], "maps": [{"from": 0, "assignment": {"1": 0, "2": 0, "7": 0}}]},
      'chain JSON maps[0]["assignment"] has an unknown label \'7\''),
@@ -651,6 +678,25 @@ BAD_SHAPES = [
      {"source": [1, 2], "target": [1, 2], "map": {"1": 1, "2": 1}},
      '"map" sends two source labels to one target label'),
 ]
+
+
+# a key given twice in one object would leave only its last value: refused at any depth
+REPEATED_KEYS = [
+    ("injection-map", ["forget-centers", "--injection"],
+     '{"source": [1, 2], "target": [1, 2, 3], "map": {"1": 1, "1": 3, "2": 2}}', "'1'"),
+    ("descriptor-top", [*HILBERT, "--variety"],
+     '{"name": "x", "d": 1, "d": 2, "cohomology": {"0": [{"weight": 0, "mult": 1}]}}', "'d'"),
+]
+
+
+@pytest.mark.parametrize("name,argv,text,key", REPEATED_KEYS, ids=[r[0] for r in REPEATED_KEYS])
+def test_repeated_key_is_one_error_line(tmp_path, capsys, name, argv, text, key):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: the key {key} appears twice in one object\n"
 
 
 @pytest.mark.parametrize("name,argv,data,field", BAD_SHAPES, ids=[s[0] for s in BAD_SHAPES])

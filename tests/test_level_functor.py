@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -232,6 +233,19 @@ def test_functor_check_builds_each_level_data_once_per_call(monkeypatch):
     second = check_level_functor(3, 2, pair_samples=300, seed=1)
     assert len(built) == 2 * count and set(built[count:]) == set(built[:count])
     assert (first.checked, first.failures) == (second.checked, second.failures) == (6655, [])
+
+
+def test_functor_check_runs_without_the_cycle_collector_and_restores_it(monkeypatch):
+    seen = []
+    monkeypatch.setattr(confcat, "factors", lambda sm: seen.append(gc.isenabled()) or True)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert check_level_functor(1, 2, pair_samples=5, seed=0).ok
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+    assert seen and not any(seen)
 
 
 def test_functor_check_reports_every_failing_pair(monkeypatch):

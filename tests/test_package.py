@@ -89,6 +89,25 @@ def test_no_module_level_import_goes_unused():
     assert offenders == []
 
 
+def test_modules_reach_siblings_through_the_module():
+    """A sibling is imported as a module and named as sibling.name at each use, so the lazy
+    module alone decides when its code runs: no module imports a name from a submodule, and
+    from the package itself only the submodules, _Value and _fill."""
+    paths = sorted(Path(confstrata.__file__).parent.glob("*.py"))
+    allowed = {path.stem for path in paths} - {"__init__"} | {"_Value", "_fill"}
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level and node.module or (node.module or "").startswith("confstrata"):
+                offenders.append(f"{path.name}:{node.lineno} imports from {node.module}")
+            elif node.level:
+                offenders += [f"{path.name}:{node.lineno} imports {alias.name} from the package"
+                              for alias in node.names if alias.name not in allowed]
+    assert offenders == []
+
+
 def test_no_method_is_cached():
     """No lru_cache or cache decorates a method: its table would keep every instance alive."""
     offenders = []
