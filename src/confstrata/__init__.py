@@ -25,8 +25,7 @@ _EXPORTS = {
     "wonderful": """BlowUpSchedule BuildingSet DiagonalLattice default_order diagonal
         diagonal_building_set diagonal_lattice forgetful_centers is_building_set is_nest
         validate_li_order""",
-    "confcat": """StrataPoset Stratum StratumMap con_morphism strata_poset stratum_codim
-        stratum_intersect""",
+    "confcat": "StrataPoset con_morphism strata_poset stratum_codim stratum_intersect",
     "weights": """HypothesisRefusal PresentationAlgebra VarietyDescriptor WeightMultiset
         WeightedGradedSpace affine_line affine_space check_pure conf2_purity_report
         elliptic_curve hilbert_series kunneth_power presentation purity_theorem_check

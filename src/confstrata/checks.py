@@ -120,7 +120,7 @@ def _reindexing(delta: tuple, target: finchains.FinChain) -> finchains.SimplexMa
 
 def _pair_fault(violations, factors, ff, fg, fc):
     """(checks made, fault) for F f, F g and F(f then g): the fault is None, the failed step
-    ("F composition", or "con factorization": factors on the stratum map of F(f then g)),
+    ("F composition", or "con factorization": confcat.factors on F(f then g)),
     or the index and problems of the first of the three that is not a morphism."""
     for k, mor in enumerate((ff, fg, fc)):
         if violations(mor):
@@ -158,7 +158,7 @@ class _Chains:
         self.number, self.chains, self.data = {}, [], {}
         self.source_lists, self.images, self.shared = {}, {}, {}
         self.violations = functools.cache(forests.morphism_violations)
-        self.factors = functools.cache(lambda mor: confcat.factors(confcat.StratumMap(mor)))
+        self.factors = functools.cache(confcat.factors)
         self.fault = functools.cache(functools.partial(_pair_fault, self.violations, self.factors))
 
     def index(self, chain: finchains.FinChain) -> int:
@@ -173,6 +173,9 @@ class _Chains:
             self.data[c] = forests._LevelData(self.chains[c])
         return self.data[c]
 
+    def level_of(self, chain: finchains.FinChain):
+        return self.level(self.index(chain))
+
     def sources(self, c: int) -> list:
         """The numbers of the sources of the elementary maps into chain c."""
         if c not in self.source_lists:
@@ -185,13 +188,9 @@ class _Chains:
         """F of every simplex map into chain c whose delta has this image mask."""
         mor = self.images.get((c, mask))
         if mor is None:
-            data = self.level(c)
-            image = tuple([t for t in range(len(data.masks)) if mask >> t & 1])
-            if len(image) == len(data.masks):
-                mor = forests.ForMorphism.identity(data.forest)
-            else:
-                mid = self.level(self.index(finchains.precompose(self.chains[c], image)))
-                mor = forests._image_morphism(data, mid, image)
+            chain = self.chains[c]
+            image = tuple([t for t in range(chain.level_count + 1) if mask >> t & 1])
+            mor = forests.image_morphism(chain, image, self.level_of)
             mor = self.images[c, mask] = self.shared.setdefault(mor, mor)
         return mor
 
@@ -203,8 +202,8 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     degeneracies) in range and on a seeded sample of pairs of monotone
     reindexings, in the quotient category (morphisms_equivalent: equal
     pullback forests).  Every face image and composite must pass
-    forests.morphism_violations, and the confcat.StratumMap of every lawful
-    face image and composite must factor (confcat.factors).  The memo
+    forests.morphism_violations, and the map of strata of every lawful face
+    image and composite must factor (confcat.factors).  The memo
     (_Chains) lives for this call only; every pair counts its own checks.
     It holds millions of containers, so the cyclic garbage collector, which
     would walk them again and again, is off for the call.
@@ -330,7 +329,7 @@ def check_strata(max_n=3) -> CheckResult:
                 result.failures.append(f"intersection not commutative: {phi!r}, {psi!r}")
             if phi == psi:
                 result.checked += 1
-                if meet != confcat.Stratum(phi):
+                if meet != phi:
                     result.failures.append(f"intersection not idempotent: {phi!r}")
         for phi, psi in itertools.combinations(all_forests, 2):
             if set(phi.blocks) <= set(psi.blocks):

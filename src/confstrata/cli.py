@@ -4,7 +4,7 @@ Subcommands: forests, nests, strata, deltafin-check, blowup-validate,
 forget-centers, purity, hilbert, koszul.  Every subcommand supports
 --selftest to run its module's property suite.  Reports are deterministic
 JSON (sorted keys, no timestamps); exit status is 0 on success, 1 on input
-errors or exceeded caps, 2 on hypothesis refusal.
+errors (a bad or unknown flag too) or exceeded caps, 2 on hypothesis refusal.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ SCHEMA = "confstrata/1"
 # Every size limit: the library checks only its domains, --unsafe-no-cap lifts
 # every entry, and an over-cap request is refused (functor_level clamps).
 CAPS = {"n": 6, "max_deg": 40, "max_level": 3, "max_size": 4,
-        "koszul_deg": 12, "functor_level": 2, "generators": 6}
+        "koszul_deg": 12, "functor_level": 2, "generators": 6, "samples": 10000}
 
 
 class RunConfig:
@@ -37,6 +37,13 @@ class RunConfig:
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad or unknown flag is an input error, one line and exit 1, not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int | None = 0):
@@ -122,6 +129,8 @@ def _selftest(command: str) -> int:
 
 
 def _cmd_forests(args, config: RunConfig) -> int:
+    if args.index is not None and args.dot is None:
+        raise InputError("--index needs --dot")
     n = _cap(config, "n", args.n, "n", least=1)
     # a bare count needs no labelled, sorted forests: count the bitmask ones
     all_forests = (forests._mask_forests(n) if args.count and args.dot is None
@@ -161,8 +170,8 @@ def _cmd_strata(args, config: RunConfig) -> int:
         "count": len(poset.strata),
         "by_codim": {},
     }
-    for s in poset.strata:
-        key = str(s.codim)
+    for phi in poset.strata:
+        key = str(confcat.stratum_codim(phi))
         result["by_codim"][key] = result["by_codim"].get(key, 0) + 1
     if args.dot is not None:
         _write_artifact(args.dot, poset.to_dot())
@@ -180,14 +189,13 @@ def _cmd_deltafin_check(args, config: RunConfig) -> int:
         return 0
     max_level = _cap(config, "max-level", args.max_level, "max_level")
     max_size = _cap(config, "max-size", args.max_size, "max_size", least=1)
-    if args.samples < 0:
-        raise InputError("samples must be non-negative")
+    samples = _cap(config, "samples", args.samples, "samples")
     results = [checks.check_simplicial_identities(max_level, max_size,
-                                                  samples=args.samples, seed=args.seed)]
+                                                  samples=samples, seed=args.seed)]
     if args.functor:
         results.append(checks.check_level_functor(
             max_level if config.unsafe_no_cap else min(max_level, CAPS["functor_level"]),
-            max_size, pair_samples=args.samples or 300, seed=args.seed))
+            max_size, pair_samples=samples or 300, seed=args.seed))
     ok = all(r.ok for r in results)
     result = {
         "passed": ok,
@@ -214,7 +222,7 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
         "order": wonderful.schedule_to_json(schedule),
         "valid": bad_prefix is None,
         "first_invalid_prefix": bad_prefix,
-        "divisors": [record.label for record in schedule.divisor_registry],
+        "divisors": [f"E_{wonderful.partition_label(c)}" for c in schedule.order],
     }
     _emit(config, result, text=("valid\n" if bad_prefix is None else f"invalid at prefix {bad_prefix}\n"))
     return 0
@@ -329,7 +337,7 @@ def _cmd_koszul(args, config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confstrata",
         description="Symbolic calculus for strata of compactified configuration spaces.",
     )
@@ -426,18 +434,18 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.fmt
-    if fmt is None:
-        # bare counts read better as plain text; everything else defaults to JSON
-        fmt = "text" if getattr(args, "count", False) else "json"
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in {"command", "out", "fmt", "unsafe_no_cap", "selftest", "log"} and v is not None
-    }
-    config = RunConfig(args.command, params, args.out, fmt, args.unsafe_no_cap)
     try:
+        args = _build_parser().parse_args(argv)
+        fmt = args.fmt
+        if fmt is None:
+            # bare counts read better as plain text; everything else defaults to JSON
+            fmt = "text" if getattr(args, "count", False) else "json"
+        params = {
+            k: v for k, v in vars(args).items()
+            if k not in {"command", "out", "fmt", "unsafe_no_cap", "selftest", "log"}
+            and v is not None
+        }
+        config = RunConfig(args.command, params, args.out, fmt, args.unsafe_no_cap)
         if args.log:
             import datetime
 

@@ -426,21 +426,21 @@ def level_functor_morphism(sm: finchains.SimplexMap) -> ForMorphism:
     category (morphisms_equivalent: equal pullback forests);
     checks.check_level_functor checks the laws.
     """
-    image = tuple(dict.fromkeys(sm.delta))
-    data = _LevelData(sm.target)
+    return image_morphism(sm.target, tuple(dict.fromkeys(sm.delta)), _LevelData)
+
+
+def image_morphism(chain: finchains.FinChain, image: tuple, level) -> ForMorphism:
+    """F of every simplex map into chain whose delta has this image, its levels in
+    increasing order, with level(c) the level data (_LevelData) of a chain c.  Delta
+    factors through its image, and the surjective part is the identity; point y of
+    level i of the chain reindexed along image is point y of level image[i]."""
+    data = level(chain)
     if len(image) == len(data.masks):
         return ForMorphism.identity(data.forest)
-    return _image_morphism(data, _LevelData(finchains.precompose(sm.target, image)), image)
-
-
-def _image_morphism(data: _LevelData, mid: _LevelData, image: tuple) -> ForMorphism:
-    """F of every simplex map into the chain of data whose delta has this image, a
-    proper subset of its levels, with mid the level data of the chain reindexed
-    along image.  Delta factors through its image, and the surjective part is the
-    identity; a point of mid sits at the same position of level image[level]."""
+    mid = level(finchains.precompose(chain, image))
     return _morphism(mid.forest, data.forest, tuple([
-        (block, data.blocks[data.masks[image[level]][y]])
-        for block, (level, y) in zip(mid.forest.blocks, mid.deepest)]))
+        (block, data.blocks[data.masks[image[i]][y]])
+        for block, (i, y) in zip(mid.forest.blocks, mid.deepest)]))
 
 
 # -- export -------------------------------------------------------------------

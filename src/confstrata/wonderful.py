@@ -232,27 +232,16 @@ def nest_to_forest(n: int, nest) -> forests.Forest:
 # -- blow-up schedules -------------------------------------------------------------
 
 
-class DivisorRecord(_Value):
-    """The exceptional divisor of a center: its place in the order, the center and its name."""
-
-    __slots__ = ("index", "center", "label")
-
-
 class BlowUpSchedule(_Value):
-    """An ordering of a building set with the exceptional-divisor registry."""
+    """An ordering of a building set; the i-th center's exceptional divisor is E_{its label}."""
 
-    __slots__ = ("building_set", "order", "divisor_registry")
-    _fields = attrgetter("building_set", "order")
+    __slots__ = ("building_set", "order")
 
     def __init__(self, building_set: BuildingSet, order):
         order = tuple(order)
         if len(order) != len(building_set.members) or set(order) != set(building_set.members):
             raise ValueError("order must be a permutation of the building-set members")
-        registry = tuple(
-            DivisorRecord(i, center, f"E_{partition_label(center)}")
-            for i, center in enumerate(order)
-        )
-        _fill(self, building_set, order, registry)
+        _fill(self, building_set, order)
 
     def __repr__(self):
         return f"BlowUpSchedule({[partition_label(c) for c in self.order]})"

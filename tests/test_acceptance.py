@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from confstrata import checks
-from confstrata.confcat import Stratum, stratum_codim, stratum_intersect
+from confstrata.confcat import stratum_codim, stratum_intersect
 from confstrata.finchains import FiniteSet
 from confstrata.forests import (
     Forest,
@@ -138,8 +138,7 @@ def test_criterion_4_stratum_calculus():
         for phi, psi in itertools.product(enumerate_forests(n), repeat=2):
             pairs += 1
             union = set(phi.blocks) | set(psi.blocks)
-            expected = (Stratum(Forest(ground, union))
-                        if is_forest(ground, union) else None)
+            expected = Forest(ground, union) if is_forest(ground, union) else None
             ok = ok and stratum_intersect(phi, psi) == expected
     _verdict(4, "stratum codimension and intersection law", ok, f"{pairs} pairs")
 

@@ -90,11 +90,13 @@ CAPPED = [
     ("koszul_deg", 3, ["koszul", "--presentation", "genus-1", "--max-deg", "4"], "max-deg"),
     ("generators", 2, ["koszul", "--presentation", "exterior-3", "--max-deg", "3"], "generators"),
     ("generators", 2, ["koszul", "--presentation", "symmetric-3", "--max-deg", "3"], "generators"),
+    ("samples", 2, ["deltafin-check", "--max-level", "1", "--max-size", "1", "--samples", "3"],
+     "samples"),
 ]
 
 
 def test_every_cap_is_in_the_table():
-    assert len(cli.CAPS) == 7
+    assert len(cli.CAPS) == 8
     assert {row[0] for row in CAPPED} | {"functor_level"} == set(cli.CAPS)
 
 
@@ -498,6 +500,11 @@ BAD_FLAGS = [
      "error: max-level must be non-negative\n"),
     ("samples-negative", ["deltafin-check", "--samples", "-3"],
      "error: samples must be non-negative\n"),
+    # the work grows linearly with --samples: the refusal comes before any chain is drawn
+    ("samples-over-cap", ["deltafin-check", "--max-level", "1", "--max-size", "1",
+                          "--samples", "10001"],
+     "error: samples=10001 exceeds the cap 10000 (use --unsafe-no-cap to override)\n"),
+    ("index-without-dot", ["forests", "--n", "3", "--index", "7"], "error: --index needs --dot\n"),
     ("d-zero", ["forget-centers", "--source", "1,2", "--target", "1,2,3", "--d", "0"],
      "error: complex dimension must be positive\n"),
     ("d-negative", ["forget-centers", "--source", "1,2", "--target", "1,2,3", "--d", "-3"],
@@ -525,6 +532,38 @@ def test_bad_flag_value_is_one_error_line(capsys, name, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+# an integer flag of each subcommand
+INT_FLAG = {"forests": "--n", "nests": "--d", "strata": "--n", "deltafin-check": "--max-level",
+            "blowup-validate": "--n", "forget-centers": "--d", "purity": "--n",
+            "hilbert": "--max-deg", "koszul": "--max-deg"}
+UNPARSED = {
+    "int": lambda command: [INT_FLAG[command], "abc"],
+    "choice": lambda command: ["--format", "xml"],
+    "unknown": lambda command: ["--bogus"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNPARSED))
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_a_flag_argparse_refuses_is_one_error_line(capsys, command, kind):
+    # exit 1, as for every input error: exit 2 is the hypothesis refusal alone
+    argv = UNPARSED[kind](command)
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert argv[0] in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["forests", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: confstrata forests")
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
 
 ONE_MAP = {"from": 0, "assignment": {"0": 0}}

@@ -4,10 +4,9 @@ import itertools
 import pytest
 
 from confstrata.confcat import (
-    Stratum,
-    StratumMap,
     con_morphism,
     factors,
+    kind,
     strata_poset,
     stratum_codim,
     stratum_intersect,
@@ -21,6 +20,7 @@ from confstrata.finchains import (
     identity_chain,
 )
 from confstrata.forests import (
+    ForMorphism,
     Forest,
     enumerate_forests,
     level_functor_morphism,
@@ -52,8 +52,8 @@ def test_intersect_union_is_forest():
     phi = F([1, 2, 3], [(1,), (2,), (3,), (1, 2)])
     psi = F([1, 2, 3], [(1,), (2,), (3,), (1, 2, 3)])
     meet = stratum_intersect(phi, psi)
-    assert meet == Stratum(F([1, 2, 3], [(1,), (2,), (3,), (1, 2), (1, 2, 3)]))
-    assert meet.codim == 2
+    assert meet == F([1, 2, 3], [(1,), (2,), (3,), (1, 2), (1, 2, 3)])
+    assert stratum_codim(meet) == 2
 
 
 def test_intersect_empty():
@@ -67,15 +67,14 @@ def test_intersect_idempotent_and_commutative():
         meet = stratum_intersect(phi, psi)
         assert meet == stratum_intersect(psi, phi)
         if phi == psi:
-            assert meet == Stratum(phi)
+            assert meet == phi
 
 
 def test_intersect_associative_where_defined():
     def opt(a, b):
         if a is None or b is None:
             return None
-        return stratum_intersect(a.forest if isinstance(a, Stratum) else a,
-                                 b.forest if isinstance(b, Stratum) else b)
+        return stratum_intersect(a, b)
 
     forests3 = enumerate_forests(3)
     for a, b, c in itertools.product(forests3, repeat=3):
@@ -91,17 +90,17 @@ def test_intersect_ground_mismatch():
 
 def test_con_object_examples():
     s = FiniteSet([1, 2, 3])
-    assert Stratum(level_functor_object(identity_chain(s))) == Stratum(minimal_forest(s))
+    assert level_functor_object(identity_chain(s)) == minimal_forest(s)
 
     s2, star = FiniteSet([1, 2]), FiniteSet(["*"])
     pair = FinChain([s2, star], [SetMap(s2, star, {1: "*", 2: "*"})])
-    assert Stratum(level_functor_object(pair)).codim == 1
+    assert stratum_codim(level_functor_object(pair)) == 1
 
     ab = FiniteSet(["a", "b"])
     partial = FinChain([s, ab], [SetMap(s, ab, {1: "a", 2: "a", 3: "b"})])
-    stratum = Stratum(level_functor_object(partial))
-    assert stratum.codim == 1
-    assert stratum.forest == F([1, 2, 3], [(1,), (2,), (3,), (1, 2)])
+    phi = level_functor_object(partial)
+    assert stratum_codim(phi) == 1
+    assert phi == F([1, 2, 3], [(1,), (2,), (3,), (1, 2)])
 
 
 def test_con_morphism_degeneracy_is_identity():
@@ -110,16 +109,17 @@ def test_con_morphism_degeneracy_is_identity():
     for i in range(2):
         mor = con_morphism(SimplexMap.degeneracy(pair, i))
         assert mor.is_identity()
-        assert mor.kind == "inclusion"
+        assert kind(mor) == "inclusion"
 
 
 def test_con_morphism_outer_face_is_divisor_inclusion():
     s2, star = FiniteSet([1, 2]), FiniteSet(["*"])
     pair = FinChain([s2, star], [SetMap(s2, star, {1: "*", 2: "*"})])
     mor = con_morphism(SimplexMap.face(pair, 1))
-    assert mor.source.codim == 1
-    assert mor.target == Stratum(minimal_forest(s2))
-    assert mor.kind == "inclusion"
+    # the forest morphism runs from the divisor's forest to the interior's
+    assert stratum_codim(mor.target) == 1
+    assert mor.source == minimal_forest(s2)
+    assert kind(mor) == "inclusion"
 
 
 def test_con_morphism_relabel_is_forgetful():
@@ -127,8 +127,8 @@ def test_con_morphism_relabel_is_forgetful():
     s2, ab = FiniteSet([1, 2]), FiniteSet(["a", "b"])
     chain = FinChain([s2, ab], [SetMap(s2, ab, {1: "a", 2: "b"})])
     mor = con_morphism(SimplexMap.face(chain, 0))
-    assert mor.kind == "forgetful"
-    assert mor.source.codim == 0 and mor.target.codim == 0
+    assert kind(mor) == "forgetful"
+    assert stratum_codim(mor.source) == 0 and stratum_codim(mor.target) == 0
 
 
 def test_con_functoriality_on_a_composite():
@@ -142,12 +142,12 @@ def test_con_functoriality_on_a_composite():
     g = SimplexMap.face(f.source, 0)
     left = con_morphism(g.then(f))
     right = level_functor_morphism(g).then(level_functor_morphism(f))
-    assert morphisms_equivalent(left.morphism, right)
+    assert morphisms_equivalent(left, right)
     assert factors(left)
 
 
 def test_stratum_map_is_its_morphism():
-    # equality, hashing and kind read the forest morphism alone
+    # a map of strata is the forest morphism of F: con_morphism adds nothing to it
     s, ab, star = FiniteSet([1, 2, 3]), FiniteSet(["a", "b"]), FiniteSet(["*"])
     chain = FinChain([s, ab, star],
                      [SetMap(s, ab, {1: "a", 2: "a", 3: "b"}),
@@ -155,23 +155,21 @@ def test_stratum_map_is_its_morphism():
     f = SimplexMap.face(chain, 2)
     g = SimplexMap.face(f.source, 0)
     composite = con_morphism(g.then(f))
-    through = StratumMap(level_functor_morphism(g).then(level_functor_morphism(f)))
+    through = level_functor_morphism(g).then(level_functor_morphism(f))
+    assert type(composite) is ForMorphism
     assert composite == through and hash(composite) == hash(through)
-    assert con_morphism(f) == StratumMap(level_functor_morphism(f)) != con_morphism(g)
-    assert [m.kind for m in (con_morphism(f), con_morphism(g), composite)] == [
+    assert con_morphism(f) == level_functor_morphism(f) != con_morphism(g)
+    assert [kind(m) for m in (con_morphism(f), con_morphism(g), composite)] == [
         "inclusion", "forgetful", "composite"]
-    for name in ("morphism", "witness", "mid"):
-        with pytest.raises(AttributeError):
-            setattr(composite, name, None)
 
 
 def test_stratum_map_kinds_on_elementary_maps_and_composites():
     kinds = collections.Counter()
     for chain in enumerate_chains(2, 2):
         for g_sm in elementary_into(chain):
-            kinds[con_morphism(g_sm).kind] += 1
+            kinds[kind(con_morphism(g_sm))] += 1
             for f_sm in elementary_into(g_sm.source):
-                kinds["composite of two: " + con_morphism(f_sm.then(g_sm)).kind] += 1
+                kinds["composite of two: " + kind(con_morphism(f_sm.then(g_sm)))] += 1
     assert kinds == {
         "inclusion": 78, "forgetful": 18, "composite": 4,
         "composite of two: inclusion": 408, "composite of two: forgetful": 104,
@@ -184,15 +182,16 @@ def test_stratum_map_witness_dominates():
     ab = FiniteSet(["a", "b"])
     chain = FinChain([s, ab], [SetMap(s, ab, {1: "a", 2: "a", 3: "b"})])
     mor = con_morphism(SimplexMap.face(chain, 1))
-    assert set(mor.morphism.source.blocks) <= set(mor.mid.blocks)
-    assert mor.kind in {"inclusion", "forgetful", "composite"}
+    assert set(mor.source.blocks) <= set(mor.signature().blocks)
+    assert factors(mor)
+    assert kind(mor) in {"inclusion", "forgetful", "composite"}
 
 
 def test_strata_poset_counts():
     two = strata_poset(2)
     assert len(two.strata) == 2
     assert len(two.covers) == 1
-    assert [s.codim for s in two.strata].count(0) == 1
+    assert [stratum_codim(phi) for phi in two.strata].count(0) == 1
 
     three = strata_poset(3)
     assert len(three.strata) == 8
@@ -203,13 +202,13 @@ def test_strata_poset_codim_monotone():
         poset = strata_poset(n)
         assert poset.covers
         for a, b in poset.covers:
-            assert poset.strata[a].codim < poset.strata[b].codim
+            assert stratum_codim(poset.strata[a]) < stratum_codim(poset.strata[b])
 
 
 def test_strata_covers_match_pairwise_definition():
     for n in range(1, 5):
         poset = strata_poset(n)
-        forests = [s.forest for s in poset.strata]
+        forests = poset.strata
         oracle = sorted(
             (i, j)
             for i, f in enumerate(forests)
@@ -234,6 +233,6 @@ def test_nonempty_strata_are_nests_plus_singletons():
     # ties the stratum index set to the nest calculus
     for n in range(1, 5):
         nest_forests = {nest_to_forest(n, nest) for nest in enumerate_nests(n)}
-        strata_forests = {s.forest for s in strata_poset(n).strata}
+        strata_forests = set(strata_poset(n).strata)
         assert nest_forests == strata_forests
         assert diagonal_building_set(n, 1)  # building set exists alongside

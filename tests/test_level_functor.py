@@ -142,7 +142,7 @@ def assert_one_pullback_forest(mor):
 
 def test_morphism_respects_pullback_law():
     # a lawful image has one pullback forest, and it dominates the source
-    # forest; StratumMap relies on this without re-proving it
+    # forest; confcat.factors relies on this without re-proving it
     maps = list(elementary_maps_and_composites(2, 2))
     maps += [SimplexMap.face(chain, i) for chain in enumerate_chains(2, 3)
              for i in range(chain.level_count + 1) if chain.level_count >= 1]
@@ -237,7 +237,7 @@ def test_functor_check_builds_each_level_data_once_per_call(monkeypatch):
 
 def test_functor_check_runs_without_the_cycle_collector_and_restores_it(monkeypatch):
     seen = []
-    monkeypatch.setattr(confcat, "factors", lambda sm: seen.append(gc.isenabled()) or True)
+    monkeypatch.setattr(confcat, "factors", lambda g: seen.append(gc.isenabled()) or True)
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         try:
@@ -252,7 +252,7 @@ def test_functor_check_reports_every_failing_pair(monkeypatch):
     # each distinct (F f, F g, F(f then g)) triple is decided once, but every
     # pair still counts its two checks and reports its own failure; every face
     # image is asked too
-    monkeypatch.setattr(confcat, "factors", lambda sm: False)
+    monkeypatch.setattr(confcat, "factors", lambda g: False)
     result = check_level_functor(3, 2, pair_samples=300, seed=1)
     assert result.checked == 6655
     assert len([f for f in result.failures if " then " in f]) == 3022
@@ -308,17 +308,17 @@ def test_functor_check_reports_a_level_forest_moved_by_a_degeneracy(monkeypatch)
 
 def test_functor_check_reports_a_morphism_that_merges_blocks(monkeypatch):
     # mutant: the first two source blocks share one image block
-    real = forests._image_morphism
+    real = forests.image_morphism
 
-    def merging(data, mid, image):
-        mor = real(data, mid, image)
+    def merging(chain, image, level):
+        mor = real(chain, image, level)
         mapping = mor.mapping()
-        if len(mapping) >= 2:
+        if len(image) < chain.level_count + 1 and len(mapping) >= 2:
             first, second = list(mapping)[:2]
             mapping[second] = mapping[first]
         return ForMorphism(mor.source, mor.target, mapping)
 
-    monkeypatch.setattr(forests, "_image_morphism", merging)
+    monkeypatch.setattr(forests, "image_morphism", merging)
     result = check_level_functor(2, 2, pair_samples=20, seed=3)
     faces = [f for f in result.failures if f.startswith("face into")]
     composites = [f for f in result.failures if f.startswith("F of")]

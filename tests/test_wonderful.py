@@ -9,6 +9,7 @@ from shared_oracles import oracles
 
 from confstrata import wonderful
 from confstrata.checks import check_forest_nest_bijection
+from confstrata.cli import main
 from confstrata.confcat import strata_poset
 from confstrata.finchains import FiniteSet, SetMap
 from confstrata.forests import enumerate_forests, is_forest
@@ -189,7 +190,7 @@ def test_nest_and_strata_covers_are_the_inclusion_hasse_diagram():
         assert dot_poset(nest_poset_dot(n)) == (set(families), hasse)
         assert nest_poset_dot(n, 2) == nest_poset_dot(n)
         poset = strata_poset(n)
-        nests = [frozenset(map(frozenset, s.forest.non_singleton_blocks())) for s in poset.strata]
+        nests = [frozenset(map(frozenset, phi.non_singleton_blocks())) for phi in poset.strata]
         assert len(poset.covers) == len(hasse)
         assert {(nests[i], nests[j]) for i, j in poset.covers} == hasse
 
@@ -254,10 +255,14 @@ def test_schedule_requires_permutation():
         BlowUpSchedule(bset, [])
 
 
-def test_divisor_registry_order():
-    schedule = default_order(diagonal_building_set(3, 1))
-    assert [r.index for r in schedule.divisor_registry] == [0, 1, 2, 3]
-    assert schedule.divisor_registry[0].label == "E_{1,2,3}"
+def test_divisor_registry_order(capsys):
+    # the report names one divisor per center, in the order's order
+    assert main(["blowup-validate", "--n", "3"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["divisors"] == ["E_{1,2,3}", "E_{1,2}", "E_{1,3}", "E_{2,3}"]
+    assert result["divisors"] == [
+        "E_" + "|".join("{" + ",".join(map(str, b)) + "}" for b in member)
+        for member in result["order"]]
 
 
 def test_forgetful_centers_examples():
