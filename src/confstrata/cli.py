@@ -10,6 +10,7 @@ errors (a bad or unknown flag too) or exceeded caps, 2 on hypothesis refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import reprlib
 import sys
@@ -54,6 +55,15 @@ def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int | No
         raise InputError(
             f"{name}={value} exceeds the cap {CAPS[cap_key]} (use --unsafe-no-cap to override)")
     return value
+
+
+def _refuse_unread(args, path: str, flags: str) -> None:
+    """Refuse each of these flags given a value other than its parser default: path reads none."""
+    defaults = vars(_build_parser().parse_args([args.command]))
+    for flag in flags.split():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != defaults[dest]:
+            raise InputError(f"{flag} is not read with {path}")
 
 
 def _unique_keys(pairs):
@@ -182,6 +192,7 @@ def _cmd_strata(args, config: RunConfig) -> int:
 
 def _cmd_deltafin_check(args, config: RunConfig) -> int:
     if args.chain:
+        _refuse_unread(args, "--chain", "--functor --max-level --max-size --samples --seed")
         chain = _load(args.chain, finchains.chain_from_json, config)
         level_forest = forests.forest_to_json(forests.level_functor_object(chain))
         _emit(config, {"valid": True, "violations": [], "level_forest": level_forest},
@@ -240,6 +251,7 @@ def _int_labels(flag: str, text: str):
 
 def _cmd_forget_centers(args, config: RunConfig) -> int:
     if args.injection:
+        _refuse_unread(args, "--injection", "--source --target")
         inj = _load(args.injection, finchains.injection_from_json, config)
     elif args.source and args.target:
         source = _int_labels("source", args.source)
@@ -277,14 +289,15 @@ def _cmd_purity(args, config: RunConfig) -> int:
     x = _load_descriptor(args, config)
     n = _cap(config, "n", args.n, "n", least=1)
     max_deg = _cap(config, "max-deg", args.max_deg, "max_deg")
-    verdict = weights.purity_theorem_check(x, n, max_deg)
-    conf2 = weights.conf2_purity_report(x)
+    hilbert = weights.purity_theorem_check(x, n, max_deg).to_json()
+    verdict = "pure" if hilbert["pure"] else "violations"
     result = {
         "variety": x.name,
         "n": n,
-        "verdict": verdict.to_json()["verdict"],
-        "purity": verdict.to_json(),
-        "conf2": conf2.to_json(),
+        "verdict": verdict,
+        "purity": {"verdict": verdict, "max_degree": max_deg,
+                   "first_violation": hilbert["first_violation"], "hilbert": hilbert},
+        "conf2": weights.conf2_purity_report(x).to_json(),
     }
     _emit(config, result, text=f"{result['verdict']}\n")
     return 0
@@ -336,6 +349,7 @@ def _cmd_koszul(args, config: RunConfig) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+@functools.cache  # built once per process: _refuse_unread reads the defaults from it too
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="confstrata",

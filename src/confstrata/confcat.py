@@ -45,18 +45,6 @@ def factors(g: forests.ForMorphism) -> bool:
     return set(g.source.blocks) <= set(g.signature().blocks)
 
 
-def kind(g: forests.ForMorphism) -> str:
-    """Which step of g's map of strata is not trivial (see factors): "inclusion" when the
-    lift is the identity and the pullback forest is psi, "forgetful" when the pullback
-    forest is phi, "composite" otherwise."""
-    mid = g.signature()
-    if g.canonical_lift().is_identity() and mid == g.target:
-        return "inclusion"
-    if mid == g.source:
-        return "forgetful"
-    return "composite"
-
-
 class StrataPoset(_Value):
     """The strata over {1..n}, one forest each, ordered by inclusion; the caller bounds n."""
 

@@ -27,7 +27,7 @@ class FiniteSet(_Value):
     positions maps each label to its index in labels.
     """
 
-    __slots__ = ("labels", "positions", "_identity")
+    __slots__ = ("labels", "positions")
     _fields = attrgetter("labels")
 
     def __init__(self, labels=()):
@@ -75,12 +75,7 @@ class SetMap(_Value):
 
     @classmethod
     def identity(cls, s: FiniteSet) -> "SetMap":
-        """The identity of s, built once per set."""
-        try:
-            return s._identity
-        except AttributeError:
-            object.__setattr__(s, "_identity", _setmap(s, s, tuple(range(len(s)))))
-            return s._identity
+        return _setmap(s, s, tuple(range(len(s))))
 
     @property
     def pairs(self):
@@ -125,15 +120,15 @@ def _setmap(source: FiniteSet, target: FiniteSet, table: tuple) -> SetMap:
 
 
 class FinChain(_Value):
-    """A composable chain S_0 -> ... -> S_k of maps of finite sets.
+    """A composable chain S_0 -> ... -> S_k of maps of finite sets, held as its sets
+    and position tables: tables[i] is the table (as SetMap.table) of S_i -> S_{i+1}.
 
-    The constructor validates: one ValueError names each map i that does not run
-    S_i -> S_{i+1}.  The chains the package builds (faces, degeneracies,
-    reindexings, enumeration) compose by construction and are not re-checked.
+    FinChain(sets, maps) validates: one ValueError names each map i that does not run
+    S_i -> S_{i+1}.  maps is a view that builds the SetMaps on each read.  The chains
+    the package builds write tables that compose by construction and are not re-checked.
     """
 
-    __slots__ = ("sets", "maps")
-    _fields = attrgetter("sets", "maps")
+    __slots__ = ("sets", "tables")
 
     def __init__(self, sets, maps=()):
         sets = tuple(sets)
@@ -148,7 +143,12 @@ class FinChain(_Value):
                     if getattr(f, end) != sets[j]]
         if problems:
             raise ValueError("; ".join(problems))
-        _fill(self, sets, maps)
+        _fill(self, sets, tuple([f.table for f in maps]))
+
+    @property
+    def maps(self) -> tuple:
+        sets = self.sets
+        return tuple([_setmap(s, t, table) for s, t, table in zip(sets, sets[1:], self.tables)])
 
     @property
     def level_count(self) -> int:
@@ -159,14 +159,14 @@ class FinChain(_Value):
         return f"FinChain({sizes})"
 
 
-_chain_sets, _chain_maps = FinChain.sets.__set__, FinChain.maps.__set__
+_chain_sets, _chain_tables = FinChain.sets.__set__, FinChain.tables.__set__
 
 
-def _chain(sets: tuple, maps: tuple) -> FinChain:
+def _chain(sets: tuple, tables: tuple) -> FinChain:
     """The chain on these tuples, unchecked (slot setters as in _setmap)."""
     chain = object.__new__(FinChain)
     _chain_sets(chain, sets)
-    _chain_maps(chain, maps)
+    _chain_tables(chain, tables)
     return chain
 
 
@@ -178,17 +178,20 @@ def _table(chain: FinChain, start: int, stop: int) -> tuple:
     """Position table of the composite S_start -> S_stop of a chain."""
     if stop == start:
         return tuple(range(len(chain.sets[start])))
-    table = chain.maps[start].table
-    for f in chain.maps[start + 1:stop]:
-        step = f.table
+    table = chain.tables[start]
+    for step in chain.tables[start + 1:stop]:
         table = tuple([step[i] for i in table])
     return table
 
 
-def _composite(chain: FinChain, start: int, stop: int) -> SetMap:
-    """The composite S_start -> S_stop along a chain (identity if start == stop)."""
-    return chain.maps[start] if stop == start + 1 else _setmap(
-        chain.sets[start], chain.sets[stop], _table(chain, start, stop))
+def _face_delta(k: int, i: int) -> tuple:
+    """The delta [k-1] -> [k] of the i-th face of a level-k chain."""
+    return tuple(t for t in range(k + 1) if t != i)
+
+
+def _degeneracy_delta(k: int, i: int) -> tuple:
+    """The delta [k+1] -> [k] of the i-th degeneracy of a level-k chain."""
+    return tuple(t if t <= i else t - 1 for t in range(k + 2))
 
 
 def face(chain: FinChain, i: int) -> FinChain:
@@ -199,11 +202,11 @@ def face(chain: FinChain, i: int) -> FinChain:
     if not 0 <= i <= k:
         raise IndexError(f"face index {i} out of range 0..{k}")
     if i == 0:
-        return _chain(chain.sets[1:], chain.maps[1:])
+        return _chain(chain.sets[1:], chain.tables[1:])
     if i == k:
-        return _chain(chain.sets[:-1], chain.maps[:-1])
-    maps = chain.maps[: i - 1] + (_composite(chain, i - 1, i + 1),) + chain.maps[i + 1 :]
-    return _chain(chain.sets[:i] + chain.sets[i + 1 :], maps)
+        return _chain(chain.sets[:-1], chain.tables[:-1])
+    tables = chain.tables[: i - 1] + (_table(chain, i - 1, i + 1),) + chain.tables[i + 1 :]
+    return _chain(chain.sets[:i] + chain.sets[i + 1 :], tables)
 
 
 def degeneracy(chain: FinChain, i: int) -> FinChain:
@@ -213,16 +216,14 @@ def degeneracy(chain: FinChain, i: int) -> FinChain:
         raise IndexError(f"degeneracy index {i} out of range 0..{k}")
     s = chain.sets[i]
     sets = chain.sets[: i + 1] + (s,) + chain.sets[i + 1 :]
-    maps = chain.maps[:i] + (SetMap.identity(s),) + chain.maps[i:]
-    return _chain(sets, maps)
+    return _chain(sets, chain.tables[:i] + (tuple(range(len(s))),) + chain.tables[i:])
 
 
 def precompose(chain: FinChain, delta) -> FinChain:
     """The reindexed chain chain∘delta for a monotone delta: [k] -> [l]."""
     delta = tuple(delta)
     sets = tuple([chain.sets[j] for j in delta])
-    maps = tuple([_composite(chain, a, b) for a, b in zip(delta, delta[1:])])
-    return _chain(sets, maps)
+    return _chain(sets, tuple([_table(chain, a, b) for a, b in zip(delta, delta[1:])]))
 
 
 class SimplexMap(_Value):
@@ -245,8 +246,8 @@ class SimplexMap(_Value):
             raise ValueError("delta is not weakly monotone")
         # compare tables: the source's maps against the target's composites along delta
         if any(s != target.sets[j] for s, j in zip(source.sets, delta)) or any(
-                f.table != _table(target, a, b)
-                for f, a, b in zip(source.maps, delta, delta[1:])):
+                table != _table(target, a, b)
+                for table, a, b in zip(source.tables, delta, delta[1:])):
             raise ValueError("source chain != target chain reindexed along delta")
         _fill(self, delta, source, target)
 
@@ -257,14 +258,12 @@ class SimplexMap(_Value):
     @staticmethod
     def face(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism face(chain, i) -> chain."""
-        delta = tuple(t for t in range(chain.level_count + 1) if t != i)
-        return _simplex_map(delta, face(chain, i), chain)
+        return _simplex_map(_face_delta(chain.level_count, i), face(chain, i), chain)
 
     @staticmethod
     def degeneracy(chain: FinChain, i: int) -> "SimplexMap":
         """The canonical morphism degeneracy(chain, i) -> chain."""
-        delta = tuple(t if t <= i else t - 1 for t in range(chain.level_count + 2))
-        return _simplex_map(delta, degeneracy(chain, i), chain)
+        return _simplex_map(_degeneracy_delta(chain.level_count, i), degeneracy(chain, i), chain)
 
     def then(self, other: "SimplexMap") -> "SimplexMap":
         if other.source != self.target:
@@ -312,9 +311,7 @@ def _realise(roots, k: int, ranges) -> FinChain:
     for _ in range(k):
         tables.insert(0, tuple([p for p, node in enumerate(levels[0]) for _ in node]))
         levels.insert(0, [child for node in levels[0] for child in node])
-    sets = tuple([ranges[len(nodes)] for nodes in levels])
-    return _chain(sets, tuple([_setmap(sets[i], sets[i + 1], table)
-                               for i, table in enumerate(tables)]))
+    return _chain(tuple([ranges[len(nodes)] for nodes in levels]), tuple(tables))
 
 
 def enumerate_chains(max_level: int, max_size: int):
@@ -341,11 +338,13 @@ def enumerate_chains(max_level: int, max_size: int):
 # -- JSON --------------------------------------------------------------------
 
 def chain_to_json(chain: FinChain) -> dict:
+    sets = chain.sets
     return {
-        "sets": [list(s.labels) for s in chain.sets],
+        "sets": [list(s.labels) for s in sets],
         "maps": [
-            {"from": i, "assignment": {str(k): v for k, v in f.pairs}}
-            for i, f in enumerate(chain.maps)
+            {"from": i, "assignment": {str(x): sets[i + 1].labels[j]
+                                       for x, j in zip(sets[i].labels, table)}}
+            for i, table in enumerate(chain.tables)
         ],
     }
 

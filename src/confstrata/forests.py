@@ -380,7 +380,7 @@ class _LevelData:
             level = [0] * len(s)
             if i:
                 below = masks[-1]
-                for x, y in enumerate(chain.maps[i - 1].table):
+                for x, y in enumerate(chain.tables[i - 1]):
                     level[y] |= below[x]
             for y, mask in enumerate(level):
                 if not mask:

@@ -107,22 +107,10 @@ class WeightedGradedSpace(_Value):
         return f"WeightedGradedSpace({data!r})"
 
 
-class PurityReport(_Value):
-    __slots__ = ("violations",)
-
-    @property
-    def pure(self) -> bool:
-        return not self.violations
-
-
-def check_pure(space: WeightedGradedSpace) -> PurityReport:
-    """List every (degree, weight, mult) entry whose weight is not its degree."""
-    violations = []
-    for degree, ws in space.by_degree:
-        for w, m in ws.entries:
-            if w != degree:
-                violations.append((degree, w, m))
-    return PurityReport(tuple(violations))
+def check_pure(space: WeightedGradedSpace) -> tuple:
+    """Every (degree, weight, mult) entry whose weight is not its degree: empty iff pure."""
+    return tuple([(degree, w, m) for degree, ws in space.by_degree
+                  for w, m in ws.entries if w != degree])
 
 
 def tate_twist(space: WeightedGradedSpace, n: int) -> WeightedGradedSpace:
@@ -239,12 +227,12 @@ def thom_relative(x: VarietyDescriptor, k: int) -> WeightMultiset:
 
 
 def _require_hypotheses(x: VarietyDescriptor):
-    report = check_pure(x.cohomology)
-    if not report.pure:
-        deg, w, _ = report.violations[0]
+    violations = check_pure(x.cohomology)
+    if violations:
+        deg, w, _ = violations[0]
         raise HypothesisRefusal(
             f"descriptor {x.name!r} is not pure of weight = degree at degree {deg} (weight {w})",
-            [(v[0], v[1]) for v in report.violations])
+            [(v[0], v[1]) for v in violations])
     if not x.diagonal_class_vanishes:
         raise HypothesisRefusal(
             f"descriptor {x.name!r} does not assert a vanishing diagonal class")
@@ -601,25 +589,12 @@ def hilbert_series(algebra: PresentationAlgebra, N: int) -> HilbertReport:
     return HilbertReport(lines, first_violation is None, first_violation)
 
 
-class PurityVerdict(_Value):
-    __slots__ = ("pure", "max_degree", "first_violation", "hilbert")
-
-    def to_json(self):
-        return {
-            "verdict": "pure" if self.pure else "violations",
-            "max_degree": self.max_degree,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-            "hilbert": self.hilbert.to_json(),
-        }
-
-
-def purity_theorem_check(x: VarietyDescriptor, n: int, N: int) -> PurityVerdict:
-    """Assert weight == degree for n points in X x R through degree N.
+def purity_theorem_check(x: VarietyDescriptor, n: int, N: int) -> HilbertReport:
+    """Assert weight == degree for n points in X x R through degree N: the verdict is the
+    series' pure and first_violation.
 
     Refuses (rather than reporting a verdict) when the descriptor itself is
     impure or does not assert a vanishing diagonal class.
     """
     _require_hypotheses(x)
-    algebra = presentation(x, n)
-    report = hilbert_series(algebra, N)
-    return PurityVerdict(report.pure, N, report.first_violation, report)
+    return hilbert_series(presentation(x, n), N)

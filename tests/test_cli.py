@@ -494,6 +494,8 @@ def test_n_zero_names_the_valid_range(capsys):
             assert (captured.out, captured.err) == ("", "error: n must be at least 1\n")
 
 
+CHAIN = str(Path(__file__).parent / "fixtures" / "chain_string_labels.json")
+INJECTION = str(Path(__file__).parent / "fixtures" / "injection_string_labels.json")
 BAD_FLAGS = [
     ("max-size-zero", ["deltafin-check", "--max-size", "0"], "error: max-size must be at least 1\n"),
     ("max-level-negative", ["deltafin-check", "--max-level", "-1"],
@@ -523,6 +525,25 @@ BAD_FLAGS = [
      "error: target size=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"),
     ("generators-over-cap", ["koszul", "--presentation", "exterior-7", "--max-deg", "2"],
      "error: generators=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"),
+    # a flag the chosen path does not read is refused, not ignored
+    ("chain-with-functor", ["deltafin-check", "--chain", CHAIN, "--functor"],
+     "error: --functor is not read with --chain\n"),
+    ("chain-with-functor-samples-level", ["deltafin-check", "--chain", CHAIN, "--functor",
+                                          "--samples", "50", "--max-level", "9"],
+     "error: --functor is not read with --chain\n"),
+    ("chain-with-max-level", ["deltafin-check", "--chain", CHAIN, "--max-level", "9"],
+     "error: --max-level is not read with --chain\n"),
+    ("chain-with-max-size", ["deltafin-check", "--chain", CHAIN, "--max-size", "1"],
+     "error: --max-size is not read with --chain\n"),
+    ("chain-with-samples", ["deltafin-check", "--chain", CHAIN, "--samples", "50"],
+     "error: --samples is not read with --chain\n"),
+    ("chain-with-seed", ["deltafin-check", "--chain", CHAIN, "--seed", "3"],
+     "error: --seed is not read with --chain\n"),
+    ("injection-with-source-target", ["forget-centers", "--injection", INJECTION,
+                                      "--source", "7,8", "--target", "9"],
+     "error: --source is not read with --injection\n"),
+    ("injection-with-target", ["forget-centers", "--injection", INJECTION, "--target", "9"],
+     "error: --target is not read with --injection\n"),
 ]
 
 
@@ -532,6 +553,12 @@ def test_bad_flag_value_is_one_error_line(capsys, name, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_a_flag_given_its_default_is_read_as_absent(capsys):
+    assert main(["deltafin-check", "--chain", CHAIN, "--max-level", "2", "--samples", "0",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr() == ("valid\n", "")
 
 
 # an integer flag of each subcommand

@@ -6,7 +6,6 @@ import pytest
 from confstrata.confcat import (
     con_morphism,
     factors,
-    kind,
     strata_poset,
     stratum_codim,
     stratum_intersect,
@@ -161,6 +160,18 @@ def test_stratum_map_is_its_morphism():
     assert con_morphism(f) == level_functor_morphism(f) != con_morphism(g)
     assert [kind(m) for m in (con_morphism(f), con_morphism(g), composite)] == [
         "inclusion", "forgetful", "composite"]
+
+
+def kind(g: ForMorphism) -> str:
+    """Which step of g's map of strata is not trivial (see factors): "inclusion" when the
+    lift is the identity and the pullback forest is psi, "forgetful" when the pullback
+    forest is phi, "composite" otherwise."""
+    mid = g.signature()
+    if g.canonical_lift().is_identity() and mid == g.target:
+        return "inclusion"
+    if mid == g.source:
+        return "forgetful"
+    return "composite"
 
 
 def test_stratum_map_kinds_on_elementary_maps_and_composites():

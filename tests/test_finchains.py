@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from confstrata import checks, finchains
 from confstrata.finchains import (
     FinChain,
     FiniteSet,
@@ -156,6 +157,37 @@ def test_simplicial_identities_random_larger():
             for i in range(k)
         ]
         _all_identities(FinChain(sets, maps))
+
+
+@pytest.mark.parametrize("tables", [((0, 2),), ((0,),)], ids=["entry-out-of-range", "short-table"])
+def test_a_bad_table_is_one_invalid_chain_failure(tables):
+    # built unchecked, as inside the package: the tables are checked before any identity
+    s = FiniteSet([0, 1])
+    chain = finchains._chain((s, s), tables)
+    result = checks.CheckResult("identities")
+    checks._identities_on(chain, result)
+    assert result.failures == [f"enumerated chain invalid: {chain!r}"]
+    assert result.checked == 1
+
+
+def test_chain_operations_build_no_set_map(monkeypatch):
+    """Faces, degeneracies, reindexings and the JSON write tables: no SetMap is built."""
+    calls = []
+    setmap = finchains._setmap
+    monkeypatch.setattr(finchains, "_setmap", lambda *args: calls.append(args) or setmap(*args))
+    chains = list(enumerate_chains(3, 3))
+    for chain in chains:
+        k = chain.level_count
+        chain_to_json(chain)
+        for i in range(k + 1):
+            precompose(chain, finchains._degeneracy_delta(k, i))
+            SimplexMap.degeneracy(chain, i)
+            if k:
+                precompose(chain, finchains._face_delta(k, i))
+                SimplexMap.face(chain, i)
+    assert len(chains) == 624 and calls == []
+    chains[-1].maps  # the view builds its SetMaps through _setmap, and the patch sees them
+    assert len(calls) == chains[-1].level_count == 3
 
 
 def test_face_degeneracy_preserve_validity():

@@ -110,6 +110,17 @@ def test_modules_reach_siblings_through_the_module():
     assert offenders == []
 
 
+def test_only_finchains_reads_the_maps_view():
+    """A chain holds its sets and position tables, and FinChain.maps builds a SetMap per map on
+    each read: no module but finchains reads an attribute named maps."""
+    offenders = [f"{path.name}:{node.lineno} reads .maps"
+                 for path in sorted(Path(confstrata.__file__).parent.glob("*.py"))
+                 if path.stem != "finchains"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "maps"]
+    assert offenders == []
+
+
 def test_no_method_is_cached():
     """No lru_cache or cache decorates a method: its table would keep every instance alive."""
     offenders = []
@@ -175,7 +186,6 @@ def _values():
     bset = wonderful.diagonal_building_set(3)
     gen = weights.Generator("u", 2, 2)
     line = weights.DegreeLine(0, 1, weights.WeightMultiset({0: 1}))
-    hilbert = weights.HilbertReport((line,), True, None)
     return {
         "FiniteSet": lambda: finchains.FiniteSet([2, 1]),
         "SetMap": lambda: finchains.SetMap(ground, ground, {1: 2, 2: 2}),
@@ -191,14 +201,12 @@ def _values():
         "WeightMultiset": lambda: weights.WeightMultiset({2: 1, 0: 1}),
         "WeightedGradedSpace": lambda: weights.WeightedGradedSpace({0: {0: 1}, 2: {2: 1}}),
         "VarietyDescriptor": weights.elliptic_curve,
-        "PurityReport": lambda: weights.check_pure(weights.elliptic_curve().cohomology),
         "Conf2Report": lambda: weights.conf2_purity_report(weights.elliptic_curve()),
         "Generator": lambda: weights.Generator("u", 2, 2),
         "Relation": lambda: weights.Relation("square", ((1, ("u", "u")),)),
         "PresentationAlgebra": lambda: weights.PresentationAlgebra((gen,), ()),
         "DegreeLine": lambda: weights.DegreeLine(0, 1, weights.WeightMultiset({0: 1})),
         "HilbertReport": lambda: weights.HilbertReport((line,), True, None),
-        "PurityVerdict": lambda: weights.PurityVerdict(True, 0, None, hilbert),
         "TruncatedSeries": lambda: koszul.TruncatedSeries((1, 2, 1)),
         "QuadraticPresentation": koszul.genus_one_presentation,
         "KoszulVerdict": lambda: koszul.koszul_criterion(koszul.exterior_presentation(2), 4),
