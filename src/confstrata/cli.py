@@ -25,17 +25,6 @@ CAPS = {"n": 6, "max_deg": 40, "max_level": 3, "max_size": 4,
         "koszul_deg": 12, "functor_level": 2, "generators": 6, "samples": 10000}
 
 
-class RunConfig:
-    def __init__(self, command: str, params: dict, out: str | None, fmt: str,
-                 unsafe_no_cap: bool):
-        self.command = command
-        self.params = params
-        self.out = out
-        self.fmt = fmt
-        self.unsafe_no_cap = unsafe_no_cap
-        self.input_digest = None
-
-
 class InputError(Exception):
     pass
 
@@ -47,23 +36,22 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _cap(config: RunConfig, name: str, value: int, cap_key: str, least: int | None = 0):
+def _cap(args, name: str, value: int, cap_key: str, least: int | None = 0):
     if least is not None and value < least:
         raise InputError(f"{name} must be at least {least}" if least
                          else f"{name} must be non-negative")
-    if not config.unsafe_no_cap and value > CAPS[cap_key]:
+    if not args.unsafe_no_cap and value > CAPS[cap_key]:
         raise InputError(
             f"{name}={value} exceeds the cap {CAPS[cap_key]} (use --unsafe-no-cap to override)")
     return value
 
 
-def _refuse_unread(args, path: str, flags: str) -> None:
+def _refuse_unread(args, path: str, dests) -> None:
     """Refuse each of these flags given a value other than its parser default: path reads none."""
     defaults = vars(_build_parser().parse_args([args.command]))
-    for flag in flags.split():
-        dest = flag[2:].replace("-", "_")
+    for dest in dests:
         if getattr(args, dest) != defaults[dest]:
-            raise InputError(f"{flag} is not read with {path}")
+            raise InputError(f"--{dest.replace('_', '-')} is not read with {path}")
 
 
 def _unique_keys(pairs):
@@ -76,7 +64,7 @@ def _unique_keys(pairs):
     return obj
 
 
-def _load(path: str, decode, config: RunConfig):
+def _load(path: str, decode, args):
     """Read, hash and decode one input file: every fault is one line naming the file."""
     try:
         with open(path, "rb") as fh:
@@ -85,7 +73,7 @@ def _load(path: str, decode, config: RunConfig):
         raise InputError(f"cannot read {path}: {exc}")
     import hashlib
 
-    config.input_digest = hashlib.sha256(raw).hexdigest()
+    args.input_digest = hashlib.sha256(raw).hexdigest()
     try:
         return decode(json.loads(raw, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
@@ -98,20 +86,22 @@ def _load(path: str, decode, config: RunConfig):
         raise InputError(f"{path}: {exc}")
 
 
-def _emit(config: RunConfig, result: dict, text: str | None = None) -> None:
-    payload = {
-        "schema": SCHEMA,
-        "command": config.command,
-        "params": config.params,
-        "input_digest": config.input_digest,
-        "result": result,
-    }
-    if config.fmt == "text" and text is not None:
+def _emit(args, result: dict, text: str) -> None:
+    # bare counts read better as plain text; everything else defaults to JSON
+    if (args.format or ("text" if getattr(args, "count", False) else "json")) == "text":
         body = text
     else:
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        _write_artifact(config.out, body)
+        params = {k: v for k, v in vars(args).items() if v is not None and k not in
+                  {"command", "out", "format", "unsafe_no_cap", "selftest", "log", "input_digest"}}
+        body = json.dumps({"schema": SCHEMA, "command": args.command, "params": params,
+                           "input_digest": getattr(args, "input_digest", None), "result": result},
+                          sort_keys=True, indent=2) + "\n"
+    _send(args, body)
+
+
+def _send(args, body: str) -> None:
+    if args.out:
+        _write_artifact(args.out, body)
     else:
         sys.stdout.write(body)
 
@@ -138,10 +128,10 @@ def _selftest(command: str) -> int:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_forests(args, config: RunConfig) -> int:
+def _cmd_forests(args) -> int:
     if args.index is not None and args.dot is None:
         raise InputError("--index needs --dot")
-    n = _cap(config, "n", args.n, "n", least=1)
+    n = _cap(args, "n", args.n, "n", least=1)
     # a bare count needs no labelled, sorted forests: count the bitmask ones
     all_forests = (forests._mask_forests(n) if args.count and args.dot is None
                    else forests.enumerate_forests(n))
@@ -154,12 +144,12 @@ def _cmd_forests(args, config: RunConfig) -> int:
             raise InputError(f"--index out of range 0..{len(all_forests) - 1}")
         _write_artifact(args.dot, forests.forest_to_dot(all_forests[index]))
         result["dot"] = args.dot
-    _emit(config, result, text=f"{len(all_forests)}\n")
+    _emit(args, result, text=f"{len(all_forests)}\n")
     return 0
 
 
-def _cmd_nests(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "n", least=1)
+def _cmd_nests(args) -> int:
+    n = _cap(args, "n", args.n, "n", least=1)
     nests = wonderful.enumerate_nests(n, args.d)
     result: dict = {"n": n, "d": args.d, "count": len(nests)}
     if not args.count:
@@ -168,12 +158,12 @@ def _cmd_nests(args, config: RunConfig) -> int:
     if args.dot is not None:
         _write_artifact(args.dot, wonderful.nest_poset_dot(n, args.d))
         result["dot"] = args.dot
-    _emit(config, result, text=f"{len(nests)}\n")
+    _emit(args, result, text=f"{len(nests)}\n")
     return 0
 
 
-def _cmd_strata(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "n", least=1)
+def _cmd_strata(args) -> int:
+    n = _cap(args, "n", args.n, "n", least=1)
     poset = confcat.strata_poset(n)
     result = {
         "n": n,
@@ -186,26 +176,29 @@ def _cmd_strata(args, config: RunConfig) -> int:
     if args.dot is not None:
         _write_artifact(args.dot, poset.to_dot())
         result["dot"] = args.dot
-    _emit(config, result, text=f"{len(poset.strata)}\n")
+    _emit(args, result, text=f"{len(poset.strata)}\n")
     return 0
 
 
-def _cmd_deltafin_check(args, config: RunConfig) -> int:
+def _cmd_deltafin_check(args) -> int:
     if args.chain:
-        _refuse_unread(args, "--chain", "--functor --max-level --max-size --samples --seed")
-        chain = _load(args.chain, finchains.chain_from_json, config)
+        _refuse_unread(args, "--chain",
+                       ("functor", "max_level", "max_size", "samples", "seed", "unsafe_no_cap"))
+        chain = _load(args.chain, finchains.chain_from_json, args)
         level_forest = forests.forest_to_json(forests.level_functor_object(chain))
-        _emit(config, {"valid": True, "violations": [], "level_forest": level_forest},
+        _emit(args, {"valid": True, "violations": [], "level_forest": level_forest},
               text="valid\n")
         return 0
-    max_level = _cap(config, "max-level", args.max_level, "max_level")
-    max_size = _cap(config, "max-size", args.max_size, "max_size", least=1)
-    samples = _cap(config, "samples", args.samples, "samples")
+    max_level = _cap(args, "max-level", args.max_level, "max_level")
+    max_size = _cap(args, "max-size", args.max_size, "max_size", least=1)
+    samples = _cap(args, "samples", args.samples, "samples")
+    if not samples and not args.functor:
+        _refuse_unread(args, "--samples 0", ("seed",))  # no chain or pair is drawn
     results = [checks.check_simplicial_identities(max_level, max_size,
                                                   samples=samples, seed=args.seed)]
     if args.functor:
         results.append(checks.check_level_functor(
-            max_level if config.unsafe_no_cap else min(max_level, CAPS["functor_level"]),
+            max_level if args.unsafe_no_cap else min(max_level, CAPS["functor_level"]),
             max_size, pair_samples=samples or 300, seed=args.seed))
     ok = all(r.ok for r in results)
     result = {
@@ -215,15 +208,15 @@ def _cmd_deltafin_check(args, config: RunConfig) -> int:
             for r in results
         ],
     }
-    _emit(config, result, text="".join(r.summary() + "\n" for r in results))
+    _emit(args, result, text="".join(r.summary() + "\n" for r in results))
     return 0 if ok else 1
 
 
-def _cmd_blowup_validate(args, config: RunConfig) -> int:
-    n = _cap(config, "n", args.n, "n", least=1)
+def _cmd_blowup_validate(args) -> int:
+    n = _cap(args, "n", args.n, "n", least=1)
     bset = wonderful.diagonal_building_set(n, args.d)
     if args.order:
-        schedule = _load(args.order, lambda data: wonderful.schedule_from_json(bset, data), config)
+        schedule = _load(args.order, lambda data: wonderful.schedule_from_json(bset, data), args)
     else:
         schedule = wonderful.default_order(bset)
     bad_prefix = wonderful.first_invalid_prefix(schedule)
@@ -235,7 +228,7 @@ def _cmd_blowup_validate(args, config: RunConfig) -> int:
         "first_invalid_prefix": bad_prefix,
         "divisors": [f"E_{wonderful.partition_label(c)}" for c in schedule.order],
     }
-    _emit(config, result, text=("valid\n" if bad_prefix is None else f"invalid at prefix {bad_prefix}\n"))
+    _emit(args, result, text=("valid\n" if bad_prefix is None else f"invalid at prefix {bad_prefix}\n"))
     return 0
 
 
@@ -249,10 +242,10 @@ def _int_labels(flag: str, text: str):
     return finchains.FiniteSet(labels)
 
 
-def _cmd_forget_centers(args, config: RunConfig) -> int:
+def _cmd_forget_centers(args) -> int:
     if args.injection:
-        _refuse_unread(args, "--injection", "--source --target")
-        inj = _load(args.injection, finchains.injection_from_json, config)
+        _refuse_unread(args, "--injection", ("source", "target"))
+        inj = _load(args.injection, finchains.injection_from_json, args)
     elif args.source and args.target:
         source = _int_labels("source", args.source)
         target = _int_labels("target", args.target)
@@ -260,7 +253,7 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
     else:
         raise InputError("forget-centers needs --injection or both --source and --target")
     # one center per subset of the source with two or more labels
-    _cap(config, "target size", len(inj.target), "n")
+    _cap(args, "target size", len(inj.target), "n")
     centers = wonderful.forgetful_centers(inj, args.d)
     labels = inj.target.labels
     result = {
@@ -269,12 +262,12 @@ def _cmd_forget_centers(args, config: RunConfig) -> int:
         "d": args.d,
         "centers": [[list(b) for b in wonderful.partition_blocks(c, labels)] for c in centers],
     }
-    _emit(config, result,
+    _emit(args, result,
           text="".join(wonderful.partition_label(c, labels) + "\n" for c in centers))
     return 0
 
 
-def _load_descriptor(args, config: RunConfig):
+def _load_descriptor(args):
     builtin = {
         "elliptic": weights.elliptic_curve,
         "affine-line": weights.affine_line,
@@ -282,13 +275,13 @@ def _load_descriptor(args, config: RunConfig):
     }
     if args.variety in builtin:
         return builtin[args.variety]()
-    return _load(args.variety, weights.descriptor_from_json, config)
+    return _load(args.variety, weights.descriptor_from_json, args)
 
 
-def _cmd_purity(args, config: RunConfig) -> int:
-    x = _load_descriptor(args, config)
-    n = _cap(config, "n", args.n, "n", least=1)
-    max_deg = _cap(config, "max-deg", args.max_deg, "max_deg")
+def _cmd_purity(args) -> int:
+    x = _load_descriptor(args)
+    n = _cap(args, "n", args.n, "n", least=1)
+    max_deg = _cap(args, "max-deg", args.max_deg, "max_deg")
     hilbert = weights.purity_theorem_check(x, n, max_deg).to_json()
     verdict = "pure" if hilbert["pure"] else "violations"
     result = {
@@ -299,14 +292,14 @@ def _cmd_purity(args, config: RunConfig) -> int:
                    "first_violation": hilbert["first_violation"], "hilbert": hilbert},
         "conf2": weights.conf2_purity_report(x).to_json(),
     }
-    _emit(config, result, text=f"{result['verdict']}\n")
+    _emit(args, result, text=f"{result['verdict']}\n")
     return 0
 
 
-def _cmd_hilbert(args, config: RunConfig) -> int:
-    x = _load_descriptor(args, config)
-    n = _cap(config, "n", args.n, "n", least=1)
-    max_deg = _cap(config, "max-deg", args.max_deg, "max_deg")
+def _cmd_hilbert(args) -> int:
+    x = _load_descriptor(args)
+    n = _cap(args, "n", args.n, "n", least=1)
+    max_deg = _cap(args, "max-deg", args.max_deg, "max_deg")
     algebra = weights.presentation(x, n, args.relations)
     report = weights.hilbert_series(algebra, max_deg)
     result = {
@@ -316,11 +309,11 @@ def _cmd_hilbert(args, config: RunConfig) -> int:
         "dims": report.dims(),
         "report": report.to_json(),
     }
-    _emit(config, result, text=" ".join(str(d) for d in report.dims()) + "\n")
+    _emit(args, result, text=" ".join(str(d) for d in report.dims()) + "\n")
     return 0
 
 
-def _cmd_koszul(args, config: RunConfig) -> int:
+def _cmd_koszul(args) -> int:
     builtin = {"exterior": koszul.exterior_presentation, "symmetric": koszul.symmetric_presentation}
     kind, dash, size = args.presentation.partition("-")
     if args.presentation == "genus-1":
@@ -330,19 +323,19 @@ def _cmd_koszul(args, config: RunConfig) -> int:
         if not (size.isdecimal() and int(size) > 0):
             raise InputError(f"bad presentation {args.presentation}: N must be a positive integer")
         # symmetric-N builds N(N-1)/2 vectors of N^2 entries: cap N first
-        p = builtin[kind](_cap(config, "generators", int(size), "generators"))
+        p = builtin[kind](_cap(args, "generators", int(size), "generators"))
     else:
         def decode(data):  # inside _load, so a count over the cap names the file
             p = koszul.presentation_from_json(data)
-            _cap(config, "generators", p.generator_count, "generators")
+            _cap(args, "generators", p.generator_count, "generators")
             return p
 
-        p = _load(args.presentation, decode, config)
+        p = _load(args.presentation, decode, args)
     # the criterion keeps its own lower bound, N >= 2
-    order = _cap(config, "max-deg", args.max_deg, "koszul_deg", least=None)
+    order = _cap(args, "max-deg", args.max_deg, "koszul_deg", least=None)
     verdict = koszul.koszul_criterion(p, order)
     result = verdict.to_json()
-    _emit(config, result, text=verdict.note + "\n")
+    _emit(args, result, text=verdict.note + "\n")
     return 0
 
 
@@ -359,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--format", dest="fmt", choices=["json", "text"], default=None)
+        p.add_argument("--format", choices=["json", "text"], default=None)
         p.add_argument("--unsafe-no-cap", action="store_true",
                        help="override the hard size caps")
         p.add_argument("--selftest", action="store_true",
@@ -450,32 +443,25 @@ HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        fmt = args.fmt
-        if fmt is None:
-            # bare counts read better as plain text; everything else defaults to JSON
-            fmt = "text" if getattr(args, "count", False) else "json"
-        params = {
-            k: v for k, v in vars(args).items()
-            if k not in {"command", "out", "fmt", "unsafe_no_cap", "selftest", "log"}
-            and v is not None
-        }
-        config = RunConfig(args.command, params, args.out, fmt, args.unsafe_no_cap)
         if args.log:
             import datetime
 
             stamp = datetime.datetime.now().isoformat()
             _write_artifact(args.log, f"{stamp} {args.command}\n", mode="a")
         if args.selftest:
+            # every flag but --log, sorted so that the one named does not hang on set order
+            _refuse_unread(args, "--selftest",
+                           sorted(vars(args).keys() - {"command", "selftest", "log"}))
             return _selftest(args.command)
-        return HANDLERS[args.command](args, config)
+        try:
+            return HANDLERS[args.command](args)
+        except weights.HypothesisRefusal as exc:  # no text form: JSON, to --out when given
+            _send(args, json.dumps({"schema": SCHEMA, "command": args.command,
+                                    "refusal": exc.to_json()}, sort_keys=True, indent=2) + "\n")
+            return 2
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except weights.HypothesisRefusal as exc:
-        body = json.dumps({"schema": SCHEMA, "command": args.command,
-                           "refusal": exc.to_json()}, sort_keys=True, indent=2)
-        print(body)
-        return 2
 
 
 if __name__ == "__main__":

@@ -33,9 +33,6 @@ class TruncatedSeries(_Value):
             raise ValueError("a unital algebra has constant coefficient 1")
         _fill(self, coefficients)
 
-    def __getitem__(self, k: int):
-        return self.coefficients[k]
-
     def order(self) -> int:
         return len(self.coefficients) - 1
 

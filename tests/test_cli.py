@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -544,6 +545,15 @@ BAD_FLAGS = [
      "error: --source is not read with --injection\n"),
     ("injection-with-target", ["forget-centers", "--injection", INJECTION, "--target", "9"],
      "error: --target is not read with --injection\n"),
+    ("chain-with-unsafe-no-cap", ["deltafin-check", "--chain", CHAIN, "--unsafe-no-cap"],
+     "error: --unsafe-no-cap is not read with --chain\n"),
+    # with no --samples and no --functor nothing random is drawn
+    ("seed-with-no-draws", ["deltafin-check", "--max-level", "1", "--max-size", "1", "--seed", "5"],
+     "error: --seed is not read with --samples 0\n"),
+    # --selftest reads no flag but --log: not the over-cap --n, nor the absent file
+    ("selftest-with-n-and-variety", ["purity", "--selftest", "--n", "99",
+                                     "--variety", "nosuchfile.json"],
+     "error: --n is not read with --selftest\n"),
 ]
 
 
@@ -559,6 +569,59 @@ def test_a_flag_given_its_default_is_read_as_absent(capsys):
     assert main(["deltafin-check", "--chain", CHAIN, "--max-level", "2", "--samples", "0",
                  "--format", "text"]) == 0
     assert capsys.readouterr() == ("valid\n", "")
+
+
+def _parser_flags():
+    """(subcommand, flag, value) for each flag of each subcommand but --help, --selftest, --log.
+
+    The value is one other than the flag's default; a switch takes none.
+    """
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    rows = []
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if flag in (None, "-h", "--selftest", "--log"):
+                continue
+            if action.nargs == 0:
+                value = []
+            elif action.choices:
+                value = [next(c for c in reversed(action.choices) if c != action.default)]
+            elif action.type is int:
+                value = [str((action.default or 0) + 1)]
+            else:
+                value = ["x"]
+            rows.append((command, flag, value))
+    return rows
+
+
+PARSER_FLAGS = _parser_flags()
+
+
+@pytest.mark.parametrize("command,flag,value", PARSER_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in PARSER_FLAGS])
+def test_selftest_refuses_every_flag_but_log(capsys, command, flag, value):
+    assert main([command, "--selftest", flag, *value]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} is not read with --selftest\n")
+
+
+def test_selftest_still_writes_its_log_line(tmp_path, capsys):
+    log = tmp_path / "run.log"
+    assert main(["purity", "--selftest", "--log", str(log)]) == 0
+    assert capsys.readouterr().out == "weight pipeline: 8 checks, ok\n"
+    assert log.read_text().endswith(" purity\n") and log.read_text().count("\n") == 1
+
+
+def test_a_refusal_goes_to_out_as_json(tmp_path, capsys):
+    impure = str(Path(__file__).parent / "fixtures" / "impure_descriptor_seed1.json")
+    assert main(["purity", "--variety", impure]) == 2
+    body = capsys.readouterr().out
+    out = tmp_path / "refusal.json"
+    # a refusal has no text form: --format text still writes the JSON body
+    assert main(["purity", "--variety", impure, "--out", str(out), "--format", "text"]) == 2
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == body
 
 
 # an integer flag of each subcommand
