@@ -117,16 +117,20 @@ def _reindexing(delta: tuple, target: finchains.FinChain) -> finchains.SimplexMa
     return finchains.SimplexMap(delta, finchains.precompose(target, delta), target)
 
 
-def _pair_fault(violations, factors, ff, fg, fc):
-    """(checks made, fault) for F f, F g and F(f then g): the fault is None, the failed step
-    ("F composition", or "con factorization": confcat.factors on F(f then g)),
-    or the index and problems of the first of the three that is not a morphism."""
+def _pair_fault(violations, signature, factors, ff, fg, fc):
+    """(checks made, fault) for F f, F g and F(f then g) in integer form (see _Chains):
+    the fault is None, the failed step ("F composition", or "con factorization":
+    confcat.factors on F(f then g)), or the index and problems of the first of the
+    three that is not a morphism."""
     for k, mor in enumerate((ff, fg, fc)):
         if violations(mor):
             return 1, (k, violations(mor))
     # a level forest moved under a degeneracy leaves F f and F g without a composite
-    left = ff.then(fg) if ff.target == fg.source else None
-    if left is None or left != fc and not forests.morphisms_equivalent(left, fc):
+    if ff[1] != fg[0]:
+        return 1, "F composition"
+    # the composite is tuple indexing; morphisms_equivalent: equal endpoints and signatures
+    left = (ff[0], fg[1], tuple([fg[2][j] for j in ff[2]]))
+    if left != fc and (left[:2] != fc[:2] or signature(left) != signature(fc)):
         return 1, "F composition"
     return 2, None if factors(fc) else "con factorization"
 
@@ -142,37 +146,54 @@ def _failure(fault, f_sm: finchains.SimplexMap, g_sm: finchains.SimplexMap) -> s
 class _Chains:
     """The memo of one check_level_functor call.
 
-    Each distinct chain read is numbered once, by the chain itself; its
-    level data is built on first read.  F is kept per (chain number, image
-    mask), one object per equal morphism, which the caches of
-    morphism_violations, confcat.factors and _pair_fault then find by
-    identity.  elementary[k] lists each elementary map g into a level-k chain
-    (_deltas) as (delta, image mask, the image mask of f then g per
-    elementary map f into its source).
+    Each distinct chain read is numbered once, by its fields, and so is each
+    distinct level forest, by its labels and block masks.  A chain's level data is
+    built on first read; the chains share one cache of forests._ground.  F of
+    (chain number c, image mask) is images[c][mask], in integer form: (source
+    forest number, target forest number, forests.image_morphism's table).  Each
+    law runs on the forests' block masks, once per distinct morphism.
+    elementary[k] lists each elementary map g into a level-k chain (_deltas) as
+    (delta, image mask, the image mask of f then g per elementary map f into its
+    source), and levels[mask] holds the levels in a mask.
     """
 
     def __init__(self, max_level: int):
         self.elementary = [[(g, _mask(g), [_mask([g[t] for t in f]) for f in _deltas(len(g) - 1)])
                             for g in _deltas(k)] for k in range(max_level + 2)]
-        self.number, self.chains, self.data = {}, [], {}
-        self.source_lists, self.images, self.shared = {}, {}, {}
-        self.violations = functools.cache(forests.morphism_violations)
-        self.factors = functools.cache(confcat.factors)
-        self.fault = functools.cache(functools.partial(_pair_fault, self.violations, self.factors))
+        self.levels = [tuple(forests._bits(mask)) for mask in range(1 << max_level + 2)]
+        self.number, self.chains, self.data, self.images = {}, [], [], []
+        self.ground, self.source_lists, self.forest_number = functools.cache(forests._ground), {}, {}
+        level_forests, masks = self.forests, self.masks = [], []  # by forest number
+
+        def law(rule):  # rule on a morphism's integer form, once per distinct morphism
+            return functools.cache(lambda mor: rule(masks[mor[0]], masks[mor[1]], mor[2]))
+
+        self.violations = functools.cache(lambda mor: forests._violations(
+            level_forests[mor[0]].blocks, masks[mor[0]], masks[mor[1]], mor[2]))
+        self.factors, signature = law(confcat._factors), law(forests._signature)
+        self.fault = functools.cache(
+            functools.partial(_pair_fault, self.violations, signature, self.factors))
 
     def index(self, chain: finchains.FinChain) -> int:
-        c = self.number.setdefault(chain, len(self.chains))
+        # by its fields, which hash without the chain's own __hash__
+        c = self.number.setdefault((chain.sets, chain.tables), len(self.chains))
         if c == len(self.chains):
             self.chains.append(chain)
+            self.data.append(None)
+            self.images.append([None] * (2 << chain.level_count))
         return c
 
     def level(self, c: int):
-        if c not in self.data:
-            self.data[c] = forests._LevelData(self.chains[c])
-        return self.data[c]
-
-    def level_of(self, chain: finchains.FinChain):
-        return self.level(self.index(chain))
+        """The block numbers and deepest points (_LevelData) of chain c, its forest's number."""
+        data = self.data[c]
+        if data is None:
+            data = forests._LevelData(self.chains[c], self.ground)
+            f = self.forest_number.setdefault((data.ground.labels, data.masks), len(self.forests))
+            if f == len(self.forests):
+                self.forests.append(data.forest)
+                self.masks.append(data.masks)
+            data = self.data[c] = data.block, data.deepest, f
+        return data
 
     def sources(self, c: int) -> list:
         """The numbers of the sources of the elementary maps into chain c."""
@@ -182,14 +203,18 @@ class _Chains:
                              for delta, _, _ in self.elementary[chain.level_count]]
         return self.source_lists[c]
 
-    def image(self, c: int, mask: int) -> forests.ForMorphism:
+    def image(self, c: int, mask: int) -> tuple:
         """F of every simplex map into chain c whose delta has this image mask."""
-        mor = self.images.get((c, mask))
+        mor = self.images[c][mask]
         if mor is None:
-            chain = self.chains[c]
-            image = tuple([t for t in range(chain.level_count + 1) if mask >> t & 1])
-            mor = forests.image_morphism(chain, image, self.level_of)
-            mor = self.images[c, mask] = self.shared.setdefault(mor, mor)
+            block, _, target = self.data[c] or self.level(c)
+            image, missing = self.levels[mask], self.levels[(1 << len(block)) - 1 ^ mask]
+            e = c if not missing else self.index(  # a face is quicker than a reindexing
+                finchains.face(self.chains[c], missing[0]) if len(missing) == 1
+                else finchains.precompose(self.chains[c], image))
+            _, deepest, source = self.data[e] or self.level(e)
+            mor = self.images[c][mask] = (source, target,
+                                          forests.image_morphism(block, deepest, image))
         return mor
 
 
@@ -201,10 +226,13 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
     reindexings, in the quotient category (morphisms_equivalent: equal
     pullback forests).  Every face image and composite must pass
     forests.morphism_violations, and the map of strata of every lawful face
-    image and composite must factor (confcat.factors).  The memo
-    (_Chains) lives for this call only; every pair counts its own checks.
-    It holds millions of containers, so the cyclic garbage collector, which
-    would walk them again and again, is off for the call.
+    image and composite must factor (confcat.factors).  Inside, everything is
+    an integer: a chain and a level forest are numbers, a forest's blocks are
+    bitmasks over its ground, and F is a tuple of target block numbers, so the
+    laws run in the integer forms of those functions and no ForMorphism is
+    built.  The memo (_Chains) lives for this call only; every pair counts its
+    own checks.  It holds millions of containers, so the cyclic garbage
+    collector, which would walk them again and again, is off for the call.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -214,17 +242,17 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
         chains = list(finchains.enumerate_chains(max_level, max_size))
         for chain in chains:
             c, k = table.index(chain), chain.level_count
-            phi = table.level(c).forest
-            ident = table.image(c, (1 << k + 1) - 1)
-            result.expect(ident.is_identity() and ident.source == phi,
+            phi = table.level(c)[2]
+            identity = (phi, phi, tuple(range(len(table.masks[phi]))))
+            result.expect(table.image(c, (1 << k + 1) - 1) == identity,
                           f"identity law failed on {chain!r}")
             maps = list(zip(table.elementary[k], table.sources(c)))
             faces = k + 1 if k else 0  # the degeneracies come last
             for i, ((_, mask, _), b) in enumerate(maps[faces:]):
                 result.checked += 1
-                if not table.image(c, mask).is_identity():
+                if table.image(c, mask) != identity:
                     result.failures.append(f"degeneracy {i} not sent to identity on {chain!r}")
-                elif table.level(b).forest != phi:
+                elif table.level(b)[2] != phi:
                     result.failures.append(f"degeneracy {i} changed the level forest of {chain!r}")
             for (_, mask, _), b in maps[:faces]:
                 mor = table.image(c, mask)
@@ -233,19 +261,21 @@ def check_level_functor(max_level=2, max_size=3, pair_samples=300, seed=0) -> Ch
                 if problems:
                     result.failures.append(f"face into {chain!r} is not a morphism: {problems}")
                     continue
-                if mor.source != table.level(b).forest or mor.target != phi:
+                if mor[:2] != (table.level(b)[2], phi):
                     result.failures.append(f"endpoint mismatch for face into {chain!r}")
                 result.checked += 1
                 if not table.factors(mor):
                     result.failures.append(f"con factorization failed: face into {chain!r}")
         for chain in chains:
             c = table.index(chain)
+            known = table.images[c]  # the memo's rows: most images are known already
             for (g_delta, g_mask, composites), b in zip(table.elementary[chain.level_count],
                                                         table.sources(c)):
-                fg, source = table.image(c, g_mask), table.chains[b]
+                fg, source, known_f = table.image(c, g_mask), table.chains[b], table.images[b]
                 for (f_delta, f_mask, _), mask in zip(table.elementary[source.level_count],
                                                       composites):
-                    checked, fault = table.fault(table.image(b, f_mask), fg, table.image(c, mask))
+                    checked, fault = table.fault(known_f[f_mask] or table.image(b, f_mask), fg,
+                                                 known[mask] or table.image(c, mask))
                     result.checked += checked
                     if fault is not None:
                         result.failures.append(_failure(fault, _reindexing(f_delta, source),

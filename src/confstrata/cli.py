@@ -20,9 +20,9 @@ from . import checks, confcat, finchains, forests, koszul, weights, wonderful
 SCHEMA = "confstrata/1"
 
 # Every size limit: the library checks only its domains, --unsafe-no-cap lifts
-# every entry, and an over-cap request is refused (functor_level clamps).
+# every entry, and an over-cap request is refused.
 CAPS = {"n": 6, "max_deg": 40, "max_level": 3, "max_size": 4,
-        "koszul_deg": 12, "functor_level": 2, "generators": 6, "samples": 10000}
+        "koszul_deg": 12, "generators": 6, "samples": 10000}
 
 
 class InputError(Exception):
@@ -100,7 +100,7 @@ def _emit(args, result: dict, text: str) -> None:
 
 
 def _send(args, body: str) -> None:
-    if args.out:
+    if args.out is not None:
         _write_artifact(args.out, body)
     else:
         sys.stdout.write(body)
@@ -181,7 +181,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_deltafin_check(args) -> int:
-    if args.chain:
+    if args.chain is not None:
         _refuse_unread(args, "--chain",
                        ("functor", "max_level", "max_size", "samples", "seed", "unsafe_no_cap"))
         chain = _load(args.chain, finchains.chain_from_json, args)
@@ -197,9 +197,8 @@ def _cmd_deltafin_check(args) -> int:
     results = [checks.check_simplicial_identities(max_level, max_size,
                                                   samples=samples, seed=args.seed)]
     if args.functor:
-        results.append(checks.check_level_functor(
-            max_level if args.unsafe_no_cap else min(max_level, CAPS["functor_level"]),
-            max_size, pair_samples=samples or 300, seed=args.seed))
+        results.append(checks.check_level_functor(max_level, max_size,
+                                                  pair_samples=samples or 300, seed=args.seed))
     ok = all(r.ok for r in results)
     result = {
         "passed": ok,
@@ -215,7 +214,7 @@ def _cmd_deltafin_check(args) -> int:
 def _cmd_blowup_validate(args) -> int:
     n = _cap(args, "n", args.n, "n", least=1)
     bset = wonderful.diagonal_building_set(n, args.d)
-    if args.order:
+    if args.order is not None:
         schedule = _load(args.order, lambda data: wonderful.schedule_from_json(bset, data), args)
     else:
         schedule = wonderful.default_order(bset)
@@ -243,7 +242,7 @@ def _int_labels(flag: str, text: str):
 
 
 def _cmd_forget_centers(args) -> int:
-    if args.injection:
+    if args.injection is not None:
         _refuse_unread(args, "--injection", ("source", "target"))
         inj = _load(args.injection, finchains.injection_from_json, args)
     elif args.source and args.target:
@@ -382,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=2)
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--functor", action="store_true",
-                   help="also check the level/configuration functor composition laws; "
-                        "at k <= min(max-level, functor_level) unless --unsafe-no-cap")
+                   help="also check the level/configuration functor composition laws")
     p.add_argument("--samples", type=int, default=0,
                    help="random chains added to the simplicial identities, and random pairs "
                         "for --functor (0 draws no chains and 300 pairs)")
@@ -443,7 +441,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.log:
+        if args.log is not None:
             import datetime
 
             stamp = datetime.datetime.now().isoformat()

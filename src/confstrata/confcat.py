@@ -42,7 +42,12 @@ def factors(g: forests.ForMorphism) -> bool:
     independent, so their images are disjoint.  Nothing proves this beforehand;
     checks.check_level_functor asks it of every face image and composite it checks.
     """
-    return set(g.source.blocks) <= set(g.signature().blocks)
+    return _factors(*forests._integers(g))
+
+
+def _factors(source, target, table) -> bool:
+    """factors on the integer form of g (see forests): phi's block masks among the signature's."""
+    return set(source) <= forests._signature(source, target, table)
 
 
 class StrataPoset(_Value):

@@ -92,13 +92,7 @@ def pullback(j: finchains.SetMap, psi: Forest) -> Forest:
         raise ValueError("pullback requires an injective map")
     if psi.ground != j.target:
         raise ValueError("forest is not on the target of the injection")
-    # blocks as sorted source positions, which sort canonically by (size, positions)
-    labels, names = j.target.labels, j.source.labels
-    back = {labels[t]: s for s, t in enumerate(j.table)}
-    pulled = {tuple(sorted([back[x] for x in block if x in back])) for block in psi.blocks}
-    pulled.discard(())
-    return _forest(j.source, tuple([tuple([names[s] for s in block])
-                                    for block in sorted(pulled, key=lambda b: (len(b), b))]))
+    return _forest_of(j.source, _pulled(j.table, _block_masks(psi)))
 
 
 def trees_of(phi: Forest):
@@ -293,9 +287,8 @@ class ForMorphism(_Value):
 
     def canonical_lift(self) -> finchains.SetMap:
         """The least ground lift: each point to the first label of its image block."""
-        mapping, positions = self.mapping(), self.target.ground.positions
         return finchains._setmap(self.source.ground, self.target.ground,
-                                 tuple([positions[mapping[(s,)][0]] for s in self.source.ground]))
+                                 tuple(_lift(*_integers(self))))
 
     def signature(self) -> Forest:
         """The pullback of the target forest along a ground lift: the quotient-category card.
@@ -306,7 +299,7 @@ class ForMorphism(_Value):
         when C lies inside some B_s.  Morphisms with equal endpoints and
         signatures are identified in the forest category.
         """
-        return pullback(self.canonical_lift(), self.target)
+        return _forest_of(self.source.ground, _signature(*_integers(self)))
 
     def __repr__(self):
         return f"ForMorphism({self.source!r} -> {self.target!r})"
@@ -319,25 +312,12 @@ def _morphism(source: Forest, target: Forest, block_map: tuple) -> ForMorphism:
 
 def morphism_violations(f: ForMorphism) -> list[str]:
     """Diagnostics for every violated morphism law (empty list iff f is a morphism)."""
-    problems = []
     mapping = f.mapping()
     if set(mapping) != set(f.source.blocks):
-        problems.append("block map is not total on the source blocks")
-        return problems
+        return ["block map is not total on the source blocks"]
     if not set(mapping.values()) <= set(f.target.blocks):
-        problems.append("block map hits a non-block")
-        return problems
-    if len(set(mapping.values())) != len(mapping):
-        problems.append("block map is not injective")
-    sets = {a: (frozenset(a), frozenset(v)) for a, v in mapping.items()}
-    for a, b in itertools.combinations(f.source.blocks, 2):
-        (sa, ia), (sb, ib) = sets[a], sets[b]
-        comparable = sa <= sb or sb <= sa
-        if comparable != (ia <= ib or ib <= ia):
-            problems.append(f"comparability of {a!r},{b!r} not preserved")
-        elif comparable and (sa >= sb) != (ia >= ib):
-            problems.append(f"order of {a!r},{b!r} reversed")
-    return problems
+        return ["block map hits a non-block"]
+    return _violations(f.source.blocks, *_integers(f))
 
 
 def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
@@ -345,11 +325,14 @@ def morphisms_equivalent(f: ForMorphism, g: ForMorphism) -> bool:
     return (
         f.source == g.source
         and f.target == g.target
-        and f.signature() == g.signature()
+        and _signature(*_integers(f)) == _signature(*_integers(g))
     )
 
 
-# -- the level construction ----------------------------------------------------
+# -- the morphism laws on integers ---------------------------------------------
+# A morphism's integer form is (source, target, table): each forest's blocks as
+# bitmasks over its ground positions, in canonical order (the points first), and
+# table[j] the number of the image of source block j.
 
 
 def _bits(mask: int):
@@ -360,55 +343,139 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _block_masks(phi: Forest) -> list:
+    """phi's blocks in integer form."""
+    positions = phi.ground.positions
+    return [sum([1 << positions[x] for x in block]) for block in phi.blocks]
+
+
+def _canonical(mask: int):
+    """The sort key of a block mask: blocks of one size are disjoint, so they sort as
+    their first points do."""
+    return mask.bit_count(), mask & -mask
+
+
+def _forest_of(ground: finchains.FiniteSet, masks) -> Forest:
+    """The forest on ground with these block masks."""
+    labels = ground.labels
+    return _forest(ground, tuple([tuple([labels[p] for p in _bits(mask)])
+                                  for mask in sorted(masks, key=_canonical)]))
+
+
+def _integers(f: ForMorphism):
+    """The integer form of f, whose block map is total on the source blocks and hits blocks."""
+    number = {block: j for j, block in enumerate(f.target.blocks)}
+    return (_block_masks(f.source), _block_masks(f.target),
+            tuple([number[image] for _, image in f.block_map]))
+
+
+def _violations(names, source, target, table) -> list[str]:
+    """The violated laws of a total block map, naming the source blocks by names."""
+    problems = [] if len(set(table)) == len(table) else ["block map is not injective"]
+    blocks = list(zip(names, source, [target[t] for t in table]))
+    for (a, sa, ia), (b, sb, ib) in itertools.combinations(blocks, 2):
+        s, i = sa & sb, ia & ib
+        comparable = s == sa or s == sb
+        if comparable != (i == ia or i == ib):
+            problems.append(f"comparability of {a!r},{b!r} not preserved")
+        elif comparable and (s == sb) != (i == ib):
+            problems.append(f"order of {a!r},{b!r} reversed")
+    return problems
+
+
+def _lift(source, target, table) -> list:
+    """The canonical lift as a position table: each point to the first point of its image."""
+    return [(target[t] & -target[t]).bit_length() - 1
+            for mask, t in zip(source, table) if mask & mask - 1 == 0]
+
+
+def _pulled(lift, blocks) -> set:
+    """The non-empty preimages of these block masks along a position table, as masks."""
+    back = {}  # each hit position's preimage
+    for s, t in enumerate(lift):
+        back[t] = back.get(t, 0) | 1 << s
+    hit = sum([1 << t for t in back])
+    pulled = set()
+    for mask in {block & hit for block in blocks}:
+        preimage = 0
+        while mask:  # the loop of _bits, inline: the check calls this for each morphism
+            low = mask & -mask
+            preimage |= back[low.bit_length() - 1]
+            mask ^= low
+        pulled.add(preimage)
+    pulled.discard(0)
+    return pulled
+
+
+def _signature(source, target, table) -> set:
+    """The blocks of the pullback forest (see ForMorphism.signature) as masks."""
+    return _pulled(_lift(source, target, table), target)
+
+
+# -- the level construction ----------------------------------------------------
+
+
+def _ground(leaves: tuple):
+    """The ground set named by these leaf values, in order of occurrence, and each leaf
+    as a bitmask over the ground positions.  A leaf is named by its value, or value#rank
+    by first occurrence when values repeat, so that degeneracies do not disturb the
+    labels."""
+    by_value = {}
+    for bit, value in enumerate(leaves):
+        by_value.setdefault(value, []).append(bit)
+    names = list(leaves)
+    for value, bits in by_value.items():
+        if len(bits) > 1:
+            for rank, bit in enumerate(bits):
+                names[bit] = f"{value}#{rank}"
+    ground = finchains.FiniteSet(names)
+    return ground, [1 << ground.positions[name] for name in names]
+
+
 class _LevelData:
     """The leaf sets of a chain's points: the scaffolding behind the level forest.
 
     A leaf is a point that no map hits, and a point's leaf set is the union of
-    its fiber's, or a leaf of its own when the fiber is empty.  masks[i][y] is
-    the leaf set of point y of S_i as a bitmask over the leaves in order of
-    occurrence.  The blocks are the distinct masks: gluing along a singleton
-    fiber keeps a mask, and two points of one level have disjoint masks.
-    blocks maps each mask to its block, and deepest lists each block's deepest
-    point as (level, position), both in the forest's canonical block order.
+    its fiber's, or a leaf of its own when the fiber is empty: a bitmask over
+    the ground positions.  The blocks are the distinct leaf sets: gluing along a
+    singleton fiber keeps one, and two points of one level have disjoint ones.
+    masks lists them in the canonical block order, the forest's blocks in
+    integer form; block[i][y] is the number of the block of point y of S_i, and
+    deepest lists each block's deepest point as (level, position).  ground_of is
+    _ground, or a cache of it that the chains of one check share.
     """
 
-    __slots__ = ("masks", "blocks", "deepest", "forest")
+    __slots__ = ("ground", "masks", "block", "deepest")
 
-    def __init__(self, chain: finchains.FinChain):
-        masks, deepest, leaves = [], {}, []
-        for i, s in enumerate(chain.sets):
-            level = [0] * len(s)
+    def __init__(self, chain: finchains.FinChain, ground_of=_ground):
+        sets, tables = chain.sets, chain.tables
+        leaves = list(sets[0].labels)
+        for s, table in zip(sets[1:], tables):
+            hit = set(table)
+            leaves += [x for y, x in enumerate(s.labels) if y not in hit]
+        self.ground, leaf_masks = ground_of(tuple(leaves))
+        leaf, masks, deepest = iter(leaf_masks), [], {}
+        for i, s in enumerate(sets):
+            level = [0] * len(s.labels)
             if i:
                 below = masks[-1]
-                for x, y in enumerate(chain.tables[i - 1]):
+                for x, y in enumerate(tables[i - 1]):
                     level[y] |= below[x]
             for y, mask in enumerate(level):
                 if not mask:
-                    mask = level[y] = 1 << len(leaves)
-                    leaves.append(s.labels[y])
+                    mask = level[y] = next(leaf)
                 deepest[mask] = (i, y)
             masks.append(level)
+        # the leaves are the singleton blocks, which come first
+        self.masks = tuple(sorted(leaf_masks) + sorted([mask for mask in deepest if mask & mask - 1],
+                                                       key=_canonical))
+        number = {mask: j for j, mask in enumerate(self.masks)}
+        self.block = [[number[mask] for mask in level] for level in masks]
+        self.deepest = [deepest[mask] for mask in self.masks]
 
-        # a leaf is named by its value, or value#rank by first occurrence when
-        # values repeat, so that degeneracies do not disturb the labels
-        by_value = {}
-        for bit, value in enumerate(leaves):
-            by_value.setdefault(value, []).append(bit)
-        names = list(leaves)
-        for value, bits in by_value.items():
-            if len(bits) > 1:
-                for rank, bit in enumerate(bits):
-                    names[bit] = f"{value}#{rank}"
-        ground = finchains.FiniteSet(names)
-
-        # a block's key is its sorted ground positions; big masks are slow to hash
-        position = [ground.positions[name] for name in names]
-        entries = sorted([(sorted([position[b] for b in _bits(mask)]), mask, point)
-                          for mask, point in deepest.items()], key=lambda e: (len(e[0]), e[0]))
-        labels = ground.labels
-        self.masks, self.deepest = masks, [point for _, _, point in entries]
-        self.blocks = {mask: tuple([labels[p] for p in key]) for key, mask, _ in entries}
-        self.forest = _forest(ground, tuple(self.blocks.values()))
+    @property
+    def forest(self) -> Forest:
+        return _forest_of(self.ground, self.masks)
 
 
 def level_functor_object(chain: finchains.FinChain) -> Forest:
@@ -418,7 +485,7 @@ def level_functor_object(chain: finchains.FinChain) -> Forest:
 
 def level_functor_morphism(sm: finchains.SimplexMap) -> ForMorphism:
     """The forest morphism of a chain morphism, which depends only on its target and
-    the image of delta, computed afresh on each call.
+    the image of delta, computed afresh on each call from image_morphism's table.
 
     Surjective reindexings induce the identity.  For an injective delta the
     block map sends a block to the target block of the image of its deepest
@@ -426,21 +493,23 @@ def level_functor_morphism(sm: finchains.SimplexMap) -> ForMorphism:
     category (morphisms_equivalent: equal pullback forests);
     checks.check_level_functor checks the laws.
     """
-    return image_morphism(sm.target, tuple(dict.fromkeys(sm.delta)), _LevelData)
+    image = tuple(dict.fromkeys(sm.delta))
+    data = _LevelData(sm.target)
+    mid = data if len(image) == len(data.block) else _LevelData(
+        finchains.precompose(sm.target, image))
+    phi, psi = mid.forest, data.forest
+    return _morphism(phi, psi, tuple(zip(
+        phi.blocks, [psi.blocks[j] for j in image_morphism(data.block, mid.deepest, image)])))
 
 
-def image_morphism(chain: finchains.FinChain, image: tuple, level) -> ForMorphism:
-    """F of every simplex map into chain whose delta has this image, its levels in
-    increasing order, with level(c) the level data (_LevelData) of a chain c.  Delta
-    factors through its image, and the surjective part is the identity; point y of
-    level i of the chain reindexed along image is point y of level image[i]."""
-    data = level(chain)
-    if len(image) == len(data.masks):
-        return ForMorphism.identity(data.forest)
-    mid = level(finchains.precompose(chain, image))
-    return _morphism(mid.forest, data.forest, tuple([
-        (block, data.blocks[data.masks[image[i]][y]])
-        for block, (i, y) in zip(mid.forest.blocks, mid.deepest)]))
+def image_morphism(block: list, deepest: list, image: tuple) -> tuple:
+    """F of every simplex map into a chain whose delta has this image, its levels in
+    increasing order, as a table of integers: entry j is the number of the image of
+    block j of the chain reindexed along image.  block is the chain's _LevelData.block
+    and deepest the reindexed chain's _LevelData.deepest.  Delta factors through its
+    image, and the surjective part is the identity; point y of level i of the
+    reindexed chain is point y of level image[i]."""
+    return tuple([block[image[i]][y] for i, y in deepest])
 
 
 # -- export -------------------------------------------------------------------

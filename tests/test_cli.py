@@ -97,8 +97,8 @@ CAPPED = [
 
 
 def test_every_cap_is_in_the_table():
-    assert len(cli.CAPS) == 8
-    assert {row[0] for row in CAPPED} | {"functor_level"} == set(cli.CAPS)
+    assert len(cli.CAPS) == 7
+    assert {row[0] for row in CAPPED} == set(cli.CAPS)
 
 
 @pytest.mark.parametrize("key,cap,argv,name", CAPPED,
@@ -114,13 +114,14 @@ def test_over_cap_is_refused_and_the_flag_lifts_it(monkeypatch, capsys, key, cap
     assert capsys.readouterr().err == ""
 
 
-def test_functor_level_cap_clamps_and_the_flag_lifts_it(monkeypatch, capsys):
-    monkeypatch.setitem(cli.CAPS, "functor_level", 1)
-    argv = ["deltafin-check", "--max-level", "2", "--max-size", "1", "--functor", "--format", "text"]
-    assert main(argv) == 0
-    assert "level functor (k<=1, |S|<=1)" in capsys.readouterr().out
-    assert main(argv + ["--unsafe-no-cap"]) == 0
-    assert "level functor (k<=2, |S|<=1)" in capsys.readouterr().out
+@pytest.mark.parametrize("flags", [[], ["--unsafe-no-cap"]], ids=["in-cap", "unsafe-no-cap"])
+def test_functor_check_runs_at_the_max_level(capsys, flags):
+    # no cap clamps the level: the functor check follows --max-level, with or without the flag
+    for level in ("1", "2"):
+        argv = ["deltafin-check", "--max-level", level, "--max-size", "1", "--functor",
+                "--format", "text"]
+        assert main(argv + flags) == 0
+        assert f"level functor (k<={level}, |S|<=1)" in capsys.readouterr().out
 
 
 def test_strata_at_the_n_cap_matches_closed_forms(capsys):
@@ -497,6 +498,8 @@ def test_n_zero_names_the_valid_range(capsys):
 
 CHAIN = str(Path(__file__).parent / "fixtures" / "chain_string_labels.json")
 INJECTION = str(Path(__file__).parent / "fixtures" / "injection_string_labels.json")
+CANNOT_READ_EMPTY = "error: cannot read : [Errno 2] No such file or directory: ''\n"
+CANNOT_WRITE_EMPTY = "error: cannot write : [Errno 2] No such file or directory: ''\n"
 BAD_FLAGS = [
     ("max-size-zero", ["deltafin-check", "--max-size", "0"], "error: max-size must be at least 1\n"),
     ("max-level-negative", ["deltafin-check", "--max-level", "-1"],
@@ -554,6 +557,15 @@ BAD_FLAGS = [
     ("selftest-with-n-and-variety", ["purity", "--selftest", "--n", "99",
                                      "--variety", "nosuchfile.json"],
      "error: --n is not read with --selftest\n"),
+    # an empty path is a path that cannot be read or written, not an absent flag
+    ("out-empty", ["forests", "--n", "2", "--count", "--out", ""], CANNOT_WRITE_EMPTY),
+    ("log-empty", ["forests", "--n", "2", "--count", "--log", ""], CANNOT_WRITE_EMPTY),
+    ("dot-empty", ["forests", "--n", "2", "--dot", ""], CANNOT_WRITE_EMPTY),
+    ("chain-empty", ["deltafin-check", "--chain", ""], CANNOT_READ_EMPTY),
+    ("order-empty", ["blowup-validate", "--order", ""], CANNOT_READ_EMPTY),
+    ("injection-empty", ["forget-centers", "--injection", ""], CANNOT_READ_EMPTY),
+    ("variety-empty", ["purity", "--variety", ""], CANNOT_READ_EMPTY),
+    ("presentation-empty", ["koszul", "--presentation", ""], CANNOT_READ_EMPTY),
 ]
 
 

@@ -12,7 +12,6 @@ from confstrata.finchains import (
     FiniteSet,
     SetMap,
     SimplexMap,
-    _setmap,
     enumerate_chains,
     identity_chain,
     precompose,
@@ -189,14 +188,17 @@ def test_invalid_simplex_map_rejected():
 
 
 def test_memoised_results_equal_the_uncached_originals():
-    # the check's per-call table finds F by (target chain, image mask); the public
-    # function computes it afresh, and only the image of delta matters
+    # the check's per-call table finds F by (target chain, image mask) in integer
+    # form; the public function builds it afresh from the same table, and only the
+    # image of delta matters
     table = checks._Chains(3)
     maps = list(elementary_maps_and_composites(2, 2))
     assert len(maps) > 300
     for sm in maps:
         mor = level_functor_morphism(sm)
-        assert table.image(table.index(sm.target), checks._mask(sm.delta)) == mor
+        source, target, image = table.image(table.index(sm.target), checks._mask(sm.delta))
+        assert (table.forests[source], table.forests[target]) == (mor.source, mor.target)
+        assert image == forests._integers(mor)[2]
         image = tuple(dict.fromkeys(sm.delta))
         assert level_functor_morphism(SimplexMap(image, precompose(sm.target, image),
                                                  sm.target)) == mor
@@ -210,20 +212,22 @@ def test_morphisms_of_one_target_and_image_are_equal():
         assert level_functor_morphism(SimplexMap.degeneracy(chain, i)) == identity
     assert identity.then(identity) == identity
     assert ForMorphism.identity(level_functor_object(chain)) == identity
-    # within one check, equal morphisms are one object: a degeneracy keeps the forest
+    # within one check, F of a degeneracy's source is the identity of the same forest
     table = checks._Chains(1)
     c = table.index(chain)
     b = table.sources(c)[-1]
-    assert b != c and table.image(b, 0b111) is table.image(c, 0b11) == identity
+    source, target, image = table.image(c, 0b11)
+    assert b != c and table.image(b, 0b111) == (source, target, image)
+    assert source == target and table.forests[source] == identity.source and image == (0, 1, 2)
 
 
 def test_functor_check_builds_each_level_data_once_per_call(monkeypatch):
     built = []
 
     class Counted(forests._LevelData):
-        def __init__(self, chain):
+        def __init__(self, chain, *ground_of):
             built.append(chain)
-            super().__init__(chain)
+            super().__init__(chain, *ground_of)
 
     monkeypatch.setattr(forests, "_LevelData", Counted)
     first = check_level_functor(3, 2, pair_samples=300, seed=1)
@@ -237,7 +241,8 @@ def test_functor_check_builds_each_level_data_once_per_call(monkeypatch):
 
 def test_functor_check_runs_without_the_cycle_collector_and_restores_it(monkeypatch):
     seen = []
-    monkeypatch.setattr(confcat, "factors", lambda g: seen.append(gc.isenabled()) or True)
+    monkeypatch.setattr(confcat, "_factors",
+                        lambda source, target, table: seen.append(gc.isenabled()) or True)
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         try:
@@ -252,7 +257,7 @@ def test_functor_check_reports_every_failing_pair(monkeypatch):
     # each distinct (F f, F g, F(f then g)) triple is decided once, but every
     # pair still counts its two checks and reports its own failure; every face
     # image is asked too
-    monkeypatch.setattr(confcat, "factors", lambda g: False)
+    monkeypatch.setattr(confcat, "_factors", lambda source, target, table: False)
     result = check_level_functor(3, 2, pair_samples=300, seed=1)
     assert result.checked == 6655
     assert len([f for f in result.failures if " then " in f]) == 3022
@@ -274,12 +279,13 @@ def test_sampled_pairs_build_no_simplex_map_unless_they_fail(monkeypatch):
 
 
 def test_functor_check_catches_a_lift_that_does_not_factor(monkeypatch, capsys):
-    # mutant: the witness sends the i-th source point to the i-th target point.
-    # Every block map stays lawful, so only the factorization through the
-    # pullback forest can see it, on the face images and on the composites; on
-    # sets of at most 2 it changes nothing, so the check needs size 3
-    monkeypatch.setattr(ForMorphism, "canonical_lift", lambda self: _setmap(
-        self.source.ground, self.target.ground, tuple(range(len(self.source.ground)))))
+    # mutant: the witness sends the i-th source point to the i-th target point (the
+    # points are the one-bit source blocks).  Every block map stays lawful, so only
+    # the factorization through the pullback forest can see it, on the face images
+    # and on the composites; on sets of at most 2 it changes nothing, so the check
+    # needs size 3
+    monkeypatch.setattr(forests, "_lift", lambda source, target, table: [
+        mask.bit_length() - 1 for mask in source if mask & mask - 1 == 0])
     assert main(["deltafin-check", "--max-level", "2", "--max-size", "3", "--functor"]) == 1
     report = json.loads(capsys.readouterr().out)
     functor = report["result"]["checks"][-1]
@@ -294,12 +300,14 @@ def test_functor_laws_small_range():
 
 
 def test_functor_check_reports_a_level_forest_moved_by_a_degeneracy(monkeypatch):
-    # mutant: chains with an identity map (all degeneracies) get another forest
+    # mutant: chains with an identity map (all degeneracies) get their forest on
+    # other labels, in the same order, so that the block masks still hold
     class Moved(forests._LevelData):
-        def __init__(self, chain):
-            super().__init__(chain)
+        def __init__(self, chain, *ground_of):
+            super().__init__(chain, *ground_of)
             if any(f.is_identity() for f in chain.maps):
-                self.forest = minimal_forest(FiniteSet(["moved"]))
+                self.ground = FiniteSet([x + 100 if isinstance(x, int) else x + "'"
+                                         for x in self.ground])
 
     monkeypatch.setattr(forests, "_LevelData", Moved)
     result = check_level_functor(2, 2, pair_samples=20, seed=3)
@@ -310,13 +318,11 @@ def test_functor_check_reports_a_morphism_that_merges_blocks(monkeypatch):
     # mutant: the first two source blocks share one image block
     real = forests.image_morphism
 
-    def merging(chain, image, level):
-        mor = real(chain, image, level)
-        mapping = mor.mapping()
-        if len(image) < chain.level_count + 1 and len(mapping) >= 2:
-            first, second = list(mapping)[:2]
-            mapping[second] = mapping[first]
-        return ForMorphism(mor.source, mor.target, mapping)
+    def merging(block, deepest, image):
+        table = real(block, deepest, image)
+        if len(image) < len(block) and len(table) >= 2:
+            return (table[0], table[0]) + table[2:]
+        return table
 
     monkeypatch.setattr(forests, "image_morphism", merging)
     result = check_level_functor(2, 2, pair_samples=20, seed=3)

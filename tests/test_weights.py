@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,41 @@ def test_conf2_affine_space():
     # Künneth: H^2 of the square of the affine line vanishes
     assert report.ker_alpha == WeightMultiset.empty()
     assert report.betti_interval == (0, 2)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _fixture_descriptor(name):
+    return descriptor_from_json(json.loads((FIXTURES / name).read_text()))
+
+
+# (descriptor, the degree-2d dimension of Conf_2 read off the exact Hilbert series)
+LEDGER_CASES = [
+    ("elliptic", elliptic_curve, 7),
+    ("projective-line", projective_line, 3),
+    ("affine-line", affine_line, 1),
+    ("affine-line-fixture", lambda: _fixture_descriptor("affine_line_descriptor.json"), 1),
+]
+
+
+@pytest.mark.parametrize("make,betti", [case[1:] for case in LEDGER_CASES],
+                         ids=[case[0] for case in LEDGER_CASES])
+def test_two_point_ledger_brackets_the_exact_betti_number(make, betti):
+    # the exact sequence only bounds the middle Betti number; the presentation's
+    # Hilbert series, a separate computation, must land inside the bounds
+    x = make()
+    lo, hi = conf2_purity_report(x).betti_interval
+    exact = hilbert_series(presentation(x, 2), 2 * x.d + 1).dims()[2 * x.d]
+    assert exact == betti and lo <= exact <= hi
+
+
+def test_two_point_ledger_refuses_the_impure_fixture():
+    # its series is still computed, but the ledger's hypotheses fail
+    x = _fixture_descriptor("impure_descriptor_seed1.json")
+    assert hilbert_series(presentation(x, 2), 3).dims()[2] == 7
+    with pytest.raises(HypothesisRefusal):
+        conf2_purity_report(x)
 
 
 def test_conf2_refuses_impure_descriptor():
