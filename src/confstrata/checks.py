@@ -74,29 +74,29 @@ def _identities_on(chain: finchains.FinChain, result: CheckResult):
     faces = [finchains.face(chain, i) for i in range(k + 1)] if k >= 1 else []
     degens = [finchains.degeneracy(chain, j) for j in range(k + 1)]
 
-    def record(condition, message):
+    def record(condition, message, *args):  # formats the message only on failure
         result.checked += 1
         if not condition:
-            result.failures.append(f"{message} on {chain!r}")
+            result.failures.append(f"{message.format(*args)} on {chain!r}")
 
     if k >= 2:
         for i, j in itertools.combinations(range(k + 1), 2):
             record(finchains.face(faces[j], i) == finchains.face(faces[i], j - 1),
-                   f"d_{i} d_{j} != d_{j - 1} d_{i}")
+                   "d_{} d_{} != d_{} d_{}", i, j, j - 1, i)
     for i, j in itertools.product(range(k + 1), repeat=2):
         if i <= j:
             record(finchains.degeneracy(degens[j], i) == finchains.degeneracy(degens[i], j + 1),
-                   f"s_{i} s_{j} != s_{j + 1} s_{i}")
+                   "s_{} s_{} != s_{} s_{}", i, j, j + 1, i)
     for j in range(k + 1):
-        record(finchains.face(degens[j], j) == chain, f"d_{j} s_{j} != id")
-        record(finchains.face(degens[j], j + 1) == chain, f"d_{j + 1} s_{j} != id")
+        record(finchains.face(degens[j], j) == chain, "d_{} s_{} != id", j, j)
+        record(finchains.face(degens[j], j + 1) == chain, "d_{} s_{} != id", j + 1, j)
     for i, j in itertools.product(range(k + 2), range(k + 1)):
         if i < j:
             record(finchains.face(degens[j], i) == finchains.degeneracy(faces[i], j - 1),
-                   f"d_{i} s_{j} != s_{j - 1} d_{i}")
+                   "d_{} s_{} != s_{} d_{}", i, j, j - 1, i)
         elif i > j + 1 and k >= 1:
             record(finchains.face(degens[j], i) == finchains.degeneracy(faces[i - 1], j),
-                   f"d_{i} s_{j} != s_{j} d_{i - 1}")
+                   "d_{} s_{} != s_{} d_{}", i, j, j, i - 1)
 
 
 # -- the level functor and the configuration functor ------------------------------

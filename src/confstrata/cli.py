@@ -21,8 +21,8 @@ SCHEMA = "confstrata/1"
 
 # Every size limit: the library checks only its domains, --unsafe-no-cap lifts
 # every entry, and an over-cap request is refused.
-CAPS = {"n": 6, "max_deg": 40, "max_level": 3, "max_size": 4,
-        "koszul_deg": 12, "generators": 6, "samples": 10000}
+CAPS = {"n": 6, "max_deg": 40, "max_level": 3, "max_size": 4, "koszul_deg": 12,
+        "generators": 6, "samples": 10000, "hilbert_generators": 72}
 
 
 class InputError(Exception):
@@ -36,14 +36,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _cap(args, name: str, value: int, cap_key: str, least: int | None = 0):
-    if least is not None and value < least:
+def _cap(args, name: str, value: int, cap_key: str, least: int = 0):
+    if value < least:
         raise InputError(f"{name} must be at least {least}" if least
                          else f"{name} must be non-negative")
     if not args.unsafe_no_cap and value > CAPS[cap_key]:
         raise InputError(
             f"{name}={value} exceeds the cap {CAPS[cap_key]} (use --unsafe-no-cap to override)")
     return value
+
+
+def _dimension(d: int) -> int:
+    if d < 1:
+        raise InputError("complex dimension must be positive")
+    return d
 
 
 def _refuse_unread(args, path: str, dests) -> None:
@@ -150,7 +156,7 @@ def _cmd_forests(args) -> int:
 
 def _cmd_nests(args) -> int:
     n = _cap(args, "n", args.n, "n", least=1)
-    nests = wonderful.enumerate_nests(n, args.d)
+    nests = wonderful.enumerate_nests(n, _dimension(args.d))
     result: dict = {"n": n, "d": args.d, "count": len(nests)}
     if not args.count:
         result["nests"] = sorted([[list(b) for b in m] for m in sorted(
@@ -213,7 +219,7 @@ def _cmd_deltafin_check(args) -> int:
 
 def _cmd_blowup_validate(args) -> int:
     n = _cap(args, "n", args.n, "n", least=1)
-    bset = wonderful.diagonal_building_set(n, args.d)
+    bset = wonderful.diagonal_building_set(n, _dimension(args.d))
     if args.order is not None:
         schedule = _load(args.order, lambda data: wonderful.schedule_from_json(bset, data), args)
     else:
@@ -232,12 +238,15 @@ def _cmd_blowup_validate(args) -> int:
 
 
 def _int_labels(flag: str, text: str):
-    labels = []
+    labels = set()
     for x in text.split(","):
         try:
-            labels.append(int(x))
+            label = int(x)
         except ValueError:
             raise InputError(f"--{flag} label {x!r} is not an integer")
+        if label in labels:
+            raise InputError(f"--{flag} label {label} is given twice")
+        labels.add(label)
     return finchains.FiniteSet(labels)
 
 
@@ -248,12 +257,14 @@ def _cmd_forget_centers(args) -> int:
     elif args.source and args.target:
         source = _int_labels("source", args.source)
         target = _int_labels("target", args.target)
+        if stray := [x for x in source if x not in target]:
+            raise InputError(f"--source label {stray[0]} is not in --target")
         inj = finchains.SetMap(source, target, {x: x for x in source})
     else:
         raise InputError("forget-centers needs --injection or both --source and --target")
     # one center per subset of the source with two or more labels
     _cap(args, "target size", len(inj.target), "n")
-    centers = wonderful.forgetful_centers(inj, args.d)
+    centers = wonderful.forgetful_centers(inj, _dimension(args.d))
     labels = inj.target.labels
     result = {
         "source": list(inj.source.labels),
@@ -281,6 +292,7 @@ def _cmd_purity(args) -> int:
     x = _load_descriptor(args)
     n = _cap(args, "n", args.n, "n", least=1)
     max_deg = _cap(args, "max-deg", args.max_deg, "max_deg")
+    _cap(args, "presentation generators", weights.generator_count(x, n), "hilbert_generators")
     hilbert = weights.purity_theorem_check(x, n, max_deg).to_json()
     verdict = "pure" if hilbert["pure"] else "violations"
     result = {
@@ -299,6 +311,7 @@ def _cmd_hilbert(args) -> int:
     x = _load_descriptor(args)
     n = _cap(args, "n", args.n, "n", least=1)
     max_deg = _cap(args, "max-deg", args.max_deg, "max_deg")
+    _cap(args, "presentation generators", weights.generator_count(x, n), "hilbert_generators")
     algebra = weights.presentation(x, n, args.relations)
     report = weights.hilbert_series(algebra, max_deg)
     result = {
@@ -325,13 +338,13 @@ def _cmd_koszul(args) -> int:
         p = builtin[kind](_cap(args, "generators", int(size), "generators"))
     else:
         def decode(data):  # inside _load, so a count over the cap names the file
-            p = koszul.presentation_from_json(data)
-            _cap(args, "generators", p.generator_count, "generators")
-            return p
+            # before presentation_from_json, which row-reduces every relation
+            if isinstance(data, dict) and type(data.get("generators")) is int:
+                _cap(args, "generators", data["generators"], "generators", least=1)
+            return koszul.presentation_from_json(data)
 
         p = _load(args.presentation, decode, args)
-    # the criterion keeps its own lower bound, N >= 2
-    order = _cap(args, "max-deg", args.max_deg, "koszul_deg", least=None)
+    order = _cap(args, "max-deg", args.max_deg, "koszul_deg", least=2)
     verdict = koszul.koszul_criterion(p, order)
     result = verdict.to_json()
     _emit(args, result, text=verdict.note + "\n")
@@ -457,7 +470,7 @@ def main(argv=None) -> int:
             _send(args, json.dumps({"schema": SCHEMA, "command": args.command,
                                     "refusal": exc.to_json()}, sort_keys=True, indent=2) + "\n")
             return 2
-    except (InputError, ValueError, KeyError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -333,6 +333,11 @@ class PresentationAlgebra(_Value):
         return {g.label: g for g in self.generators}
 
 
+def generator_count(x: VarietyDescriptor, n: int) -> int:
+    """The generators presentation(x, n) builds: n per positive-degree class, one per pair."""
+    return n * sum(ws.dim() for degree, ws in x.cohomology.by_degree if degree) + n * (n - 1) // 2
+
+
 def presentation(x: VarietyDescriptor, n: int, relation_set: str = "default") -> PresentationAlgebra:
     """The presentation of the cohomology of n points in X x R.
 

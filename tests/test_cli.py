@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import confstrata
-from confstrata import cli
+from confstrata import cli, forests, koszul, weights
 from confstrata.cli import main
 
 
@@ -93,11 +93,16 @@ CAPPED = [
     ("generators", 2, ["koszul", "--presentation", "symmetric-3", "--max-deg", "3"], "generators"),
     ("samples", 2, ["deltafin-check", "--max-level", "1", "--max-size", "1", "--samples", "3"],
      "samples"),
+    # elliptic at n = 1: one generator per class of degree 1 or 2
+    ("hilbert_generators", 2, ["hilbert", "--variety", "elliptic", "--n", "1", "--max-deg", "2"],
+     "presentation generators"),
+    ("hilbert_generators", 2, ["purity", "--variety", "elliptic", "--n", "1", "--max-deg", "2"],
+     "presentation generators"),
 ]
 
 
 def test_every_cap_is_in_the_table():
-    assert len(cli.CAPS) == 7
+    assert len(cli.CAPS) == 8
     assert {row[0] for row in CAPPED} == set(cli.CAPS)
 
 
@@ -515,6 +520,11 @@ BAD_FLAGS = [
      "error: complex dimension must be positive\n"),
     ("d-negative", ["forget-centers", "--source", "1,2", "--target", "1,2,3", "--d", "-3"],
      "error: complex dimension must be positive\n"),
+    ("nests-d-zero", ["nests", "--n", "3", "--d", "0"], "error: complex dimension must be positive\n"),
+    ("blowup-d-negative", ["blowup-validate", "--n", "3", "--d", "-1"],
+     "error: complex dimension must be positive\n"),
+    ("koszul-max-deg-one", ["koszul", "--max-deg", "1"], "error: max-deg must be at least 2\n"),
+    ("koszul-max-deg-zero", ["koszul", "--max-deg", "0"], "error: max-deg must be at least 2\n"),
     ("presentation-size-not-integer", ["koszul", "--presentation", "exterior-x"],
      "error: bad presentation exterior-x: N must be a positive integer\n"),
     ("presentation-size-negative", ["koszul", "--presentation", "symmetric--1"],
@@ -525,6 +535,12 @@ BAD_FLAGS = [
      "error: --source label 'a' is not an integer\n"),
     ("target-label-empty", ["forget-centers", "--source", "1,2", "--target", "1,,3"],
      "error: --target label '' is not an integer\n"),
+    ("source-label-twice", ["forget-centers", "--source", "1,1", "--target", "1,2"],
+     "error: --source label 1 is given twice\n"),
+    ("target-label-twice", ["forget-centers", "--source", "1,2", "--target", "1,2,2"],
+     "error: --target label 2 is given twice\n"),
+    ("source-label-not-in-target", ["forget-centers", "--source", "1,5", "--target", "1,2"],
+     "error: --source label 5 is not in --target\n"),
     ("target-over-cap", ["forget-centers", "--source", "1,2", "--target", "1,2,3,4,5,6,7"],
      "error: target size=7 exceeds the cap 6 (use --unsafe-no-cap to override)\n"),
     ("generators-over-cap", ["koszul", "--presentation", "exterior-7", "--max-deg", "2"],
@@ -575,6 +591,42 @@ def test_bad_flag_value_is_one_error_line(capsys, name, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+# any exception but an input error is a bug: it keeps its traceback and prints no error line
+@pytest.mark.parametrize("module,name,argv,exc", [
+    (forests, "enumerate_forests", ["forests", "--n", "2"], KeyError(3)),
+    (koszul, "koszul_criterion", ["koszul", "--max-deg", "2"], ValueError("a bug")),
+], ids=["KeyError", "ValueError"])
+def test_a_library_exception_is_no_error_line(monkeypatch, capsys, module, name, argv, exc):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(type(exc)) as raised:
+        main(argv)
+    assert raised.value is exc
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_wide_descriptor_is_refused_before_its_presentation(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**WIDE, "cohomology": {"0": [{"weight": 0, "mult": 1}],
+                                                       "1": [{"weight": 1, "mult": 10000}]}}))
+    monkeypatch.setattr(weights, "presentation", None)  # building it would raise TypeError
+    for command in ("hilbert", "purity"):
+        assert main([command, "--variety", str(path), "--n", "1", "--max-deg", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: presentation generators=10000 exceeds the cap "
+                                           "72 (use --unsafe-no-cap to override)\n")
+
+
+def test_unsafe_no_cap_lifts_the_cap_on_a_presentation_file(tmp_path, capsys):
+    pres = tmp_path / "exterior7.json"
+    pres.write_text(json.dumps({"generators": 7, "relations": []}))
+    assert main(["koszul", "--presentation", str(pres), "--max-deg", "2"]) == 1
+    assert "generators=7 exceeds the cap 6" in capsys.readouterr().err
+    assert main(["koszul", "--presentation", str(pres), "--max-deg", "2", "--unsafe-no-cap"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "PASS"
 
 
 def test_a_flag_given_its_default_is_read_as_absent(capsys):
@@ -726,6 +778,11 @@ BAD_SHAPES = [
      "generators=7 exceeds the cap 6"),
     ("generators-huge", KOSZUL, {"generators": 100000, "relations": []},
      "generators=100000 exceeds the cap 6"),
+    # the count is capped before the relations are row-reduced
+    ("generators-over-cap-dependent-relations", KOSZUL,
+     {"generators": 7, "relations": [[1] + [0] * 48, [1] + [0] * 48]},
+     "generators=7 exceeds the cap 6"),
+    ("generators-zero", KOSZUL, {"generators": 0, "relations": []}, "generators must be at least 1"),
     ("regraded-from-object", KOSZUL, {"generators": 2, "regraded_from": {"x": [1]}},
      '"regraded_from" must be null or a positive integer'),
     ("regraded-from-zero", KOSZUL, {"generators": 2, "regraded_from": 0},

@@ -170,6 +170,42 @@ def test_a_bad_table_is_one_invalid_chain_failure(tables):
     assert result.checked == 1
 
 
+# the failure text of each identity at k = 2, in the order the check tries them
+IDENTITY_FAILURES = """d_0 d_1 != d_0 d_0
+d_0 d_2 != d_1 d_0
+d_1 d_2 != d_1 d_1
+s_0 s_0 != s_1 s_0
+s_0 s_1 != s_2 s_0
+s_0 s_2 != s_3 s_0
+s_1 s_1 != s_2 s_1
+s_1 s_2 != s_3 s_1
+s_2 s_2 != s_3 s_2
+d_0 s_0 != id
+d_1 s_0 != id
+d_1 s_1 != id
+d_2 s_1 != id
+d_2 s_2 != id
+d_3 s_2 != id
+d_0 s_1 != s_0 d_0
+d_0 s_2 != s_1 d_0
+d_1 s_2 != s_1 d_1
+d_2 s_0 != s_0 d_1
+d_3 s_0 != s_0 d_2
+d_3 s_1 != s_1 d_2""".splitlines()
+
+
+def test_each_failed_identity_is_named_in_order(monkeypatch):
+    # every face and degeneracy a fresh object, equal to nothing: each identity fails once
+    monkeypatch.setattr(finchains, "face", lambda *args: object())
+    monkeypatch.setattr(finchains, "degeneracy", lambda *args: object())
+    s = FiniteSet([0])
+    chain = finchains._chain((s, s, s), ((0,), (0,)))
+    result = checks.CheckResult("identities")
+    checks._identities_on(chain, result)
+    assert result.failures == [f"{text} on {chain!r}" for text in IDENTITY_FAILURES]
+    assert result.checked == 1 + len(IDENTITY_FAILURES)
+
+
 def test_chain_operations_build_no_set_map(monkeypatch):
     """Faces, degeneracies, reindexings and the JSON write tables: no SetMap is built."""
     calls = []

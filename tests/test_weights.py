@@ -19,6 +19,7 @@ from confstrata.weights import (
     conf2_purity_report,
     descriptor_from_json,
     elliptic_curve,
+    generator_count,
     hilbert_series,
     kunneth_power,
     presentation,
@@ -229,6 +230,14 @@ def test_presentation_n1_has_no_x_generators():
     algebra = presentation(elliptic_curve(), 1)
     assert all(not g.label.startswith("x") for g in algebra.generators)
     assert len(algebra.generators) == 3  # two degree-1 classes and one degree-2 class
+
+
+def test_generator_count_is_the_presentation_size():
+    # mixed weights in one degree, and a class of degree 2d
+    mixed = VarietyDescriptor("mixed", 2, {0: {0: 1}, 1: {1: 2, 3: 1}, 4: {4: 3}})
+    for x in (elliptic_curve(), affine_line(), projective_line(), affine_space(2), mixed):
+        for n in range(1, 5):
+            assert generator_count(x, n) == len(presentation(x, n).generators)
 
 
 def test_presentation_affine_n2():
